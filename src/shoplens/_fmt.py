@@ -52,11 +52,6 @@ def dump_jsonl(path: Path, records) -> None:
             f.write("\n")
 
 
-def load_jsonl(path: Path) -> list:
-    with open(path, "r", encoding="utf-8") as f:
-        return [json.loads(line) for line in f if line.strip()]
-
-
 def file_digest(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as f:

@@ -55,34 +55,47 @@ class ClusterProfile:
     zero_centroid: bool
 
 
-def _pairwise(points: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - points[None, :, :]
-    return np.sqrt((diff ** 2).sum(axis=-1))
+# Elements (rows x n x k) in one block of the difference tensor: ~4 MB of
+# float64, so the distance layer never holds an n x n matrix.
+_BLOCK_ELEMENTS = 1 << 19
+
+
+def _block_rows(n: int, k: int) -> int:
+    """Rows per distance block for n points in k dimensions (at least one)."""
+    return max(1, _BLOCK_ELEMENTS // max(1, n * k))
 
 
 def core_distances(points: np.ndarray, min_samples: int) -> np.ndarray:
     """Distance to each point's min_samples-th nearest neighbor (excluding
-    itself)."""
+    itself).
+
+    Distances are computed one block of rows at a time, so memory is
+    O(block x n x k) rather than O(n^2 k).
+    """
     points = np.asarray(points, dtype=float)
     n = len(points)
     if n <= min_samples:
         raise ValueError(f"need more than min_samples={min_samples} points, got {n}")
-    dist = _pairwise(points)
-    return np.sort(dist, axis=1)[:, min_samples]
+    core = np.empty(n)
+    step = _block_rows(n, points.shape[1])
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        dist = np.sqrt(((points[lo:hi, None, :] - points[None, :, :]) ** 2).sum(axis=-1))
+        core[lo:hi] = np.partition(dist, min_samples, axis=1)[:, min_samples]
+    return core
 
 
 def mutual_reachability_mst(points: np.ndarray, core: np.ndarray) -> list[tuple[int, int, float]]:
     """Minimum spanning tree under max(core_a, core_b, d(a, b)).
 
     Prim's algorithm over the complete graph; on ties the lowest-index
-    vertex joins first, so the tree is deterministic.
+    vertex joins first, so the tree is deterministic. The reachability row
+    of a vertex is computed when it joins the tree, so memory is O(n).
     """
     points = np.asarray(points, dtype=float)
     n = len(points)
     if n < 2:
         raise ValueError(f"need at least 2 points, got {n}")
-    dist = _pairwise(points)
-    mreach = np.maximum(dist, np.maximum(core[:, None], core[None, :]))
 
     in_tree = np.zeros(n, dtype=bool)
     best = np.full(n, np.inf)
@@ -95,9 +108,11 @@ def mutual_reachability_mst(points: np.ndarray, core: np.ndarray) -> list[tuple[
         in_tree[v] = True
         if parent[v] >= 0:
             edges.append((int(parent[v]), v, float(best[v])))
-        improve = ~in_tree & (mreach[v] < best)
+        row = np.sqrt(((points[v] - points) ** 2).sum(axis=-1))
+        row = np.maximum(row, np.maximum(core[v], core))
+        improve = ~in_tree & (row < best)
         parent[improve] = v
-        best[improve] = mreach[v][improve]
+        best[improve] = row[improve]
     return edges
 
 

@@ -152,6 +152,21 @@ class PurchaseMatrix:
                 and self.entries == other.entries)
 
 
+def _parse_date(raw: str, formats: tuple[str, ...]) -> datetime | None:
+    for fmt in formats:
+        try:
+            return datetime.strptime(raw, fmt)
+        except ValueError:
+            pass
+    return None
+
+
+def _has_delimiter(value: str) -> bool:
+    """Ids are written back out in quote-free CSV, so they must not carry
+    the delimiter or a line break."""
+    return "," in value or "\n" in value or "\r" in value
+
+
 def parse_invoice_csv(
     path: str | Path,
     schema: dict[str, str] | None = None,
@@ -161,8 +176,10 @@ def parse_invoice_csv(
     """Parse an invoice-line CSV into typed records plus a reject report.
 
     Malformed data rows land in the reject report instead of aborting the
-    parse. A missing file, a missing mandatory column, or an undecodable
-    byte stream is a hard error.
+    parse; that includes ids (invoice, stock code, customer) carrying a
+    comma or line break, which the quote-free artifacts cannot hold. A
+    missing file, a missing mandatory column, or an undecodable byte stream
+    is a hard error.
     """
     path = Path(path)
     if not path.exists():
@@ -188,6 +205,7 @@ def parse_invoice_csv(
 
     lines: list[InvoiceLine] = []
     rejects: list[RejectedRow] = []
+    dates: dict[str, datetime | None] = {}  # many lines share one invoice stamp
     for idx, row in enumerate(rows, start=2):  # header is line 1
         def reject(column: str, reason: str) -> None:
             rejects.append(RejectedRow(idx, column, reason,
@@ -197,9 +215,17 @@ def parse_invoice_csv(
         if not invoice_id:
             reject(schema["invoice_id"], "empty invoice id")
             continue
+        if _has_delimiter(invoice_id):
+            reject(schema["invoice_id"],
+                   f"invoice id {invoice_id!r} contains a delimiter or newline")
+            continue
         stock_code = (row.get(schema["stock_code"]) or "").strip()
         if not stock_code:
             reject(schema["stock_code"], "empty stock code")
+            continue
+        if _has_delimiter(stock_code):
+            reject(schema["stock_code"],
+                   f"stock code {stock_code!r} contains a delimiter or newline")
             continue
 
         raw_qty = (row.get(schema["quantity"]) or "").strip()
@@ -217,18 +243,18 @@ def parse_invoice_csv(
             continue
 
         raw_date = (row.get(schema["invoice_date"]) or "").strip()
-        invoice_date = None
-        for fmt in date_formats:
-            try:
-                invoice_date = datetime.strptime(raw_date, fmt)
-                break
-            except ValueError:
-                pass
+        if raw_date not in dates:
+            dates[raw_date] = _parse_date(raw_date, date_formats)
+        invoice_date = dates[raw_date]
         if invoice_date is None:
             reject(schema["invoice_date"], f"unparseable date {raw_date!r}")
             continue
 
         customer_id = (row.get(schema["customer_id"]) or "").strip() or None
+        if customer_id is not None and _has_delimiter(customer_id):
+            reject(schema["customer_id"],
+                   f"customer id {customer_id!r} contains a delimiter or newline")
+            continue
         lines.append(InvoiceLine(
             invoice_id=invoice_id,
             stock_code=stock_code,

@@ -375,7 +375,7 @@ def residual_diagnostics(actual, predicted,
     residuals make standardization impossible; the report is flagged
     degenerate and carries no P-P points.
     """
-    from scipy.stats import norm
+    from scipy.special import ndtr
 
     actual = np.asarray(actual, dtype=float)
     predicted = np.asarray(predicted, dtype=float)
@@ -389,4 +389,4 @@ def residual_diagnostics(actual, predicted,
     z = np.sort(z)
     n = z.size
     empirical = (np.arange(1, n + 1) - 0.5) / n
-    return DiagnosticsReport(actual, predicted, norm.cdf(z), empirical, False)
+    return DiagnosticsReport(actual, predicted, ndtr(z), empirical, False)

@@ -161,10 +161,6 @@ def _require(run_dir: Path, relpath: str, stage: str) -> Path:
     return path
 
 
-def _write_matrix_files(matrix, directory: Path, prefix: str) -> list[Path]:
-    return ingest_mod.write_matrix(matrix, directory, prefix)
-
-
 # ------------------------------------------------------------- stages ----
 
 def _stage_ingest(cfg: PipelineConfig, run_dir: Path):
@@ -192,7 +188,7 @@ def _stage_ingest(cfg: PipelineConfig, run_dir: Path):
     ingest_mod.write_segments(segments, out / "segments.csv")
     ingest_mod.write_rejects(rejects, out / "rejects.jsonl")
     outputs = [out / "transactions.csv", out / "segments.csv", out / "rejects.jsonl"]
-    outputs += _write_matrix_files(matrix, out, "matrix")
+    outputs += ingest_mod.write_matrix(matrix, out, "matrix")
 
     metrics = {
         "parsed_lines": len(lines),
@@ -318,7 +314,7 @@ def _stage_select_features(cfg: PipelineConfig, run_dir: Path):
     outputs = [out / "cv_curve.csv", out / "drop_curve.csv", out / "ranking.csv",
                out / "model.json", out / "diagnostics_pred.csv",
                out / "diagnostics_pp.csv"]
-    outputs += _write_matrix_files(p_prime, out, "p_prime")
+    outputs += ingest_mod.write_matrix(p_prime, out, "p_prime")
 
     holdout_mse = dict(curve.points).get(ranking.selected_count)
     metrics = {

@@ -5,7 +5,9 @@ statements as the library, deliberately using different algorithms (proximal
 gradient instead of coordinate descent, a threshold-sweep over the complete
 reachability graph instead of an MST walk, a brute-force likelihood grid
 instead of bracketed optimization). Nothing imports the code paths it
-checks.
+checks. The full-matrix distance layer (``full_*``) is the exception by
+design: it is the n x n reference that the library's row-block core
+distances and row-by-row Prim tree must match bit for bit.
 """
 
 import itertools
@@ -94,12 +96,46 @@ def minimum_spanning_weight_bruteforce(weights: np.ndarray) -> float:
     return float(best)
 
 
-def _mutual_reachability(points, min_samples):
+def full_pairwise_distances(points) -> np.ndarray:
+    """Euclidean distances from the full n x n x k difference tensor."""
     points = np.asarray(points, dtype=float)
     diff = points[:, None, :] - points[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=-1))
-    core = np.sort(dist, axis=1)[:, min_samples]
+    return np.sqrt((diff ** 2).sum(axis=-1))
+
+
+def full_core_distances(points, min_samples) -> np.ndarray:
+    """min_samples-th nearest-neighbor distance by sorting whole rows of the
+    full distance matrix (position 0 is the point itself)."""
+    return np.sort(full_pairwise_distances(points), axis=1)[:, min_samples]
+
+
+def _mutual_reachability(points, min_samples):
+    dist = full_pairwise_distances(points)
+    core = full_core_distances(points, min_samples)
     return np.maximum(dist, np.maximum(core[:, None], core[None, :]))
+
+
+def full_prim_mst(points, core) -> list:
+    """Prim's algorithm over a precomputed n x n mutual reachability matrix;
+    on ties the lowest-index vertex joins first."""
+    dist = full_pairwise_distances(points)
+    core = np.asarray(core, dtype=float)
+    mreach = np.maximum(dist, np.maximum(core[:, None], core[None, :]))
+    n = len(mreach)
+    in_tree = np.zeros(n, dtype=bool)
+    best = np.full(n, np.inf)
+    parent = np.full(n, -1)
+    best[0] = 0.0
+    edges = []
+    for _ in range(n):
+        v = int(np.argmin(np.where(in_tree, np.inf, best)))
+        in_tree[v] = True
+        if parent[v] >= 0:
+            edges.append((int(parent[v]), v, float(best[v])))
+        improve = ~in_tree & (mreach[v] < best)
+        parent[improve] = v
+        best[improve] = mreach[v][improve]
+    return edges
 
 
 def reference_density_partition(points, min_samples, min_cluster_size):

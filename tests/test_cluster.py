@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from shoplens import cluster
 from shoplens.cluster import (ClusterLabeling, DensityParams, cluster_rows,
                               core_distances, extract_clusters,
                               mutual_reachability_mst, profile_clusters)
 
 from conftest import blobs_with_noise
-from oracles import (minimum_spanning_weight_bruteforce, partition_of,
+from oracles import (full_core_distances, full_prim_mst,
+                     minimum_spanning_weight_bruteforce, partition_of,
                      reference_density_partition)
 
 
@@ -79,6 +83,59 @@ class TestMst:
         mreach = np.maximum(dist, np.maximum(core[:, None], core[None, :]))
         assert np.all(mreach >= dist)
         assert np.abs(mreach - mreach.T).max() == 0.0
+
+
+def _one_block_n(k):
+    """Largest n whose distance rows all fit in a single block."""
+    n = 2
+    while cluster._block_rows(n + 1, k) >= n + 1:
+        n += 1
+    return n
+
+
+def assert_matches_full_matrix(points, min_samples):
+    core = core_distances(points, min_samples)
+    expected_core = full_core_distances(points, min_samples)
+    assert core.tolist() == expected_core.tolist()
+    assert mutual_reachability_mst(points, core) == full_prim_mst(points, expected_core)
+
+
+class TestBlockedDistances:
+    """Row blocks and row-by-row Prim reproduce the full-matrix layer exactly."""
+
+    @pytest.mark.parametrize("k", [1, 4, 9])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_around_one_block(self, k, offset):
+        n = _one_block_n(k) + offset
+        assert (cluster._block_rows(n, k) >= n) == (offset <= 0)
+        points = np.random.default_rng(100 * k + offset + 1).standard_normal((n, k))
+        assert_matches_full_matrix(points, 5)
+
+    @pytest.mark.parametrize("k", [1, 4, 9])
+    def test_duplicate_points_across_many_blocks(self, k, monkeypatch):
+        monkeypatch.setattr(cluster, "_BLOCK_ELEMENTS", 64)
+        rng = np.random.default_rng(k)
+        points = rng.integers(0, 3, size=(60, k)).astype(float)
+        assert cluster._block_rows(60, k) < 60
+        for min_samples in (1, 5):
+            assert_matches_full_matrix(points, min_samples)
+
+    def test_all_equal_distances_across_many_blocks(self, monkeypatch):
+        monkeypatch.setattr(cluster, "_BLOCK_ELEMENTS", 64)
+        points = np.eye(40)
+        assert cluster._block_rows(40, 40) == 1
+        assert_matches_full_matrix(points, 3)
+
+    def test_cluster_rows_memory_is_bounded(self):
+        points = np.random.default_rng(12).standard_normal((1000, 5))
+        tracemalloc.start()
+        try:
+            cluster_rows(points, DensityParams(5, 5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the full n x n x k difference tensor alone would be 40 MB
+        assert peak < 24 * 2 ** 20
 
 
 class TestExtract:

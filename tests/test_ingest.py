@@ -64,6 +64,30 @@ class TestParse:
         lines, _ = parse_invoice_csv(path, encoding="latin-1")
         assert lines[0].description == "café"
 
+    @pytest.mark.parametrize("row, column", [
+        ('1,"PEN,04",X,2,1/2/2011 10:00,1.5,C1,UK\n', "StockCode"),
+        ('"1,2",A,X,2,1/2/2011 10:00,1.5,C1,UK\n', "InvoiceNo"),
+        ('1,A,X,2,1/2/2011 10:00,1.5,"C\n1",UK\n', "CustomerID"),
+        ('1,"A\r\nB",X,2,1/2/2011 10:00,1.5,C1,UK\n', "StockCode"),
+    ], ids=["stock-code-comma", "invoice-comma", "customer-newline", "stock-code-crlf"])
+    def test_delimiter_in_id_rejected(self, tmp_path, row, column):
+        body = row + "2,B,X,2,1/2/2011 10:00,1.5,C1,UK\n"
+        lines, rejects = parse_invoice_csv(write(tmp_path, body))
+        assert [line.invoice_id for line in lines] == ["2"]
+        assert len(rejects) == 1
+        assert rejects[0].column == column
+        assert "delimiter or newline" in rejects[0].reason
+
+    def test_repeated_unparseable_date_rejects_every_row(self, tmp_path):
+        body = ("1,A,X,2,not-a-date,1.5,C1,UK\n"
+                "2,A,X,2,1/2/2011 10:00,1.5,C1,UK\n"
+                "3,A,X,2,not-a-date,1.5,C1,UK\n"
+                "4,A,X,2,1/2/2011 10:00,1.5,C1,UK\n")
+        lines, rejects = parse_invoice_csv(write(tmp_path, body))
+        assert [r.line_number for r in rejects] == [2, 4]
+        assert {r.reason for r in rejects} == {"unparseable date 'not-a-date'"}
+        assert lines[0].invoice_date == lines[1].invoice_date
+
     def test_custom_schema(self, tmp_path):
         path = tmp_path / "alt.csv"
         path.write_text("Invoice,Stock Code,Description,Qty,Date,Price,Customer,Country\n"

@@ -198,6 +198,23 @@ class TestCli:
         assert stored["k"] == 2
         assert stored["alpha_m"] == 0.1
 
+    def test_quoted_comma_stock_code_is_rejected_not_fatal(
+            self, fixture_csv, fixture_config_path, tmp_path):
+        src = tmp_path / "invoices.csv"
+        src.write_text(fixture_csv.read_text(encoding="utf-8")
+                       + '1001,"PEN,04",GEL PEN SET,7,3/20/2011 11:25,1.50,A100,'
+                         'United Kingdom\n', encoding="utf-8")
+        out = tmp_path / "run"
+        rc = cli_main(["--config", str(fixture_config_path), "ingest",
+                       "--input", str(src), "--out", str(out)])
+        assert rc == 0
+        rejects = [json.loads(line) for line in
+                   (out / "ingest" / "rejects.jsonl").read_text().splitlines()]
+        assert any(r["raw"]["StockCode"] == "PEN,04" and r["column"] == "StockCode"
+                   for r in rejects)
+        _, rows = read_csv(out / "ingest" / "transactions.csv")
+        assert all(len(row) == 6 for row in rows)
+
     def test_rfm_weight_flags(self, fixture_csv, fixture_config_path, tmp_path):
         out = tmp_path / "run"
         cfg = fixture_config(fixture_csv, fixture_config_path, out)
