@@ -188,30 +188,53 @@ def parse_invoice_csv(
 
     try:
         with open(path, "r", encoding=encoding, newline="") as f:
-            reader = csv.DictReader(f)
-            if reader.fieldnames is None:
+            reader = csv.reader(f)
+            header = next(reader, None)
+            if header is None:
                 return [], []
-            reader.fieldnames = [name.lstrip("﻿") for name in reader.fieldnames]
-            missing = [col for col in schema.values() if col not in reader.fieldnames]
+            header = [name.lstrip("\ufeff") for name in header]
+            missing = [col for col in schema.values() if col not in header]
             if missing:
                 raise ValueError(
-                    f"{path}: missing mandatory columns {missing}; "
-                    f"found {reader.fieldnames}")
-            rows = list(reader)
+                    f"{path}: missing mandatory columns {missing}; found {header}")
+            return _parse_rows(reader, header, schema, date_formats)
     except UnicodeDecodeError as exc:
         raise ValueError(
             f"{path}: cannot decode as {encoding} near byte {exc.start}; "
             f"pass the correct encoding") from exc
 
+
+def _parse_rows(reader, header: list[str], schema: dict[str, str],
+                date_formats: tuple[str, ...],
+                ) -> tuple[list[InvoiceLine], list[RejectedRow]]:
+    """Type the data rows of an invoice CSV as they are read.
+
+    Rows are read the way ``csv.DictReader`` reads them: blank lines are
+    skipped and not numbered, a repeated header name takes the last
+    matching field, a short row reads its missing fields as "", and a long
+    row keeps its extra fields under the key None of the reject record.
+    """
+    width = len(header)
+    at = {name: i for i, name in enumerate(header)}
+    (i_invoice, i_stock, i_description, i_quantity, i_date, i_price,
+     i_customer, i_country) = (at[schema[key]] for key in (
+        "invoice_id", "stock_code", "description", "quantity",
+        "invoice_date", "unit_price", "customer_id", "country"))
+
     lines: list[InvoiceLine] = []
     rejects: list[RejectedRow] = []
     dates: dict[str, datetime | None] = {}  # many lines share one invoice stamp
-    for idx, row in enumerate(rows, start=2):  # header is line 1
-        def reject(column: str, reason: str) -> None:
-            rejects.append(RejectedRow(idx, column, reason,
-                                       {k: (v if v is not None else "") for k, v in row.items()}))
+    for idx, row in enumerate(filter(None, reader), start=2):  # header is line 1
+        if len(row) < width:
+            row += [""] * (width - len(row))
 
-        invoice_id = (row.get(schema["invoice_id"]) or "").strip()
+        def reject(column: str, reason: str) -> None:
+            raw = dict(zip(header, row))
+            if len(row) > width:
+                raw[None] = row[width:]
+            rejects.append(RejectedRow(idx, column, reason, raw))
+
+        invoice_id = row[i_invoice].strip()
         if not invoice_id:
             reject(schema["invoice_id"], "empty invoice id")
             continue
@@ -219,7 +242,7 @@ def parse_invoice_csv(
             reject(schema["invoice_id"],
                    f"invoice id {invoice_id!r} contains a delimiter or newline")
             continue
-        stock_code = (row.get(schema["stock_code"]) or "").strip()
+        stock_code = row[i_stock].strip()
         if not stock_code:
             reject(schema["stock_code"], "empty stock code")
             continue
@@ -228,21 +251,21 @@ def parse_invoice_csv(
                    f"stock code {stock_code!r} contains a delimiter or newline")
             continue
 
-        raw_qty = (row.get(schema["quantity"]) or "").strip()
+        raw_qty = row[i_quantity].strip()
         try:
             quantity = int(raw_qty)
         except ValueError:
             reject(schema["quantity"], f"non-integer quantity {raw_qty!r}")
             continue
 
-        raw_price = (row.get(schema["unit_price"]) or "").strip()
+        raw_price = row[i_price].strip()
         try:
             unit_price = float(raw_price)
         except ValueError:
             reject(schema["unit_price"], f"non-numeric unit price {raw_price!r}")
             continue
 
-        raw_date = (row.get(schema["invoice_date"]) or "").strip()
+        raw_date = row[i_date].strip()
         if raw_date not in dates:
             dates[raw_date] = _parse_date(raw_date, date_formats)
         invoice_date = dates[raw_date]
@@ -250,7 +273,7 @@ def parse_invoice_csv(
             reject(schema["invoice_date"], f"unparseable date {raw_date!r}")
             continue
 
-        customer_id = (row.get(schema["customer_id"]) or "").strip() or None
+        customer_id = row[i_customer].strip() or None
         if customer_id is not None and _has_delimiter(customer_id):
             reject(schema["customer_id"],
                    f"customer id {customer_id!r} contains a delimiter or newline")
@@ -258,12 +281,12 @@ def parse_invoice_csv(
         lines.append(InvoiceLine(
             invoice_id=invoice_id,
             stock_code=stock_code,
-            description=(row.get(schema["description"]) or "").strip(),
+            description=row[i_description].strip(),
             quantity=quantity,
             invoice_date=invoice_date,
             unit_price=unit_price,
             customer_id=customer_id,
-            country=(row.get(schema["country"]) or "").strip(),
+            country=row[i_country].strip(),
         ))
     return lines, rejects
 

@@ -262,9 +262,8 @@ def _stage_select_features(cfg: PipelineConfig, run_dir: Path):
     if cfg.lasso.alpha_grid is not None:
         grid = np.asarray(cfg.lasso.alpha_grid, dtype=float)
     else:
-        hi = lasso_mod.max_alpha(design, rows=train)
-        grid = hi * np.logspace(np.log10(cfg.lasso.grid_lo_ratio), 0.0,
-                                cfg.lasso.grid_size)
+        grid = lasso_mod.default_alpha_grid(design, cfg.lasso.grid_size,
+                                            cfg.lasso.grid_lo_ratio, rows=train)
     alpha_best, cv_curve = lasso_mod.cross_validate_alpha(
         design, grid, cfg.lasso.folds, cfg.lasso.seed, solver, rows=train)
     model = lasso_mod.fit_lasso(design, alpha_best, solver, rows=train)
@@ -302,6 +301,7 @@ def _stage_select_features(cfg: PipelineConfig, run_dir: Path):
         "n_iter": model.n_iter,
         "max_coord_delta": model.max_coord_delta,
         "converged": model.converged,
+        "duality_gap": lasso_mod.duality_gap(design, model, rows=train),
         "dropped_constant_columns": design.dropped_cols,
         "holdout_rows": [design.row_ids[i] for i in holdout],
     })

@@ -5,14 +5,18 @@ statements as the library, deliberately using different algorithms (proximal
 gradient instead of coordinate descent, a threshold-sweep over the complete
 reachability graph instead of an MST walk, a brute-force likelihood grid
 instead of bracketed optimization). Nothing imports the code paths it
-checks. The full-matrix distance layer (``full_*``) is the exception by
-design: it is the n x n reference that the library's row-block core
-distances and row-by-row Prim tree must match bit for bit.
+checks. Two references are exceptions by design, because the library must
+match them bit for bit: the full-matrix distance layer (``full_*``), the
+n x n reference for the library's row-block core distances and row-by-row
+Prim tree; and ``reference_fit_lasso``, the plain cyclic coordinate descent
+that the library's screened solver reproduces.
 """
 
 import itertools
 
 import numpy as np
+
+from shoplens.lasso import DesignMatrix, LassoModel, SolverConfig
 
 
 # ------------------------------------------------------------ lasso ------
@@ -35,6 +39,92 @@ def projected_gradient_lasso(x, y, alpha, tol=1e-10, max_iter=500_000):
             break
         beta = new
     return float(np.mean(y)), beta
+
+
+def _reference_soft_threshold(z: float, a: float) -> float:
+    if z > a:
+        return z - a
+    if z < -a:
+        return z + a
+    return 0.0
+
+
+def reference_fit_lasso(design: DesignMatrix, alpha: float,
+                          cfg: SolverConfig = SolverConfig(),
+                          rows: np.ndarray | None = None,
+                          warm_start: np.ndarray | None = None) -> LassoModel:
+    """Cyclic coordinate descent with exact soft-threshold updates, visiting
+    every coordinate of every sweep; ``fit_lasso`` must match it bit for bit.
+
+    Sweeps alternate between the full coordinate set and the current active
+    set; convergence is a full sweep whose largest coefficient change falls
+    below cfg.tol. Hitting max_iter is reported via ``converged``, not
+    raised. ``rows`` restricts the fit to a row subset (used by
+    cross-validation); ``warm_start`` seeds the coefficients.
+    """
+    if alpha <= 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    x, y = design.x, design.y
+    if rows is not None:
+        x, y = x[np.asarray(rows)], y[np.asarray(rows)]
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("non-finite values in design")
+    x = np.asfortranarray(x)
+    n, p = x.shape
+
+    intercept = float(y.mean())
+    col_sq = np.einsum("ij,ij->j", x, x) / n
+    beta = np.zeros(p) if warm_start is None else np.array(warm_start, dtype=float)
+    r = y - intercept - x @ beta
+
+    trace: list[float] = []
+
+    def sweep(indices) -> float:
+        max_delta = 0.0
+        for j in indices:
+            if col_sq[j] == 0.0:
+                continue
+            old = beta[j]
+            rho = x[:, j] @ r / n + col_sq[j] * old
+            new = _reference_soft_threshold(rho, alpha) / col_sq[j]
+            if new != old:
+                r[:] -= x[:, j] * (new - old)
+                beta[j] = new
+            delta = abs(new - old)
+            if delta > max_delta:
+                max_delta = delta
+        trace.append(float(r @ r / (2 * n) + alpha * np.abs(beta).sum()))
+        return max_delta
+
+    all_idx = range(p)
+    n_iter = 0
+    converged = False
+    last_full_delta = np.inf
+    while n_iter < cfg.max_iter:
+        last_full_delta = sweep(all_idx)
+        n_iter += 1
+        if last_full_delta < cfg.tol:
+            converged = True
+            break
+        active = np.flatnonzero(beta)
+        if active.size == 0:
+            continue
+        while n_iter < cfg.max_iter:
+            delta = sweep(active)
+            n_iter += 1
+            if delta < cfg.tol:
+                break
+
+    return LassoModel(
+        alpha=float(alpha),
+        intercept=intercept,
+        beta=beta,
+        col_ids=list(design.col_ids),
+        n_iter=n_iter,
+        max_coord_delta=float(last_full_delta),
+        converged=converged,
+        objective_trace=trace,
+    )
 
 
 def ols_holdout_mse(x_train, y_train, x_hold, y_hold):

@@ -88,6 +88,43 @@ class TestParse:
         assert {r.reason for r in rejects} == {"unparseable date 'not-a-date'"}
         assert lines[0].invoice_date == lines[1].invoice_date
 
+    def test_blank_lines_skipped_and_not_numbered(self, tmp_path):
+        body = ("1,A,X,2,1/2/2011 10:00,1.5,C1,UK\n"
+                "\n"
+                "\r\n"
+                "2,A,X,bad,1/2/2011 10:00,1.5,C1,UK\n")
+        lines, rejects = parse_invoice_csv(write(tmp_path, body))
+        assert [line.invoice_id for line in lines] == ["1"]
+        assert [r.line_number for r in rejects] == [3]
+
+    def test_short_row_reads_missing_fields_as_empty(self, tmp_path):
+        body = ("1,A,X,2,1/2/2011 10:00\n"
+                "2,A,X,2,1/2/2011 10:00,1.5\n")
+        lines, rejects = parse_invoice_csv(write(tmp_path, body))
+        assert [r.line_number for r in rejects] == [2]
+        assert rejects[0].column == "UnitPrice"
+        assert rejects[0].raw == {
+            "InvoiceNo": "1", "StockCode": "A", "Description": "X",
+            "Quantity": "2", "InvoiceDate": "1/2/2011 10:00", "UnitPrice": "",
+            "CustomerID": "", "Country": ""}
+        assert lines[0].customer_id is None and lines[0].country == ""
+
+    def test_long_row_keeps_extra_fields_under_none(self, tmp_path):
+        body = ("1,A,X,2,1/2/2011 10:00,1.5,C1,UK,extra\n"
+                "2,A,X,q,1/2/2011 10:00,1.5,C1,UK,e1,e2\n")
+        lines, rejects = parse_invoice_csv(write(tmp_path, body))
+        assert [line.country for line in lines] == ["UK"]
+        assert len(rejects) == 1
+        assert rejects[0].raw[None] == ["e1", "e2"]
+        assert list(rejects[0].raw)[:8] == HEADER.strip().split(",")
+
+    def test_bom_stripped_from_header(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + (HEADER + "1,A,X,2,1/2/2011 10:00,1.5,C1,UK\n")
+                         .encode("utf-8"))
+        lines, rejects = parse_invoice_csv(path)
+        assert len(lines) == 1 and rejects == []
+
     def test_custom_schema(self, tmp_path):
         path = tmp_path / "alt.csv"
         path.write_text("Invoice,Stock Code,Description,Qty,Date,Price,Customer,Country\n"

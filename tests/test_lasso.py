@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
+from shoplens import lasso as lasso_mod
 from shoplens.ingest import PurchaseMatrix
-from shoplens.lasso import (DropExperimentCurve, SelectionRule, SolverConfig,
-                            cross_validate_alpha, default_alpha_grid,
-                            drop_experiment, fit_lasso, kkt_violations,
-                            lasso_objective, max_alpha, ols_refit,
-                            residual_diagnostics, select_features, standardize)
+from shoplens.lasso import (DesignMatrix, DropExperimentCurve, SelectionRule,
+                            SolverConfig, cross_validate_alpha,
+                            default_alpha_grid, drop_experiment, duality_gap,
+                            fit_lasso, kkt_violations, lasso_objective,
+                            max_alpha, ols_refit, residual_diagnostics,
+                            select_features, standardize)
 
-from oracles import ols_holdout_mse, projected_gradient_lasso
+from oracles import (ols_holdout_mse, projected_gradient_lasso,
+                     reference_fit_lasso)
 
 
 def random_design(seed, n=30, p=10, y_centered=True):
@@ -152,6 +155,196 @@ class TestFitLasso:
     def test_alpha_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
             fit_lasso(random_design(2), 0.0)
+
+
+def raw_design(x, y):
+    """Design taken as given: no standardization, so zero or repeated
+    columns survive."""
+    n, p = x.shape
+    return DesignMatrix(x=np.asfortranarray(x, dtype=float), y=np.asarray(y, float),
+                        row_ids=[f"r{i}" for i in range(n)],
+                        col_ids=[f"c{j}" for j in range(p)],
+                        column_means=np.zeros(p), column_scales=np.ones(p),
+                        dropped_cols=[])
+
+
+def assert_same_fit(design, alpha, cfg=SolverConfig(), rows=None, warm_start=None):
+    """fit_lasso must reproduce the plain cyclic solver bit for bit."""
+    got = fit_lasso(design, alpha, cfg, rows=rows, warm_start=warm_start)
+    ref = reference_fit_lasso(design, alpha, cfg, rows=rows, warm_start=warm_start)
+    assert got.beta.tobytes() == ref.beta.tobytes()
+    assert got.n_iter == ref.n_iter
+    assert got.converged == ref.converged
+    assert (np.float64(got.max_coord_delta).tobytes()
+            == np.float64(ref.max_coord_delta).tobytes())
+    assert (np.array(got.objective_trace).tobytes()
+            == np.array(ref.objective_trace).tobytes())
+    return got
+
+
+class TestReferenceEquality:
+    """Zero-run screening and the allocation-free sweep change no bit of a
+    fit: coefficients, sweep count, stop flag, last full-sweep change and the
+    objective trace all equal the plain cyclic solver's."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("frac", [0.5, 0.1, 0.02])
+    def test_p_greater_than_n(self, seed, frac):
+        d = random_design(seed, n=25, p=150)  # several screening blocks
+        assert_same_fit(d, frac * max_alpha(d), SolverConfig(max_iter=400))
+
+    @pytest.mark.parametrize("block", [1, 5, 64, 10_000])
+    def test_block_size_changes_nothing(self, monkeypatch, block):
+        monkeypatch.setattr(lasso_mod, "_SCREEN_BLOCK", block)
+        d = random_design(3, n=30, p=90)
+        for frac in (0.3, 0.05):
+            assert_same_fit(d, frac * max_alpha(d), SolverConfig(max_iter=300))
+
+    def test_row_subset_that_zeroes_a_column(self):
+        rng = np.random.default_rng(5)
+        n, p = 40, 70
+        x = rng.standard_normal((n, p))
+        rows = np.arange(0, n, 2)
+        x[rows, 3] = 0.0    # zero on the subset, nonzero elsewhere
+        x[rows, 65] = 0.0
+        y = x[:, :6] @ rng.standard_normal(6) + rng.standard_normal(n)
+        d = raw_design(x, y)
+        alpha = 0.05 * max_alpha(d, rows=rows)
+        assert_same_fit(d, alpha, rows=rows)
+        warm = rng.standard_normal(p) * (rng.random(p) < 0.2)
+        warm[3] = 0.7       # a coefficient on the zero column is never touched
+        model = assert_same_fit(d, alpha, SolverConfig(max_iter=200), rows=rows,
+                                warm_start=warm)
+        assert model.beta[3] == 0.7
+
+    def test_duplicate_columns(self):
+        rng = np.random.default_rng(8)
+        n, p = 30, 80
+        x = rng.standard_normal((n, p))
+        x[:, 10] = x[:, 2]
+        x[:, 11] = x[:, 2]
+        x[:, 79] = x[:, 2]
+        x[:, 40] = -x[:, 20]
+        y = 2.0 * x[:, 2] - x[:, 20] + 0.1 * rng.standard_normal(n)
+        d = raw_design(x, y)
+        for frac in (0.5, 0.1, 0.01):
+            assert_same_fit(d, frac * max_alpha(d), SolverConfig(max_iter=300))
+
+    def test_warm_started_path(self):
+        d = random_design(9, n=30, p=120)
+        hi = max_alpha(d)
+        warm = None
+        for a in hi * np.logspace(0, -2, 8):
+            warm = assert_same_fit(d, a, SolverConfig(max_iter=300),
+                                   warm_start=warm).beta
+
+    def test_arbitrary_warm_starts(self):
+        rng = np.random.default_rng(10)
+        d = random_design(10, n=20, p=60)
+        warm = rng.standard_normal(60) * (rng.random(60) < 0.3)
+        warm[rng.random(60) < 0.2] = -0.0
+        assert_same_fit(d, 0.2 * max_alpha(d), SolverConfig(max_iter=500),
+                        warm_start=warm)
+        assert_same_fit(d, 0.2 * max_alpha(d), warm_start=np.full(60, -0.0))
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3, 4, 7, 25])
+    def test_max_iter_cap_mid_path(self, max_iter):
+        d = random_design(12, n=30, p=100)
+        model = assert_same_fit(d, 0.01 * max_alpha(d), SolverConfig(max_iter=max_iter))
+        assert model.n_iter == max_iter and not model.converged
+
+    def test_rho_exactly_at_alpha(self):
+        rng = np.random.default_rng(13)
+        n, p = 32, 8
+        q, _ = np.linalg.qr(rng.standard_normal((n, p)))
+        x = np.asfortranarray(np.sqrt(n) * q)  # orthonormal: rho_j = x_j'y/n
+        y = rng.standard_normal(n)
+        d = raw_design(x, y)
+        r0 = y - float(y.mean()) - x @ np.zeros(p)
+        rho = np.array([x[:, j] @ r0 / n for j in range(p)])
+        j = int(np.argsort(np.abs(rho))[p // 2])
+        alpha = float(abs(rho[j]))   # the first sweep meets |rho_j| == alpha
+        model = assert_same_fit(d, alpha, SolverConfig(tol=1e-12))
+        assert model.beta[j] == 0.0
+        assert np.count_nonzero(model.beta) > 0
+
+    def test_blocked_gradient_rounds_below_alpha(self):
+        """A coordinate whose blocked gradient rounds below alpha while its
+        own dot product exceeds alpha must still enter the model."""
+        for seed in range(2000):
+            rng = np.random.default_rng(seed)
+            x = rng.standard_normal((7, 20))
+            y = rng.standard_normal(7)
+            r0 = y - float(y.mean()) - x @ np.zeros(20)
+            own = np.abs([x[:, j] @ r0 / 7 for j in range(20)])
+            blocked = np.abs(np.asfortranarray(x).T @ r0 / 7)
+            j = int(np.argmax(own))
+            alpha = float(np.nextafter(own[j], 0.0))
+            if blocked[j] < alpha:
+                break
+        else:
+            pytest.skip("blocked and per-column dot products agree on this BLAS")
+        model = assert_same_fit(raw_design(x, y), alpha, SolverConfig(max_iter=1))
+        assert model.beta[j] != 0.0
+
+    def test_randomized_designs(self):
+        rng = np.random.default_rng(14)
+        for _ in range(40):
+            n = int(rng.integers(3, 30))
+            p = int(rng.integers(1, 140))
+            x = rng.standard_normal((n, p)) * rng.choice([1e-3, 1.0, 1e3], p)
+            x[:, rng.random(p) < 0.1] = 0.0
+            y = rng.standard_normal(n) * float(rng.choice([1e-2, 1.0, 1e2]))
+            d = raw_design(x, y)
+            rows = None
+            if n > 6 and rng.random() < 0.5:
+                rows = np.sort(rng.choice(n, size=n // 2 + 1, replace=False))
+            hi = max_alpha(d, rows=rows)
+            if hi == 0.0:
+                continue
+            warm = None
+            if rng.random() < 0.3:
+                warm = rng.standard_normal(p) * (rng.random(p) < 0.3)
+            assert_same_fit(d, float(rng.uniform(0.001, 1.2)) * hi,
+                            SolverConfig(max_iter=int(rng.integers(1, 200))),
+                            rows=rows, warm_start=warm)
+
+
+class TestDualityGap:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_vanishes_at_tight_tolerance(self, seed):
+        d = random_design(seed, n=30, p=12 + 30 * seed)
+        model = fit_lasso(d, 0.1 * max_alpha(d), SolverConfig(tol=1e-12, max_iter=100_000))
+        assert model.converged
+        assert abs(duality_gap(d, model)) < 1e-10 * model.objective_trace[-1]
+
+    def test_zero_model_above_alpha_max_is_exactly_optimal(self):
+        d = random_design(21)
+        model = fit_lasso(d, 1.01 * max_alpha(d))
+        assert duality_gap(d, model) == 0.0
+
+    def test_positive_after_one_sweep(self):
+        d = random_design(22, n=30, p=60)
+        model = fit_lasso(d, 0.01 * max_alpha(d), SolverConfig(max_iter=1))
+        assert not model.converged
+        assert duality_gap(d, model) > 1e-3
+
+    def test_never_negative_beyond_rounding(self):
+        rng = np.random.default_rng(23)
+        for _ in range(30):
+            d = random_design(int(rng.integers(1000)), n=int(rng.integers(5, 40)),
+                              p=int(rng.integers(2, 60)))
+            model = fit_lasso(d, float(rng.uniform(0.01, 1.0)) * max_alpha(d),
+                              SolverConfig(max_iter=int(rng.integers(1, 50))))
+            assert duality_gap(d, model) >= -1e-12
+
+    def test_rows_restrict_the_problem(self):
+        d = random_design(24, n=30, p=20)
+        rows = np.arange(0, 30, 3)
+        model = fit_lasso(d, 0.2 * max_alpha(d, rows=rows), SolverConfig(max_iter=2),
+                          rows=rows)
+        sub = raw_design(d.x[rows], d.y[rows])
+        assert duality_gap(d, model, rows=rows) == duality_gap(sub, model)
 
 
 class TestCrossValidation:
@@ -344,3 +537,10 @@ class TestDefaultGrid:
         assert len(grid) == 50
         assert grid[-1] == pytest.approx(max_alpha(d))
         assert grid[0] == pytest.approx(1e-4 * max_alpha(d))
+
+    def test_rows_scale_the_grid_to_the_subset(self):
+        d = random_design(61)
+        rows = np.arange(0, 30, 2)
+        grid = default_alpha_grid(d, num=8, lo_ratio=0.03, rows=rows)
+        expected = max_alpha(d, rows=rows) * np.logspace(np.log10(0.03), 0.0, 8)
+        assert grid.tobytes() == expected.tobytes()

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from shoplens._fmt import file_digest, read_csv
@@ -84,6 +85,12 @@ class TestFullRun:
         assert by_name["rfm"]["lambda"] is not None
         assert by_name["select-features"]["m_prime"] >= 1
         assert by_name["cluster"]["n_clusters"] >= 0
+
+    def test_model_reports_duality_gap(self, full_run):
+        _, out, _ = full_run
+        model = json.loads((out / "select-features" / "model.json").read_text())
+        assert np.isfinite(model["duality_gap"])
+        assert model["duality_gap"] >= -1e-12
 
     def test_scores_cover_frequent_members(self, full_run):
         _, out, _ = full_run
