@@ -35,57 +35,59 @@ def _base_config(args) -> PipelineConfig:
     return cfg
 
 
+# Config overrides: (flag, config section, field, argparse kwargs, the
+# subcommands that take the flag). The argparse dest is the flag's name.
+_OVERRIDES = [
+    ("--encoding", "ingest", "encoding", {}, ("ingest",)),
+    ("--cancellation-prefix", "ingest", "cancellation_prefix", {}, ("ingest",)),
+    ("--min-purchases", "ingest", "frequent_min_purchases", {"type": int}, ("ingest",)),
+    ("--wholesale-threshold", "ingest", "wholesale_quantity_threshold", {"type": int},
+     ("ingest",)),
+    ("--w-recency", "rfm", "w_recency", {"type": float}, ("rfm",)),
+    ("--w-frequency", "rfm", "w_frequency", {"type": float}, ("rfm",)),
+    ("--w-monetary", "rfm", "w_monetary", {"type": float}, ("rfm",)),
+    ("--alpha-grid", "lasso", "alpha_grid", {"type": float, "nargs": "+"},
+     ("select-features", "run-all")),
+    ("--folds", "lasso", "folds", {"type": int}, ("select-features", "run-all")),
+    ("--slack", "lasso", "slack", {"type": float}, ("select-features", "run-all")),
+    ("--k-min", "nmf", "k_min", {"type": int}, ("grid-search", "run-all")),
+    ("--k-max", "nmf", "k_max", {"type": int}, ("grid-search", "run-all")),
+    ("--k", "nmf", "k", {"type": int, "help": "latent dimension (skips grid best)"},
+     ("factorize",)),
+    ("--alpha-m", "nmf", "alpha_m", {"type": float}, ("factorize",)),
+    ("--l1-ratio", "nmf", "l1_ratio", {"type": float}, ("factorize",)),
+    ("--min-cluster-size", "cluster", "min_cluster_size", {"type": int},
+     ("cluster", "run-all")),
+    ("--row-normalize", "cluster", "row_normalize", {"action": "store_true"},
+     ("cluster", "run-all")),
+    ("--threshold", "graph", "affinity_threshold",
+     {"type": float, "help": "minimum affinity edge weight"}, ("export-graph",)),
+]
+
+_STAGES = [
+    ("ingest", "parse, clean, segment, build the incidence matrix"),
+    ("rfm", "score customer value and fit the normalizing transform"),
+    ("select-features", "LASSO feature selection"),
+    ("grid-search", "NMF hyperparameter search by imputation error"),
+    ("factorize", "fit the purchase dictionary and affinities"),
+    ("cluster", "density-cluster the affinity rows"),
+    ("export-graph", "export bipartite graphs with embeddings"),
+    ("run-all", "run every stage in order"),
+]
+
+
 def _apply_overrides(cfg: PipelineConfig, args) -> PipelineConfig:
-    ingest_over = {}
-    for flag, name in [("encoding", "encoding"),
-                       ("cancellation_prefix", "cancellation_prefix"),
-                       ("min_purchases", "frequent_min_purchases"),
-                       ("wholesale_threshold", "wholesale_quantity_threshold")]:
-        value = getattr(args, flag, None)
-        if value is not None:
-            ingest_over[name] = value
-    if ingest_over:
-        cfg = replace(cfg, ingest=replace(cfg.ingest, **ingest_over))
-
-    rfm_over = {}
-    for flag, name in [("w_recency", "w_recency"), ("w_frequency", "w_frequency"),
-                       ("w_monetary", "w_monetary")]:
-        value = getattr(args, flag, None)
-        if value is not None:
-            rfm_over[name] = value
-    if rfm_over:
-        cfg = replace(cfg, rfm=replace(cfg.rfm, **rfm_over))
-
-    lasso_over = {}
-    for flag, name in [("alpha_grid", "alpha_grid"), ("folds", "folds"),
-                       ("slack", "slack")]:
-        value = getattr(args, flag, None)
-        if value is not None:
-            lasso_over[name] = tuple(value) if flag == "alpha_grid" else value
-    if lasso_over:
-        cfg = replace(cfg, lasso=replace(cfg.lasso, **lasso_over))
-
-    nmf_over = {}
-    for flag, name in [("k", "k"), ("alpha_m", "alpha_m"), ("l1_ratio", "l1_ratio"),
-                       ("k_min", "k_min"), ("k_max", "k_max")]:
-        value = getattr(args, flag, None)
-        if value is not None:
-            nmf_over[name] = value
-    if getattr(args, "k", None) is not None:
-        nmf_over["use_grid_best"] = False
-    if nmf_over:
-        cfg = replace(cfg, nmf=replace(cfg.nmf, **nmf_over))
-
-    cluster_over = {}
-    if getattr(args, "min_cluster_size", None) is not None:
-        cluster_over["min_cluster_size"] = args.min_cluster_size
-    if getattr(args, "row_normalize", False):
-        cluster_over["row_normalize"] = True
-    if cluster_over:
-        cfg = replace(cfg, cluster=replace(cfg.cluster, **cluster_over))
-
-    if getattr(args, "threshold", None) is not None:
-        cfg = replace(cfg, graph=replace(cfg.graph, affinity_threshold=args.threshold))
+    sections: dict[str, dict] = {}
+    for flag, section, name, _, _ in _OVERRIDES:
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is None or value is False:  # not given (False: store_true)
+            continue
+        over = sections.setdefault(section, {})
+        over[name] = tuple(value) if isinstance(value, list) else value
+        if name == "k":
+            over["use_grid_best"] = False
+    for section, over in sections.items():
+        cfg = replace(cfg, **{section: replace(getattr(cfg, section), **over)})
     return cfg
 
 
@@ -98,53 +100,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="global seed applied to every stage")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_stage(name, help_text):
-        p = sub.add_parser(name, help=help_text)
+    for stage, help_text in _STAGES:
+        p = sub.add_parser(stage, help=help_text)
         p.add_argument("--input", help="invoice-line CSV (ingest input)")
         p.add_argument("--out", help="run directory")
-        return p
-
-    p = add_stage("ingest", "parse, clean, segment, build the incidence matrix")
-    p.add_argument("--encoding")
-    p.add_argument("--cancellation-prefix", dest="cancellation_prefix")
-    p.add_argument("--min-purchases", dest="min_purchases", type=int)
-    p.add_argument("--wholesale-threshold", dest="wholesale_threshold", type=int)
-
-    p = add_stage("rfm", "score customer value and fit the normalizing transform")
-    p.add_argument("--w-recency", dest="w_recency", type=float)
-    p.add_argument("--w-frequency", dest="w_frequency", type=float)
-    p.add_argument("--w-monetary", dest="w_monetary", type=float)
-
-    p = add_stage("select-features", "LASSO feature selection")
-    p.add_argument("--alpha-grid", dest="alpha_grid", type=float, nargs="+")
-    p.add_argument("--folds", type=int)
-    p.add_argument("--slack", type=float)
-
-    p = add_stage("grid-search", "NMF hyperparameter search by imputation error")
-    p.add_argument("--k-min", dest="k_min", type=int)
-    p.add_argument("--k-max", dest="k_max", type=int)
-
-    p = add_stage("factorize", "fit the purchase dictionary and affinities")
-    p.add_argument("--k", type=int, help="latent dimension (skips grid best)")
-    p.add_argument("--alpha-m", dest="alpha_m", type=float)
-    p.add_argument("--l1-ratio", dest="l1_ratio", type=float)
-
-    p = add_stage("cluster", "density-cluster the affinity rows")
-    p.add_argument("--min-cluster-size", dest="min_cluster_size", type=int)
-    p.add_argument("--row-normalize", dest="row_normalize", action="store_true")
-
-    p = add_stage("export-graph", "export bipartite graphs with embeddings")
-    p.add_argument("--kind", choices=["purchase", "affinity", "both"], default="both")
-    p.add_argument("--threshold", type=float, help="minimum affinity edge weight")
-
-    p = add_stage("run-all", "run every stage in order")
-    p.add_argument("--alpha-grid", dest="alpha_grid", type=float, nargs="+")
-    p.add_argument("--folds", type=int)
-    p.add_argument("--slack", type=float)
-    p.add_argument("--k-min", dest="k_min", type=int)
-    p.add_argument("--k-max", dest="k_max", type=int)
-    p.add_argument("--min-cluster-size", dest="min_cluster_size", type=int)
-    p.add_argument("--row-normalize", dest="row_normalize", action="store_true")
+        if stage == "export-graph":
+            p.add_argument("--kind", choices=["purchase", "affinity", "both"],
+                           default="both")
+        for flag, _, _, kwargs, stages in _OVERRIDES:
+            if stage in stages:
+                p.add_argument(flag, **kwargs)
 
     p = sub.add_parser("query-similar", help="rank nodes by embedding similarity")
     p.add_argument("--out", help="run directory", required=False)

@@ -137,10 +137,11 @@ class PurchaseMatrix:
     def restrict_columns(self, codes: list[str]) -> "PurchaseMatrix":
         """Sub-matrix keeping only the given stock codes (rows unchanged)."""
         keep = sorted(set(codes))
-        missing = [c for c in keep if c not in set(self.col_ids)]
+        position = {c: j for j, c in enumerate(self.col_ids)}
+        missing = [c for c in keep if c not in position]
         if missing:
             raise ValueError(f"unknown stock codes: {missing}")
-        old_to_new = {self.col_ids.index(c): k for k, c in enumerate(keep)}
+        old_to_new = {position[c]: k for k, c in enumerate(keep)}
         entries = {(i, old_to_new[j]): v for (i, j), v in self.entries.items()
                    if j in old_to_new}
         return PurchaseMatrix(self.row_ids, keep, entries)
@@ -403,8 +404,12 @@ def read_matrix(directory: str | Path, prefix: str) -> PurchaseMatrix:
 
 
 def write_rejects(rejects, path: str | Path) -> None:
+    """One JSON line per reject. A long row's extra fields, kept under the
+    key None of ``raw``, are written under "null", the name ``json`` itself
+    gives a None key (sorting the keys needs them all to be strings)."""
     dump_jsonl(Path(path), (
-        {"line": r.line_number, "column": r.column, "reason": r.reason, "raw": r.raw}
+        {"line": r.line_number, "column": r.column, "reason": r.reason,
+         "raw": {"null" if k is None else k: v for k, v in r.raw.items()}}
         for r in rejects))
 
 

@@ -17,6 +17,7 @@ mean squared error on the held-out entries wins.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -62,6 +63,12 @@ class HoldoutMask:
     held_out: tuple[tuple[int, int], ...]
     fraction: float
 
+    @cached_property
+    def index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column index arrays of the held-out positions."""
+        at = np.array(self.held_out, dtype=np.intp).reshape(-1, 2)
+        return at[:, 0], at[:, 1]
+
 
 @dataclass
 class GridSearchResult:
@@ -86,14 +93,13 @@ def make_holdout_mask(p_prime, fraction: float = 1.0 / 3.0,
     out; predicting them would swamp the imputation error.
     """
     dense, _, _ = _as_dense(p_prime)
-    positions = [(int(i), int(j)) for i, j in zip(*np.nonzero(dense > 0))]
-    positions.sort()
-    if not positions:
+    rows, cols = np.nonzero(dense > 0)  # row-major, i.e. sorted positions
+    if not rows.size:
         raise ValueError("matrix has no stored entries to hold out")
     rng = np.random.default_rng(seed)
-    count = max(1, round(fraction * len(positions)))
-    chosen = rng.choice(len(positions), size=count, replace=False)
-    held = tuple(positions[i] for i in sorted(chosen))
+    count = max(1, round(fraction * rows.size))
+    chosen = rng.choice(rows.size, size=count, replace=False)
+    held = tuple((int(rows[i]), int(cols[i])) for i in sorted(chosen))
     return HoldoutMask(held_out=held, fraction=fraction)
 
 
@@ -101,24 +107,28 @@ def _weight_matrix(shape: tuple[int, int], mask: HoldoutMask | None) -> np.ndarr
     if mask is None:
         return None
     m = np.ones(shape)
-    for i, j in mask.held_out:
-        m[i, j] = 0.0
+    m[mask.index] = 0.0
     return m
+
+
+def _objective(data: np.ndarray, w: np.ndarray, h: np.ndarray,
+               weights: np.ndarray | None, l1_reg: float,
+               l2_reg: float) -> tuple[np.ndarray, float]:
+    """The (weighted) residual data - W.H and the regularized objective."""
+    resid = data - w @ h
+    if weights is not None:
+        resid *= weights
+    reg = (l1_reg * (np.abs(w).sum() + np.abs(h).sum())
+           + 0.5 * l2_reg * ((w ** 2).sum() + (h ** 2).sum()))
+    return resid, float(0.5 * (resid ** 2).sum() + reg)
 
 
 def objective_value(p_prime, f: Factorization, cfg: NmfConfig,
                     mask: HoldoutMask | None = None) -> float:
     """Full regularized objective; with a mask, held-out residuals weigh 0."""
     dense, _, _ = _as_dense(p_prime)
-    resid = dense - f.w @ f.h
-    weights = _weight_matrix(dense.shape, mask)
-    if weights is not None:
-        resid = resid * weights
-    l1 = np.abs(f.w).sum() + np.abs(f.h).sum()
-    l2 = (f.w ** 2).sum() + (f.h ** 2).sum()
-    return float(0.5 * (resid ** 2).sum()
-                 + cfg.alpha_m * cfg.l1_ratio * l1
-                 + 0.5 * cfg.alpha_m * (1.0 - cfg.l1_ratio) * l2)
+    return _objective(dense, f.w, f.h, _weight_matrix(dense.shape, mask),
+                      cfg.alpha_m * cfg.l1_ratio, cfg.alpha_m * (1.0 - cfg.l1_ratio))[1]
 
 
 def _init_factors(p: np.ndarray, cfg: NmfConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -151,6 +161,32 @@ def _init_factors(p: np.ndarray, cfg: NmfConfig) -> tuple[np.ndarray, np.ndarray
     return w, h
 
 
+def _sweep(a: np.ndarray, b: np.ndarray, resid: np.ndarray,
+           weights: np.ndarray | None, l1_reg: float, l2_reg: float) -> None:
+    """Exact update of every column of ``a`` in ``resid ~ a.b``, in place.
+
+    Column t is separable by row: each entry is the clipped minimizer of
+    its (weighted) quadratic plus the penalties, and ``resid`` follows the
+    change by a rank-1 correction written in its own memory layout. Called
+    on the transposed problem, the same code updates the rows of H.
+    """
+    tmp = np.empty_like(resid)
+    for t in range(a.shape[1]):
+        bt = b[t]
+        diag = bt @ bt if weights is None else weights @ (bt * bt)
+        denom = diag + l2_reg
+        numer = resid @ bt + a[:, t] * diag - l1_reg
+        new = np.zeros(a.shape[0])
+        np.divide(np.maximum(numer, 0.0), denom, out=new, where=denom > 0)
+        delta = new - a[:, t]
+        if delta.any():
+            np.multiply(delta[:, None], bt, out=tmp)
+            if weights is not None:
+                tmp *= weights
+            resid -= tmp
+            a[:, t] = new
+
+
 def fit_nmf(p_prime, cfg: NmfConfig,
             mask: HoldoutMask | None = None) -> Factorization:
     """Alternating exact column/row coordinate updates (HALS).
@@ -174,70 +210,17 @@ def fit_nmf(p_prime, cfg: NmfConfig,
     l1_reg = cfg.alpha_m * cfg.l1_ratio
     l2_reg = cfg.alpha_m * (1.0 - cfg.l1_ratio)
 
-    def regularizers() -> float:
-        return (l1_reg * (np.abs(w).sum() + np.abs(h).sum())
-                + 0.5 * l2_reg * ((w ** 2).sum() + (h ** 2).sum()))
-
-    def fresh_residual() -> np.ndarray:
-        r = data - w @ h
-        if weights is not None:
-            r *= weights
-        return r
-
-    resid = fresh_residual()
-    trace = [float(0.5 * (resid ** 2).sum() + regularizers())]
+    resid, objective = _objective(data, w, h, weights, l1_reg, l2_reg)
+    trace = [objective]
     converged = False
     n_iter = 0
     for n_iter in range(1, cfg.max_iter + 1):
-        # W column sweep: for component t, the subproblem is separable by row
-        for t in range(cfg.k):
-            ht = h[t]
-            if weights is None:
-                denom = float(ht @ ht) + l2_reg
-                if denom == 0.0:
-                    new = np.zeros(n)
-                else:
-                    numer = resid @ ht + w[:, t] * (ht @ ht) - l1_reg
-                    new = np.maximum(numer, 0.0) / denom
-            else:
-                wh2 = weights @ (ht * ht)
-                denom = wh2 + l2_reg
-                numer = resid @ ht + w[:, t] * wh2 - l1_reg
-                new = np.where(denom > 0, np.maximum(numer, 0.0)
-                               / np.where(denom > 0, denom, 1.0), 0.0)
-            delta = new - w[:, t]
-            if np.any(delta):
-                outer = np.outer(delta, ht)
-                if weights is not None:
-                    outer *= weights
-                resid -= outer
-                w[:, t] = new
-        # H row sweep, symmetric
-        for t in range(cfg.k):
-            wt = w[:, t]
-            if weights is None:
-                denom = float(wt @ wt) + l2_reg
-                if denom == 0.0:
-                    new = np.zeros(m)
-                else:
-                    numer = wt @ resid + (wt @ wt) * h[t] - l1_reg
-                    new = np.maximum(numer, 0.0) / denom
-            else:
-                w2m = (wt * wt) @ weights
-                denom = w2m + l2_reg
-                numer = wt @ resid + h[t] * w2m - l1_reg
-                new = np.where(denom > 0, np.maximum(numer, 0.0)
-                               / np.where(denom > 0, denom, 1.0), 0.0)
-            delta = new - h[t]
-            if np.any(delta):
-                outer = np.outer(wt, delta)
-                if weights is not None:
-                    outer *= weights
-                resid -= outer
-                h[t] = new
-
-        resid = fresh_residual()  # drop accumulated rounding before scoring
-        trace.append(float(0.5 * (resid ** 2).sum() + regularizers()))
+        _sweep(w, h, resid, weights, l1_reg, l2_reg)
+        _sweep(h.T, w.T, resid.T, None if weights is None else weights.T,
+               l1_reg, l2_reg)
+        # a fresh residual drops accumulated rounding before scoring
+        resid, objective = _objective(data, w, h, weights, l1_reg, l2_reg)
+        trace.append(objective)
         scale = max(abs(trace[0]), np.finfo(float).tiny)
         if (trace[-2] - trace[-1]) / scale < cfg.tol:
             converged = True
@@ -252,9 +235,8 @@ def imputation_mse(p_prime, f: Factorization, mask: HoldoutMask) -> float:
     if not mask.held_out:
         raise ValueError("empty holdout mask")
     dense, _, _ = _as_dense(p_prime)
-    recon = f.w @ f.h
-    errs = [(dense[i, j] - recon[i, j]) ** 2 for i, j in mask.held_out]
-    return float(np.mean(errs))
+    at = mask.index
+    return float(np.mean(np.float_power(dense[at] - (f.w @ f.h)[at], 2.0)))
 
 
 def grid_search(p_prime, k_range, alpha_grid, l1_grid,
@@ -264,8 +246,9 @@ def grid_search(p_prime, k_range, alpha_grid, l1_grid,
     """Imputation-driven hyperparameter search over (k, alpha_m, l1_ratio).
 
     One shared holdout mask is drawn per search; every grid cell fits with
-    that mask and is scored on it. Ties break toward smaller k, then larger
-    alpha_m, then larger l1_ratio. A failing cell is recorded and skipped.
+    that mask and is scored on it. P' is densified once for the whole
+    search. Ties break toward smaller k, then larger alpha_m, then larger
+    l1_ratio. A failing cell is recorded and skipped.
     """
     ks = sorted(set(int(k) for k in k_range))
     alphas = sorted(set(float(a) for a in alpha_grid), reverse=True)
@@ -273,7 +256,8 @@ def grid_search(p_prime, k_range, alpha_grid, l1_grid,
     if not ks or not alphas or not l1s:
         raise ValueError("empty search grid")
 
-    mask = make_holdout_mask(p_prime, fraction=holdout_fraction, seed=seed)
+    dense, _, _ = _as_dense(p_prime)
+    mask = make_holdout_mask(dense, fraction=holdout_fraction, seed=seed)
     table: list[tuple[int, float, float, float]] = []
     failures: list[tuple[int, float, float, str]] = []
     best_cfg = None
@@ -284,8 +268,8 @@ def grid_search(p_prime, k_range, alpha_grid, l1_grid,
                 cfg = NmfConfig(k=k, alpha_m=alpha_m, l1_ratio=l1_ratio,
                                 tol=tol, max_iter=max_iter, seed=seed, init=init)
                 try:
-                    f = fit_nmf(p_prime, cfg, mask=mask)
-                    mse = imputation_mse(p_prime, f, mask)
+                    f = fit_nmf(dense, cfg, mask=mask)
+                    mse = imputation_mse(dense, f, mask)
                 except (ValueError, np.linalg.LinAlgError) as exc:
                     failures.append((k, alpha_m, l1_ratio, str(exc)))
                     table.append((k, alpha_m, l1_ratio, float("nan")))

@@ -5,11 +5,15 @@ statements as the library, deliberately using different algorithms (proximal
 gradient instead of coordinate descent, a threshold-sweep over the complete
 reachability graph instead of an MST walk, a brute-force likelihood grid
 instead of bracketed optimization). Nothing imports the code paths it
-checks. Two references are exceptions by design, because the library must
+checks. Three references are exceptions by design, because the library must
 match them bit for bit: the full-matrix distance layer (``full_*``), the
 n x n reference for the library's row-block core distances and row-by-row
-Prim tree; and ``reference_fit_lasso``, the plain cyclic coordinate descent
-that the library's screened solver reproduces.
+Prim tree; ``reference_fit_lasso``, the plain cyclic coordinate descent
+that the library's screened solver reproduces; and the NMF layer
+(``reference_fit_nmf`` and its mask and imputation helpers), the separate
+W and H updates that the library's single column sweep reproduces. It
+shares only the input coercion and the factor initialization with the
+library.
 """
 
 import itertools
@@ -17,6 +21,8 @@ import itertools
 import numpy as np
 
 from shoplens.lasso import DesignMatrix, LassoModel, SolverConfig
+from shoplens.nmf import (Factorization, HoldoutMask, NmfConfig, _as_dense,
+                          _init_factors)
 
 
 # ------------------------------------------------------------ lasso ------
@@ -133,6 +139,146 @@ def ols_holdout_mse(x_train, y_train, x_hold, y_hold):
     sol = np.linalg.pinv(a) @ y_train
     pred = np.column_stack([np.ones(len(y_hold)), x_hold]) @ sol
     return float(np.mean((y_hold - pred) ** 2))
+
+
+# ------------------------------------------------------------ nmf ------
+# Masked HALS with separate W-column and H-row updates, the holdout mask and
+# the per-pair imputation score; ``fit_nmf``, ``make_holdout_mask`` and
+# ``imputation_mse`` must match them bit for bit.
+
+def reference_holdout_mask(p_prime, fraction: float = 1.0 / 3.0,
+                           seed: int = 0) -> HoldoutMask:
+    """Seeded uniform sample of the stored (positive) entries.
+
+    Structural zeros are absences, not observations, so they are never held
+    out; predicting them would swamp the imputation error.
+    """
+    dense, _, _ = _as_dense(p_prime)
+    positions = [(int(i), int(j)) for i, j in zip(*np.nonzero(dense > 0))]
+    positions.sort()
+    if not positions:
+        raise ValueError("matrix has no stored entries to hold out")
+    rng = np.random.default_rng(seed)
+    count = max(1, round(fraction * len(positions)))
+    chosen = rng.choice(len(positions), size=count, replace=False)
+    held = tuple(positions[i] for i in sorted(chosen))
+    return HoldoutMask(held_out=held, fraction=fraction)
+
+
+def reference_weight_matrix(shape: tuple[int, int],
+                            mask: HoldoutMask | None) -> np.ndarray | None:
+    if mask is None:
+        return None
+    m = np.ones(shape)
+    for i, j in mask.held_out:
+        m[i, j] = 0.0
+    return m
+
+
+def reference_fit_nmf(p_prime, cfg: NmfConfig,
+                      mask: HoldoutMask | None = None) -> Factorization:
+    """Alternating exact column/row coordinate updates (HALS).
+
+    Each sweep updates every column of W, then every row of H, by the exact
+    minimizer of the (masked) objective with everything else fixed, so the
+    objective trace never increases. Stops when the per-iteration objective
+    decrease relative to the starting objective falls below cfg.tol.
+    """
+    dense, row_ids, col_ids = _as_dense(p_prime)
+    if np.any(dense < 0):
+        raise ValueError("input matrix must be non-negative")
+    n, m = dense.shape
+    cfg.validate(n, m)
+
+    weights = reference_weight_matrix(dense.shape, mask)
+    # Masked entries never influence the fit: zero them out of the data too.
+    data = dense if weights is None else dense * weights
+
+    w, h = _init_factors(data, cfg)
+    l1_reg = cfg.alpha_m * cfg.l1_ratio
+    l2_reg = cfg.alpha_m * (1.0 - cfg.l1_ratio)
+
+    def regularizers() -> float:
+        return (l1_reg * (np.abs(w).sum() + np.abs(h).sum())
+                + 0.5 * l2_reg * ((w ** 2).sum() + (h ** 2).sum()))
+
+    def fresh_residual() -> np.ndarray:
+        r = data - w @ h
+        if weights is not None:
+            r *= weights
+        return r
+
+    resid = fresh_residual()
+    trace = [float(0.5 * (resid ** 2).sum() + regularizers())]
+    converged = False
+    n_iter = 0
+    for n_iter in range(1, cfg.max_iter + 1):
+        # W column sweep: for component t, the subproblem is separable by row
+        for t in range(cfg.k):
+            ht = h[t]
+            if weights is None:
+                denom = float(ht @ ht) + l2_reg
+                if denom == 0.0:
+                    new = np.zeros(n)
+                else:
+                    numer = resid @ ht + w[:, t] * (ht @ ht) - l1_reg
+                    new = np.maximum(numer, 0.0) / denom
+            else:
+                wh2 = weights @ (ht * ht)
+                denom = wh2 + l2_reg
+                numer = resid @ ht + w[:, t] * wh2 - l1_reg
+                new = np.where(denom > 0, np.maximum(numer, 0.0)
+                               / np.where(denom > 0, denom, 1.0), 0.0)
+            delta = new - w[:, t]
+            if np.any(delta):
+                outer = np.outer(delta, ht)
+                if weights is not None:
+                    outer *= weights
+                resid -= outer
+                w[:, t] = new
+        # H row sweep, symmetric
+        for t in range(cfg.k):
+            wt = w[:, t]
+            if weights is None:
+                denom = float(wt @ wt) + l2_reg
+                if denom == 0.0:
+                    new = np.zeros(m)
+                else:
+                    numer = wt @ resid + (wt @ wt) * h[t] - l1_reg
+                    new = np.maximum(numer, 0.0) / denom
+            else:
+                w2m = (wt * wt) @ weights
+                denom = w2m + l2_reg
+                numer = wt @ resid + h[t] * w2m - l1_reg
+                new = np.where(denom > 0, np.maximum(numer, 0.0)
+                               / np.where(denom > 0, denom, 1.0), 0.0)
+            delta = new - h[t]
+            if np.any(delta):
+                outer = np.outer(wt, delta)
+                if weights is not None:
+                    outer *= weights
+                resid -= outer
+                h[t] = new
+
+        resid = fresh_residual()  # drop accumulated rounding before scoring
+        trace.append(float(0.5 * (resid ** 2).sum() + regularizers()))
+        scale = max(abs(trace[0]), np.finfo(float).tiny)
+        if (trace[-2] - trace[-1]) / scale < cfg.tol:
+            converged = True
+            break
+
+    return Factorization(w=w, h=h, objective_trace=trace, converged=converged,
+                         n_iter=n_iter, row_ids=row_ids, col_ids=col_ids)
+
+
+def reference_imputation_mse(p_prime, f: Factorization, mask: HoldoutMask) -> float:
+    """Mean squared prediction error over the held-out positions."""
+    if not mask.held_out:
+        raise ValueError("empty holdout mask")
+    dense, _, _ = _as_dense(p_prime)
+    recon = f.w @ f.h
+    errs = [(dense[i, j] - recon[i, j]) ** 2 for i, j in mask.held_out]
+    return float(np.mean(errs))
 
 
 # ---------------------------------------------------------- box-cox ------

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -286,6 +288,11 @@ class TestIncidenceMatrix:
         assert sub.col_ids == ["x", "z"]
         assert sub.to_dense().tolist() == [[1.0, 2.0], [0.0, 0.0]]
 
+    def test_restrict_columns_unknown_codes(self):
+        m = PurchaseMatrix(["a"], ["x", "y"], {(0, 1): 1.0})
+        with pytest.raises(ValueError, match=r"unknown stock codes: \['q', 'w'\]"):
+            m.restrict_columns(["y", "w", "q", "w"])
+
 
 class TestSerialization:
     def test_matrix_round_trip(self, tmp_path):
@@ -307,6 +314,16 @@ class TestSerialization:
             write_matrix(m, d, "m")
             outputs.append((d / "m.triplets.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_long_row_reject_written_under_null(self, tmp_path):
+        body = "2,A,X,q,1/2/2011 10:00,1.5,C1,UK,e1,e2\n"
+        _, rejects = parse_invoice_csv(write(tmp_path, body))
+        ingest.write_rejects(rejects, tmp_path / "rejects.jsonl")
+        [record] = [json.loads(line) for line in
+                    (tmp_path / "rejects.jsonl").read_text().splitlines()]
+        assert record["column"] == "Quantity"
+        assert record["raw"]["null"] == ["e1", "e2"]
+        assert record["raw"]["Country"] == "UK"
 
     def test_transactions_round_trip(self, tmp_path):
         txns = [make_txn(invoice_id="7", spend=1.23, quantity=3)]

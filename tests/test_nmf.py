@@ -7,6 +7,9 @@ from shoplens.nmf import (Factorization, HoldoutMask, NmfConfig, fit_nmf,
                           normalize_dictionary, objective_value,
                           top_items_per_element)
 
+from oracles import (reference_fit_nmf, reference_holdout_mask,
+                     reference_imputation_mse)
+
 
 def planted(seed, n=30, m=20, rank=3, lo=0.2, hi=1.2):
     rng = np.random.default_rng(seed)
@@ -257,3 +260,136 @@ class TestDictionary:
     def test_top_n_validated(self):
         with pytest.raises(ValueError, match="top_n"):
             top_items_per_element(np.ones((1, 2)), top_n=0)
+
+
+def spend(seed, n, m, density=0.4):
+    """Sparse non-negative spend matrix, the shape P' has in the pipeline."""
+    rng = np.random.default_rng(seed)
+    return rng.exponential(20.0, (n, m)) * (rng.random((n, m)) < density)
+
+
+def as_bytes(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestReferenceEquality:
+    """The single-sweep fit reproduces the separate W and H updates it
+    replaced (``oracles.reference_fit_nmf``) bit for bit."""
+
+    @staticmethod
+    def assert_same_fit(p, cfg, mask=None):
+        got = fit_nmf(p, cfg, mask=mask)
+        want = reference_fit_nmf(p, cfg, mask=mask)
+        assert got.w.tobytes() == want.w.tobytes()
+        assert got.h.tobytes() == want.h.tobytes()
+        assert as_bytes(got.objective_trace) == as_bytes(want.objective_trace)
+        assert (got.n_iter, got.converged) == (want.n_iter, want.converged)
+        if mask is not None:
+            assert (as_bytes(imputation_mse(p, got, mask))
+                    == as_bytes(reference_imputation_mse(p, want, mask)))
+        return got
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("init", ["random_uniform", "nndsvd"])
+    @pytest.mark.parametrize("alpha_m,l1_ratio",
+                             [(0.0, 0.0), (0.0, 1.0), (5.0, 0.0), (5.0, 1.0),
+                              (20.0, 0.5)])
+    def test_fit(self, masked, init, alpha_m, l1_ratio):
+        p = spend(1, 40, 25)
+        mask = make_holdout_mask(p, seed=1) if masked else None
+        self.assert_same_fit(p, NmfConfig(k=4, alpha_m=alpha_m, l1_ratio=l1_ratio,
+                                          init=init, seed=1, max_iter=60), mask)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_holdout_mask(self, seed):
+        p = spend(seed, 30, 20, density=0.3)
+        assert make_holdout_mask(p, seed=seed) == reference_holdout_mask(p, seed=seed)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("init", ["random_uniform", "nndsvd"])
+    def test_zero_row_and_column(self, masked, init):
+        p = spend(2, 20, 15)
+        p[3], p[:, 5] = 0.0, 0.0
+        mask = make_holdout_mask(p, seed=2) if masked else None
+        self.assert_same_fit(p, NmfConfig(k=3, init=init, seed=2, max_iter=40), mask)
+
+    @pytest.mark.parametrize("l1_ratio", [0.0, 1.0])
+    def test_zero_denominator(self, l1_ratio):
+        # Every entry of row 2 is stored and held out, so its weights are all
+        # 0; with no l2 penalty its masked W update divides by zero and must
+        # come out as 0.
+        p = spend(3, 12, 8, density=0.6)
+        p[2] = 1.0
+        held = tuple((2, j) for j in range(8))
+        mask = HoldoutMask(held_out=held + ((0, int(np.flatnonzero(p[0])[0])),),
+                           fraction=0.1)
+        f = self.assert_same_fit(
+            p, NmfConfig(k=3, alpha_m=0.0 if l1_ratio == 0.0 else 2.0,
+                         l1_ratio=l1_ratio, seed=3, max_iter=30), mask)
+        assert not f.w[2].any()
+
+    def test_dead_component(self):
+        # A large l1 penalty zeroes whole components; the next update of the
+        # other factor then sees a zero column with no l2 term (denom == 0).
+        p = spend(4, 25, 15)
+        for mask in (None, make_holdout_mask(p, seed=4)):
+            f = self.assert_same_fit(
+                p, NmfConfig(k=5, alpha_m=150.0, l1_ratio=1.0, seed=4, max_iter=30),
+                mask)
+            dead = ~f.w.any(axis=0)
+            assert 0 < dead.sum() < 5 and f.n_iter > 10
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_full_rank(self, masked):
+        p = spend(5, 12, 7, density=0.7)
+        mask = make_holdout_mask(p, seed=5) if masked else None
+        self.assert_same_fit(p, NmfConfig(k=7, alpha_m=0.5, l1_ratio=0.5,
+                                          seed=5, max_iter=50), mask)
+
+    @pytest.mark.parametrize("shape", [(300, 4), (4, 300)])
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("init", ["random_uniform", "nndsvd"])
+    def test_tall_and_wide(self, shape, masked, init):
+        p = spend(6, *shape)
+        mask = make_holdout_mask(p, seed=6) if masked else None
+        self.assert_same_fit(p, NmfConfig(k=3, alpha_m=1.0, l1_ratio=0.1,
+                                          init=init, seed=6, max_iter=40), mask)
+
+    @pytest.mark.parametrize("error", [float.fromhex("0x1.85fca5fbd2cecp+0"),
+                                       float.fromhex("0x1.ce2f06be473bbp-3"),
+                                       float.fromhex("0x1.8f7f3c6dbdc48p+2")])
+    def test_imputation_squares_like_scalar_pow(self, error):
+        # For these errors the array square e * e is 1 ulp away from the
+        # scalar e ** 2 the per-pair loop computed.
+        p = np.array([[error, 1.0]])
+        f = Factorization(np.zeros((1, 1)), np.zeros((1, 2)), [], True, 0)
+        mask = HoldoutMask(held_out=((0, 0),), fraction=0.5)
+        assert (as_bytes(imputation_mse(p, f, mask))
+                == as_bytes(reference_imputation_mse(p, f, mask)))
+
+    def test_grid_search_table(self):
+        p = spend(7, 30, 12)
+        matrix = PurchaseMatrix([f"c{i:02d}" for i in range(30)],
+                                [f"s{j:02d}" for j in range(12)],
+                                {(int(i), int(j)): float(p[i, j])
+                                 for i, j in zip(*np.nonzero(p))})
+        ks, alphas, l1s = [1, 2, 3, 13], [0.0, 0.5, 2.0], [0.0, 1.0]
+        result = grid_search(matrix, ks, alphas, l1s, seed=7, max_iter=30)
+        mask = reference_holdout_mask(p, seed=7)
+        want = []
+        for k in ks:
+            for alpha_m in sorted(alphas, reverse=True):
+                for l1_ratio in sorted(l1s, reverse=True):
+                    cfg = NmfConfig(k=k, alpha_m=alpha_m, l1_ratio=l1_ratio,
+                                    max_iter=30, seed=7)
+                    try:
+                        f = reference_fit_nmf(p, cfg, mask=mask)
+                    except ValueError:
+                        want.append((k, alpha_m, l1_ratio, float("nan")))
+                        continue
+                    want.append((k, alpha_m, l1_ratio,
+                                 reference_imputation_mse(p, f, mask)))
+        assert [row[:3] for row in result.table] == [row[:3] for row in want]
+        assert as_bytes([row[3] for row in result.table]) == as_bytes(
+            [row[3] for row in want])
+        assert len(result.failures) == len(l1s) * len(alphas)

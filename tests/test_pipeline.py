@@ -1,9 +1,11 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from shoplens._fmt import file_digest, read_csv
+from shoplens.cli import _apply_overrides, _base_config, build_parser
 from shoplens.cli import main as cli_main
 from shoplens.pipeline import (MissingStageError, PipelineConfig,
                                emit_plot_data, run_all, run_stage)
@@ -222,6 +224,21 @@ class TestCli:
         _, rows = read_csv(out / "ingest" / "transactions.csv")
         assert all(len(row) == 6 for row in rows)
 
+    def test_long_row_is_rejected_not_fatal(self, fixture_csv, fixture_config_path,
+                                            tmp_path):
+        src = tmp_path / "invoices.csv"
+        src.write_text(fixture_csv.read_text(encoding="utf-8")
+                       + "1001,85123B,LONG ROW,x,3/20/2011 11:25,2.55,A100,"
+                         "United Kingdom,extra\n", encoding="utf-8")
+        out = tmp_path / "run"
+        rc = cli_main(["--config", str(fixture_config_path), "ingest",
+                       "--input", str(src), "--out", str(out)])
+        assert rc == 0
+        rejects = [json.loads(line) for line in
+                   (out / "ingest" / "rejects.jsonl").read_text().splitlines()]
+        assert any(r["raw"].get("null") == ["extra"] and r["column"] == "Quantity"
+                   for r in rejects)
+
     def test_rfm_weight_flags(self, fixture_csv, fixture_config_path, tmp_path):
         out = tmp_path / "run"
         cfg = fixture_config(fixture_csv, fixture_config_path, out)
@@ -249,3 +266,76 @@ class TestCli:
         stored = json.loads((out / "config.json").read_text())
         assert stored["cluster"]["row_normalize"] is True
         assert (out / "cluster" / "labels.csv").exists()
+
+
+# Every config-override flag: (values on the command line, config section,
+# field, resolved value, subcommands that accept it).
+FLAG_CASES = {
+    "--encoding": (["latin-1"], "ingest", "encoding", "latin-1", {"ingest"}),
+    "--cancellation-prefix": (["X"], "ingest", "cancellation_prefix", "X", {"ingest"}),
+    "--min-purchases": (["7"], "ingest", "frequent_min_purchases", 7, {"ingest"}),
+    "--wholesale-threshold": (["900"], "ingest", "wholesale_quantity_threshold", 900,
+                              {"ingest"}),
+    "--w-recency": (["0.2"], "rfm", "w_recency", 0.2, {"rfm"}),
+    "--w-frequency": (["0.3"], "rfm", "w_frequency", 0.3, {"rfm"}),
+    "--w-monetary": (["0.5"], "rfm", "w_monetary", 0.5, {"rfm"}),
+    "--alpha-grid": (["0.5", "0.25"], "lasso", "alpha_grid", (0.5, 0.25),
+                     {"select-features", "run-all"}),
+    "--folds": (["4"], "lasso", "folds", 4, {"select-features", "run-all"}),
+    "--slack": (["0.1"], "lasso", "slack", 0.1, {"select-features", "run-all"}),
+    "--k-min": (["3"], "nmf", "k_min", 3, {"grid-search", "run-all"}),
+    "--k-max": (["6"], "nmf", "k_max", 6, {"grid-search", "run-all"}),
+    "--k": (["3"], "nmf", "k", 3, {"factorize"}),
+    "--alpha-m": (["0.7"], "nmf", "alpha_m", 0.7, {"factorize"}),
+    "--l1-ratio": (["0.3"], "nmf", "l1_ratio", 0.3, {"factorize"}),
+    "--min-cluster-size": (["4"], "cluster", "min_cluster_size", 4,
+                           {"cluster", "run-all"}),
+    "--row-normalize": ([], "cluster", "row_normalize", True, {"cluster", "run-all"}),
+    "--threshold": (["0.05"], "graph", "affinity_threshold", 0.05, {"export-graph"}),
+}
+STAGE_COMMANDS = ["ingest", "rfm", "select-features", "grid-search", "factorize",
+                  "cluster", "export-graph", "run-all"]
+
+
+def resolve(argv) -> tuple[PipelineConfig, PipelineConfig]:
+    args = build_parser().parse_args(argv)
+    base = _base_config(args)
+    return base, _apply_overrides(base, args)
+
+
+class TestCliOverrides:
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag) for flag, case in FLAG_CASES.items()
+        for command in STAGE_COMMANDS if command in case[4]])
+    def test_flag_sets_one_field(self, command, flag):
+        values, section, field, expected, _ = FLAG_CASES[flag]
+        base, cfg = resolve([command, "--out", "run", flag, *values])
+        changed = {field: expected}
+        if flag == "--k":
+            changed["use_grid_best"] = False
+        assert cfg == replace(base, **{section: replace(getattr(base, section),
+                                                        **changed)})
+        assert type(getattr(getattr(cfg, section), field)) is type(expected)
+
+    @pytest.mark.parametrize("command", STAGE_COMMANDS)
+    def test_other_flags_rejected(self, command):
+        for flag, (values, *_, commands) in FLAG_CASES.items():
+            if command not in commands:
+                with pytest.raises(SystemExit):
+                    build_parser().parse_args([command, "--out", "run", flag, *values])
+
+    @pytest.mark.parametrize("command", STAGE_COMMANDS)
+    def test_no_flag_changes_nothing(self, command):
+        base, cfg = resolve([command, "--out", "run"])
+        assert cfg == base
+
+    def test_run_all_takes_seven_override_flags(self):
+        assert sum("run-all" in case[4] for case in FLAG_CASES.values()) == 7
+        base, cfg = resolve(["run-all", "--out", "run", "--alpha-grid", "0.5",
+                             "--folds", "4", "--slack", "0.1", "--k-min", "3",
+                             "--k-max", "6", "--min-cluster-size", "4",
+                             "--row-normalize"])
+        assert cfg.lasso == replace(base.lasso, alpha_grid=(0.5,), folds=4, slack=0.1)
+        assert cfg.nmf == replace(base.nmf, k_min=3, k_max=6)
+        assert cfg.cluster == replace(base.cluster, min_cluster_size=4,
+                                      row_normalize=True)
