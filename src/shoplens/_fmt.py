@@ -1,17 +1,42 @@
 """Canonical text formatting shared by all artifact writers.
 
 Every file the pipeline emits goes through these helpers so that re-running
-with identical inputs produces byte-identical artifacts.
+with identical inputs produces byte-identical artifacts. Each helper writes
+a temporary file beside the target and renames it over the target, so an
+interrupted write leaves the previous file, or none, and never a partial one.
 """
 
 import hashlib
 import json
+import os
+from contextlib import contextmanager
 from pathlib import Path
 
 
 def fmt_float(x: float) -> str:
     """Shortest decimal that round-trips to the same float."""
     return repr(float(x))
+
+
+@contextmanager
+def _atomic_open(path: Path):
+    """Text file that replaces ``path`` only if the ``with`` body completes."""
+    path = Path(path)
+    # The pid keeps concurrent writers apart; a leftover from a dead process
+    # with the same pid is simply overwritten.
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_text(path: Path, text: str) -> None:
+    with _atomic_open(path) as f:
+        f.write(text)
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
@@ -26,7 +51,7 @@ def write_csv(path: Path, header: list[str], rows) -> None:
                 raise ValueError(f"cell {cell!r} contains a delimiter or newline")
         return cells
 
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    with _atomic_open(path) as f:
         f.write(",".join(check(header)) + "\n")
         for row in rows:
             f.write(",".join(check(row)) + "\n")
@@ -40,13 +65,13 @@ def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
 
 
 def dump_json(path: Path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with _atomic_open(path) as f:
         f.write(json.dumps(obj, sort_keys=True, indent=2))
         f.write("\n")
 
 
 def dump_jsonl(path: Path, records) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with _atomic_open(path) as f:
         for rec in records:
             f.write(json.dumps(rec, sort_keys=True))
             f.write("\n")

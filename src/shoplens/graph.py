@@ -17,7 +17,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from ._fmt import fmt_float
+from ._fmt import dump_jsonl, fmt_float, write_text
 from .cluster import ClusterLabeling
 from .ingest import PurchaseMatrix
 from .nmf import Factorization
@@ -167,12 +167,10 @@ def export_jsonl(doc: GraphDocument, directory: str | Path, prefix: str) -> tupl
     directory.mkdir(parents=True, exist_ok=True)
     nodes_path = directory / f"{prefix}_nodes.jsonl"
     edges_path = directory / f"{prefix}_edges.jsonl"
-    with open(nodes_path, "w", encoding="utf-8") as f:
-        for nd in sorted(doc.nodes, key=lambda d: (d["kind"], d["id"])):
-            f.write(json.dumps(_canonical(nd), sort_keys=True) + "\n")
-    with open(edges_path, "w", encoding="utf-8") as f:
-        for ed in sorted(doc.edges, key=lambda d: (d["_from"], d["_to"])):
-            f.write(json.dumps(_canonical(ed), sort_keys=True) + "\n")
+    nodes = sorted(doc.nodes, key=lambda d: (d["kind"], d["id"]))
+    edges = sorted(doc.edges, key=lambda d: (d["_from"], d["_to"]))
+    dump_jsonl(nodes_path, map(_canonical, nodes))
+    dump_jsonl(edges_path, map(_canonical, edges))
     return nodes_path, edges_path
 
 
@@ -212,5 +210,5 @@ def export_graphml(doc: GraphDocument, path: str | Path) -> Path:
         lines.append(f'      <data key="weight">{fmt_float(ed["weight"])}</data>')
         lines.append('    </edge>')
     lines += ['  </graph>', '</graphml>']
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(lines) + "\n")
     return path

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._fmt import dump_jsonl, fmt_float, read_csv, write_csv
+from ._fmt import dump_jsonl, fmt_float, read_csv, write_csv, write_text
 
 # Logical column names and their defaults in the UCI Online Retail export.
 DEFAULT_SCHEMA = {
@@ -387,8 +387,8 @@ def write_matrix(matrix: PurchaseMatrix, directory: str | Path, prefix: str) -> 
     write_csv(triplets, ["row_id", "col_id", "value"],
               ([matrix.row_ids[i], matrix.col_ids[j], fmt_float(v)]
                for (i, j), v in ordered))
-    rows_path.write_text("".join(r + "\n" for r in matrix.row_ids), encoding="utf-8")
-    cols_path.write_text("".join(c + "\n" for c in matrix.col_ids), encoding="utf-8")
+    write_text(rows_path, "".join(r + "\n" for r in matrix.row_ids))
+    write_text(cols_path, "".join(c + "\n" for c in matrix.col_ids))
     return [triplets, rows_path, cols_path]
 
 

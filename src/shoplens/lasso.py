@@ -333,13 +333,15 @@ def default_alpha_grid(design: DesignMatrix, num: int = 100,
 def cross_validate_alpha(design: DesignMatrix, grid, k: int, seed: int,
                          cfg: SolverConfig = SolverConfig(),
                          rows: np.ndarray | None = None,
+                         fit_stats: list | None = None,
                          ) -> tuple[float, list[tuple[float, float]]]:
     """Pick alpha by k-fold cross-validation MSE.
 
     Fold assignment is a seeded permutation, so identical seeds give
     identical folds. Ties on mean MSE break toward the larger alpha
     (the sparser model). ``rows`` restricts the whole procedure to a row
-    subset (e.g. keeping a holdout untouched).
+    subset (e.g. keeping a holdout untouched). A ``fit_stats`` list receives
+    the (n_iter, converged) of every fit, fold by fold.
     """
     grid = np.asarray(sorted(set(float(a) for a in grid)))
     if grid.size == 0:
@@ -360,6 +362,8 @@ def cross_validate_alpha(design: DesignMatrix, grid, k: int, seed: int,
         for gi in range(grid.size - 1, -1, -1):  # descending alpha, warm-started
             model = fit_lasso(design, grid[gi], cfg, rows=train_idx, warm_start=warm)
             warm = model.beta
+            if fit_stats is not None:
+                fit_stats.append((model.n_iter, model.converged))
             pred = model.predict(design.x[test_idx])
             fold_mse[fi, gi] = np.mean((design.y[test_idx] - pred) ** 2)
 

@@ -264,8 +264,10 @@ def _stage_select_features(cfg: PipelineConfig, run_dir: Path):
     else:
         grid = lasso_mod.default_alpha_grid(design, cfg.lasso.grid_size,
                                             cfg.lasso.grid_lo_ratio, rows=train)
+    cv_fits: list[tuple[int, bool]] = []
     alpha_best, cv_curve = lasso_mod.cross_validate_alpha(
-        design, grid, cfg.lasso.folds, cfg.lasso.seed, solver, rows=train)
+        design, grid, cfg.lasso.folds, cfg.lasso.seed, solver, rows=train,
+        fit_stats=cv_fits)
     model = lasso_mod.fit_lasso(design, alpha_best, solver, rows=train)
     curve = lasso_mod.drop_experiment(design, model, holdout)
     ranking = lasso_mod.select_features(curve, lasso_mod.SelectionRule(cfg.lasso.slack))
@@ -324,6 +326,8 @@ def _stage_select_features(cfg: PipelineConfig, run_dir: Path):
         "r2_train_selected": r2_train,
         "holdout_mse_selected": holdout_mse,
         "diagnostics_degenerate": report.degenerate,
+        "cv_fits": len(cv_fits),
+        "cv_unconverged_fits": sum(1 for _, converged in cv_fits if not converged),
     }
     return [matrix_path, scores_path], outputs, metrics
 
@@ -353,7 +357,9 @@ def _stage_grid_search(cfg: PipelineConfig, run_dir: Path):
     best_mse = min(m for *_, m in result.table if not np.isnan(m))
     metrics = {"best_k": result.best.k, "best_alpha_m": result.best.alpha_m,
                "best_l1_ratio": result.best.l1_ratio, "best_mse": best_mse,
-               "failed_cells": len(result.failures)}
+               "failed_cells": len(result.failures), "fits": len(result.fits),
+               "iterations": sum(n_iter for n_iter, _ in result.fits),
+               "unconverged_cells": sum(1 for _, converged in result.fits if not converged)}
     return [p_path], [out / "grid.csv", out / "best.json"], metrics
 
 

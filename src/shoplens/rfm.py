@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from datetime import datetime
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 # Offset that guarantees strictly positive inputs for the power transform.
 POSITIVITY_EPS = 1e-6
@@ -123,6 +122,9 @@ def boxcox_lambda_mle(values, search: tuple[float, float] = (-5.0, 5.0)) -> BoxC
     positive; the exponent is found by bounded scalar maximization of the
     profile log-likelihood over the search interval.
     """
+    # Imported here: scipy.optimize is most of the package's import time.
+    from scipy.optimize import minimize_scalar
+
     values = np.asarray(list(values), dtype=float)
     if len(values) < 3:
         raise ValueError(f"need at least 3 values, got {len(values)}")

@@ -11,9 +11,10 @@ n x n reference for the library's row-block core distances and row-by-row
 Prim tree; ``reference_fit_lasso``, the plain cyclic coordinate descent
 that the library's screened solver reproduces; and the NMF layer
 (``reference_fit_nmf`` and its mask and imputation helpers), the separate
-W and H updates that the library's single column sweep reproduces. It
-shares only the input coercion and the factor initialization with the
-library.
+W and H updates that the library's single column sweep reproduces, with
+``reference_grid_search``, the serial cell loop that the library may run in
+worker processes. It shares only the input coercion and the factor
+initialization with the library.
 """
 
 import itertools
@@ -279,6 +280,34 @@ def reference_imputation_mse(p_prime, f: Factorization, mask: HoldoutMask) -> fl
     recon = f.w @ f.h
     errs = [(dense[i, j] - recon[i, j]) ** 2 for i, j in mask.held_out]
     return float(np.mean(errs))
+
+
+def reference_grid_search(p_prime, k_range, alpha_grid, l1_grid, seed: int = 0,
+                          tol: float = 1e-6, max_iter: int = 500,
+                          init: str = "random_uniform",
+                          holdout_fraction: float = 1.0 / 3.0):
+    """Every grid cell fitted in turn, in the library's scan order.
+
+    Returns the table rows (k, alpha_m, l1_ratio, imputation MSE or nan for
+    a failed cell) and the (n_iter, converged) of every cell that fitted.
+    """
+    dense, _, _ = _as_dense(p_prime)
+    mask = reference_holdout_mask(dense, fraction=holdout_fraction, seed=seed)
+    table, fits = [], []
+    for k, alpha_m, l1_ratio in itertools.product(
+            sorted(set(int(k) for k in k_range)),
+            sorted(set(float(a) for a in alpha_grid), reverse=True),
+            sorted(set(float(r) for r in l1_grid), reverse=True)):
+        cfg = NmfConfig(k=k, alpha_m=alpha_m, l1_ratio=l1_ratio, tol=tol,
+                        max_iter=max_iter, seed=seed, init=init)
+        try:
+            f = reference_fit_nmf(dense, cfg, mask=mask)
+        except (ValueError, np.linalg.LinAlgError):
+            table.append((k, alpha_m, l1_ratio, float("nan")))
+            continue
+        table.append((k, alpha_m, l1_ratio, reference_imputation_mse(dense, f, mask)))
+        fits.append((f.n_iter, f.converged))
+    return table, fits
 
 
 # ---------------------------------------------------------- box-cox ------

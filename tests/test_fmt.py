@@ -1,0 +1,56 @@
+import json
+
+import pytest
+
+from shoplens._fmt import dump_json, dump_jsonl, write_csv, write_text
+
+
+def rows_then_failure():
+    yield ["a", "1"]
+    yield ["b", "2"]
+    raise RuntimeError("source failed mid-write")
+
+
+def records_then_failure():
+    yield {"a": 1}
+    raise RuntimeError("source failed mid-write")
+
+
+# Each writer fails after it has written part of the file: a raising row
+# source, a cell the CSV format cannot hold, an object JSON cannot encode.
+INTERRUPTED = [
+    (lambda p: write_csv(p, ["k", "v"], rows_then_failure()), RuntimeError),
+    (lambda p: write_csv(p, ["k", "v"], [["a", "1"], ["b,c", "2"]]), ValueError),
+    (lambda p: dump_jsonl(p, records_then_failure()), RuntimeError),
+    (lambda p: dump_json(p, {"a": object()}), TypeError),
+]
+
+
+@pytest.mark.parametrize("write,error", INTERRUPTED)
+def test_interrupted_write_keeps_previous_file(tmp_path, write, error):
+    path = tmp_path / "artifact"
+    write_text(path, "previous\n")
+    with pytest.raises(error):
+        write(path)
+    assert path.read_bytes() == b"previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+
+@pytest.mark.parametrize("write,error", INTERRUPTED)
+def test_interrupted_first_write_leaves_nothing(tmp_path, write, error):
+    with pytest.raises(error):
+        write(tmp_path / "artifact")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_completed_writes_replace_the_file(tmp_path):
+    path = tmp_path / "artifact"
+    write_text(path, "previous\n")
+    write_csv(path, ["k", "v"], [["a", "1"]])
+    assert path.read_bytes() == b"k,v\na,1\n"
+    dump_jsonl(path, [{"b": 2, "a": 1}])
+    assert path.read_bytes() == b'{"a": 1, "b": 2}\n'
+    dump_json(path, {"b": [1.5]})
+    assert json.loads(path.read_text()) == {"b": [1.5]}
+    assert path.read_bytes() == b'{\n  "b": [\n    1.5\n  ]\n}\n'
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]

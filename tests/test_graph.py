@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from shoplens.cluster import ClusterLabeling
-from shoplens.graph import (BipartiteGraph, attach_embeddings,
+from shoplens.graph import (BipartiteGraph, GraphDocument, attach_embeddings,
                             build_affinity_graph, build_purchase_graph,
                             export_graphml, export_jsonl, import_jsonl,
                             similar_nodes)
@@ -125,6 +125,44 @@ class TestRoundTrip:
         doc2 = import_jsonl(n1, e1)
         gml2 = export_graphml(doc2, tmp_path / "g2.graphml")
         assert gml1.read_bytes() == gml2.read_bytes()
+
+    def test_export_bytes(self, tmp_path):
+        # the exact bytes of both formats, escapes and UTF-8 included
+        doc = GraphDocument(
+            nodes=[{"kind": "item", "id": "\u00e9&x"},
+                   {"kind": "customer", "id": "c<1>", "embedding": [0.5, 1.25],
+                    "cluster": 0}],
+            edges=[{"_from": "customer/c<1>", "_to": "item/\u00e9&x", "weight": 2.5}])
+        nodes, edges = export_jsonl(doc, tmp_path, "g")
+        graphml = export_graphml(doc, tmp_path / "g.graphml")
+        assert nodes.read_bytes() == (
+            b'{"cluster": 0, "embedding": [0.5, 1.25], "id": "c<1>", "kind": "customer"}\n'
+            b'{"id": "\\u00e9&x", "kind": "item"}\n')
+        assert edges.read_bytes() == (
+            b'{"_from": "customer/c<1>", "_to": "item/\\u00e9&x", "weight": 2.5}\n')
+        assert graphml.read_bytes() == "\n".join([
+            '<?xml version="1.0" encoding="UTF-8"?>',
+            '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
+            '  <key id="kind" for="node" attr.name="kind" attr.type="string"/>',
+            '  <key id="embedding" for="node" attr.name="embedding" attr.type="string"/>',
+            '  <key id="cluster" for="node" attr.name="cluster" attr.type="int"/>',
+            '  <key id="weight" for="edge" attr.name="weight" attr.type="double"/>',
+            '  <graph id="G" edgedefault="undirected">',
+            '    <node id="customer/c&lt;1&gt;">',
+            '      <data key="kind">customer</data>',
+            '      <data key="embedding">0.5,1.25</data>',
+            '      <data key="cluster">0</data>',
+            '    </node>',
+            '    <node id="item/\u00e9&amp;x">',
+            '      <data key="kind">item</data>',
+            '    </node>',
+            '    <edge source="customer/c&lt;1&gt;" target="item/\u00e9&amp;x">',
+            '      <data key="weight">2.5</data>',
+            '    </edge>',
+            '  </graph>',
+            '</graphml>', '']).encode("utf-8")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "g.graphml", "g_edges.jsonl", "g_nodes.jsonl"]
 
     def test_edges_reference_kind_qualified_ids(self):
         doc = self.make_doc()

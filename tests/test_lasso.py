@@ -375,6 +375,26 @@ class TestCrossValidation:
         a2, c2 = cross_validate_alpha(d, grid, k=4, seed=9)
         assert a1 == a2 and c1 == c2
 
+    def test_fit_stats_match_reference_recount(self):
+        d = random_design(27, n=40, p=15)
+        grid = max_alpha(d) * np.logspace(-3, 0, 6)
+        cfg = SolverConfig(max_iter=8)
+        stats = []
+        best, curve = cross_validate_alpha(d, grid, k=4, seed=5, cfg=cfg,
+                                           fit_stats=stats)
+        assert (best, curve) == cross_validate_alpha(d, grid, k=4, seed=5, cfg=cfg)
+        pool = np.arange(len(d.y))
+        want = []
+        for test_idx in np.array_split(np.random.default_rng(5).permutation(pool), 4):
+            warm = None
+            for alpha in sorted(grid, reverse=True):
+                model = reference_fit_lasso(d, alpha, cfg, rows=np.setdiff1d(pool, test_idx),
+                                            warm_start=warm)
+                warm = model.beta
+                want.append((model.n_iter, model.converged))
+        assert stats == want
+        assert {converged for _, converged in want} == {False, True}
+
     def test_small_fold_rejected(self):
         d = random_design(24, n=5)
         with pytest.raises(ValueError, match="fold"):

@@ -1,14 +1,18 @@
+import math
+from concurrent import futures
+
 import numpy as np
 import pytest
 
+from shoplens import nmf as nmf_mod
 from shoplens.ingest import PurchaseMatrix
 from shoplens.nmf import (Factorization, HoldoutMask, NmfConfig, fit_nmf,
                           grid_search, imputation_mse, make_holdout_mask,
                           normalize_dictionary, objective_value,
                           top_items_per_element)
 
-from oracles import (reference_fit_nmf, reference_holdout_mask,
-                     reference_imputation_mse)
+from oracles import (reference_fit_nmf, reference_grid_search,
+                     reference_holdout_mask, reference_imputation_mse)
 
 
 def planted(seed, n=30, m=20, rank=3, lo=0.2, hi=1.2):
@@ -375,21 +379,79 @@ class TestReferenceEquality:
                                  for i, j in zip(*np.nonzero(p))})
         ks, alphas, l1s = [1, 2, 3, 13], [0.0, 0.5, 2.0], [0.0, 1.0]
         result = grid_search(matrix, ks, alphas, l1s, seed=7, max_iter=30)
-        mask = reference_holdout_mask(p, seed=7)
-        want = []
-        for k in ks:
-            for alpha_m in sorted(alphas, reverse=True):
-                for l1_ratio in sorted(l1s, reverse=True):
-                    cfg = NmfConfig(k=k, alpha_m=alpha_m, l1_ratio=l1_ratio,
-                                    max_iter=30, seed=7)
-                    try:
-                        f = reference_fit_nmf(p, cfg, mask=mask)
-                    except ValueError:
-                        want.append((k, alpha_m, l1_ratio, float("nan")))
-                        continue
-                    want.append((k, alpha_m, l1_ratio,
-                                 reference_imputation_mse(p, f, mask)))
+        want, want_fits = reference_grid_search(p, ks, alphas, l1s, seed=7,
+                                                max_iter=30)
         assert [row[:3] for row in result.table] == [row[:3] for row in want]
         assert as_bytes([row[3] for row in result.table]) == as_bytes(
             [row[3] for row in want])
         assert len(result.failures) == len(l1s) * len(alphas)
+        assert result.fits == want_fits
+        assert {converged for _, converged in want_fits} == {False, True}
+
+
+class TestPooledGrid:
+    """Grid cells run in spawned workers give the in-process result."""
+
+    # On this 30 x 6 matrix, k = 7 > min(n, m) fails, and at alpha_m = 0
+    # every l1 ratio is the same problem, so the cells of one k tie; scan
+    # order resolves the best k's tie to the largest l1 ratio.
+    GRID = dict(k_range=[1, 2, 3, 7], alpha_grid=[0.0], l1_grid=[0.0, 0.5, 1.0],
+                seed=3, max_iter=40)
+
+    @staticmethod
+    def executors(monkeypatch, cpus, min_work):
+        """Pretend ``cpus`` CPUs are allowed; record every pool created."""
+        monkeypatch.setattr(nmf_mod.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(nmf_mod, "_POOL_MIN_WORK", min_work)
+        created = []
+
+        class Recording(futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                created.append((args, kwargs))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", Recording)
+        return created
+
+    @staticmethod
+    def table_bytes(table) -> bytes:
+        return np.asarray(table, dtype=float).tobytes()
+
+    def test_pool_equals_serial_and_reference(self, monkeypatch):
+        p = spend(3, 30, 6)
+        created = self.executors(monkeypatch, cpus=2, min_work=math.inf)
+        serial = grid_search(p, **self.GRID)
+        assert created == []
+        monkeypatch.setattr(nmf_mod, "_POOL_MIN_WORK", 0)
+        pooled = grid_search(p, **self.GRID)
+        assert len(created) == 1
+        args, kwargs = created[0]
+        assert args == (2,)
+        assert kwargs["mp_context"].get_start_method() == "spawn"
+
+        assert self.table_bytes(pooled.table) == self.table_bytes(serial.table)
+        assert pooled.best == serial.best
+        assert pooled.failures == serial.failures
+        assert [f[0] for f in pooled.failures] == [7] * 3
+        assert (pooled.best.k, pooled.best.l1_ratio) == (2, 1.0)
+        mse = {row[:3]: row[3] for row in pooled.table}
+        assert mse[2, 0.0, 1.0] == mse[2, 0.0, 0.5] == mse[2, 0.0, 0.0]
+
+        want, want_fits = reference_grid_search(p, **self.GRID)
+        assert self.table_bytes(pooled.table) == self.table_bytes(want)
+        assert pooled.fits == serial.fits == want_fits
+
+    def test_one_cpu_starts_no_process(self, monkeypatch):
+        p = spend(3, 30, 6)
+        created = self.executors(monkeypatch, cpus=1, min_work=0)
+        result = grid_search(p, **self.GRID)
+        assert created == []
+        want, _ = reference_grid_search(p, **self.GRID)
+        assert self.table_bytes(result.table) == self.table_bytes(want)
+
+    def test_small_grid_stays_in_process(self, monkeypatch):
+        created = self.executors(monkeypatch, cpus=2,
+                                 min_work=nmf_mod._POOL_MIN_WORK)
+        grid_search(spend(3, 30, 6), **self.GRID)
+        assert created == []

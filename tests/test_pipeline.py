@@ -7,8 +7,11 @@ import pytest
 from shoplens._fmt import file_digest, read_csv
 from shoplens.cli import _apply_overrides, _base_config, build_parser
 from shoplens.cli import main as cli_main
+from shoplens.ingest import read_matrix
 from shoplens.pipeline import (MissingStageError, PipelineConfig,
                                emit_plot_data, run_all, run_stage)
+
+from oracles import reference_grid_search
 
 
 def fixture_config(fixture_csv, fixture_config_path, out_dir) -> PipelineConfig:
@@ -87,6 +90,25 @@ class TestFullRun:
         assert by_name["rfm"]["lambda"] is not None
         assert by_name["select-features"]["m_prime"] >= 1
         assert by_name["cluster"]["n_clusters"] >= 0
+
+    def test_fit_counts_recorded(self, full_run):
+        cfg, out, entries = full_run
+        cfg = cfg.resolved()
+        by_name = {e["name"]: e["metrics"] for e in entries}
+        grid = by_name["grid-search"]
+        p_prime = read_matrix(out / "select-features", "p_prime")
+        _, fits = reference_grid_search(
+            p_prime, range(cfg.nmf.k_min, cfg.nmf.k_max + 1), cfg.nmf.alpha_grid,
+            cfg.nmf.l1_grid, seed=cfg.nmf.seed, tol=cfg.nmf.tol,
+            max_iter=cfg.nmf.max_iter, init=cfg.nmf.init,
+            holdout_fraction=cfg.nmf.holdout_fraction)
+        assert grid["fits"] == len(fits)
+        assert grid["iterations"] == sum(n_iter for n_iter, _ in fits)
+        assert grid["unconverged_cells"] == sum(1 for _, c in fits if not c)
+        select = by_name["select-features"]
+        _, curve = read_csv(out / "select-features" / "cv_curve.csv")
+        assert select["cv_fits"] == cfg.lasso.folds * len(curve)
+        assert 0 <= select["cv_unconverged_fits"] <= select["cv_fits"]
 
     def test_model_reports_duality_gap(self, full_run):
         _, out, _ = full_run

@@ -1,0 +1,40 @@
+"""What importing the package costs and does, seen from a fresh interpreter."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import shoplens
+
+SRC = str(Path(shoplens.__file__).resolve().parent.parent)
+
+
+def run_python(*args) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_cli_import_leaves_heavy_modules_unloaded():
+    # scipy.optimize alone was most of the CLI's start-up time; the process
+    # pool modules are loaded only when a large grid search runs.
+    heavy = ["scipy.optimize", "scipy.stats", "multiprocessing",
+             "concurrent.futures"]
+    proc = run_python("-c", "import json, sys, shoplens.cli; "
+                      f"print(json.dumps([m for m in {heavy!r} if m in sys.modules]))")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+def test_importing_main_module_runs_nothing():
+    proc = run_python("-c", "import shoplens.__main__")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+
+
+def test_module_entry_point_still_runs_the_cli():
+    proc = run_python("-m", "shoplens", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage:")
