@@ -7,9 +7,9 @@ non-negative factorization -> density clustering -> bipartite graph export.
 __version__ = "0.1.0"
 
 from .ingest import (CleanedTransaction, CleaningRules, CustomerSegment,
-                     InvoiceLine, PurchaseMatrix, Segment, SegmentationConfig,
-                     build_incidence_matrix, clean_transactions,
-                     parse_invoice_csv, segment_customers)
+                     InvoiceLine, InvoiceLines, PurchaseMatrix, Segment,
+                     SegmentationConfig, Transactions, build_incidence_matrix,
+                     clean_transactions, parse_invoice_csv, segment_customers)
 from .rfm import (BoxCoxParams, RfmAttributes, RfmScore, RfmWeights,
                   boxcox_lambda_mle, boxcox_transform, compute_rfm_attributes,
                   weighted_rfm_score)

@@ -64,6 +64,21 @@ def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
     return header, [line.split(",") for line in lines[1:]]
 
 
+def read_csv_columns(path: Path) -> tuple[list[str], list[list[str]]]:
+    """``read_csv`` by column: the header and one list of cells per column,
+    without a list per row. Every row must have as many cells as the header."""
+    with open(path, "r", encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    if not lines:
+        return [], []
+    header, body = lines[0].split(","), lines[1:]
+    width = len(header)
+    if any(line.count(",") != width - 1 for line in body):
+        raise ValueError(f"{path}: a row does not have {width} cells")
+    cells = ",".join(body).split(",") if body else []
+    return header, [cells[k::width] for k in range(width)]
+
+
 def dump_json(path: Path, obj) -> None:
     with _atomic_open(path) as f:
         f.write(json.dumps(obj, sort_keys=True, indent=2))
@@ -71,9 +86,11 @@ def dump_json(path: Path, obj) -> None:
 
 
 def dump_jsonl(path: Path, records) -> None:
+    """One JSON object per line; a float is written as its shortest
+    round-trip repr, and a NaN or infinity raises ValueError."""
     with _atomic_open(path) as f:
         for rec in records:
-            f.write(json.dumps(rec, sort_keys=True))
+            f.write(json.dumps(rec, sort_keys=True, allow_nan=False))
             f.write("\n")
 
 

@@ -151,17 +151,6 @@ def similar_nodes(doc: GraphDocument, node_id: str, top_n: int,
 
 # ---------------------------------------------------------------- export --
 
-def _canonical(value):
-    """JSON-ready form with floats via their shortest round-trip repr."""
-    if isinstance(value, float):
-        return json.loads(fmt_float(value))
-    if isinstance(value, list):
-        return [_canonical(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _canonical(v) for k, v in value.items()}
-    return value
-
-
 def export_jsonl(doc: GraphDocument, directory: str | Path, prefix: str) -> tuple[Path, Path]:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -169,8 +158,8 @@ def export_jsonl(doc: GraphDocument, directory: str | Path, prefix: str) -> tupl
     edges_path = directory / f"{prefix}_edges.jsonl"
     nodes = sorted(doc.nodes, key=lambda d: (d["kind"], d["id"]))
     edges = sorted(doc.edges, key=lambda d: (d["_from"], d["_to"]))
-    dump_jsonl(nodes_path, map(_canonical, nodes))
-    dump_jsonl(edges_path, map(_canonical, edges))
+    dump_jsonl(nodes_path, nodes)
+    dump_jsonl(edges_path, edges)
     return nodes_path, edges_path
 
 

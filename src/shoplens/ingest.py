@@ -1,19 +1,28 @@
 """Invoice-line ingestion: CSV parsing, cleaning, customer segmentation,
 and construction of the customer x item spend incidence matrix.
 
+Lines and transactions travel as column tables (``InvoiceLines``,
+``Transactions``): one array per field, with ids and dates stored as codes
+into sorted vocabularies, so cleaning, segmentation and the matrix are
+array operations. Indexing or iterating a table yields the
+``InvoiceLine``/``CleanedTransaction`` records.
+
 All functions are pure: they take immutable inputs and return new values,
 so results can be shared freely across threads.
 """
 
 import csv
-from dataclasses import dataclass
+import math
+import re
+from dataclasses import dataclass, fields
 from datetime import datetime
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from ._fmt import dump_jsonl, fmt_float, read_csv, write_csv, write_text
+from ._fmt import (dump_jsonl, fmt_float, read_csv, read_csv_columns, write_csv,
+                   write_text)
 
 # Logical column names and their defaults in the UCI Online Retail export.
 DEFAULT_SCHEMA = {
@@ -95,6 +104,121 @@ class SegmentationConfig:
     wholesale_quantity_threshold: int = 1000
 
 
+@dataclass(frozen=True)
+class Coded:
+    """A column of repeated values held as integer codes.
+
+    Row i holds ``values[codes[i]]``, or None where its code is -1.
+    ``values`` is sorted and duplicate-free, so codes order rows the way
+    their values do. It may hold values that no row uses.
+    """
+    codes: np.ndarray
+    values: list
+
+    @classmethod
+    def ranked(cls, codes, values: list) -> "Coded":
+        """Renumber codes into ``values`` so that the vocabulary is sorted."""
+        order = sorted(range(len(values)), key=values.__getitem__)
+        remap = np.full(len(values) + 1, -1, dtype=np.int64)  # remap[-1] keeps -1
+        remap[order] = np.arange(len(values))
+        return cls(remap[np.asarray(codes, dtype=np.int64)], [values[k] for k in order])
+
+    @classmethod
+    def encode(cls, items) -> "Coded":
+        index: dict = {}
+        codes = [-1 if v is None else index.setdefault(v, len(index)) for v in items]
+        return cls.ranked(codes, list(index))
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, i: int):
+        code = self.codes[i]
+        return None if code < 0 else self.values[code]
+
+    def take(self, rows) -> "Coded":
+        return Coded(self.codes[rows], self.values)
+
+    def used(self) -> list:
+        """The distinct values the rows hold, sorted."""
+        return [self.values[k] for k in np.unique(self.codes[self.codes >= 0]).tolist()]
+
+    def isin(self, wanted) -> np.ndarray:
+        """Row mask: True where the row's value is in ``wanted``."""
+        hit = np.zeros(len(self.values) + 1, dtype=bool)
+        hit[[k for k, v in enumerate(self.values) if v in wanted]] = True
+        return hit[self.codes]
+
+
+class _Table:
+    """Records stored column by column, one column per record field and in
+    the record's field order: a ``Coded`` column for each repeated value and
+    a numpy array of ``dtypes[name]`` for each number."""
+
+    row_type: type
+    dtypes: dict
+
+    def _columns(self) -> list:
+        return [getattr(self, f.name) for f in fields(self)]
+
+    def __len__(self) -> int:
+        return len(getattr(self, fields(self)[0].name))
+
+    def __getitem__(self, i: int):
+        return self.row_type(*(c[i] if isinstance(c, Coded) else c[i].item()
+                               for c in self._columns()))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def take(self, rows):
+        """The given rows (an index array or a boolean mask), in that order."""
+        return type(self)(*(c.take(rows) if isinstance(c, Coded) else c[rows]
+                            for c in self._columns()))
+
+    @classmethod
+    def from_records(cls, records):
+        records = list(records)
+        return cls(*(
+            np.array([getattr(r, f.name) for r in records], dtype=cls.dtypes[f.name])
+            if f.name in cls.dtypes else Coded.encode(getattr(r, f.name) for r in records)
+            for f in fields(cls)))
+
+
+@dataclass(frozen=True, eq=False)
+class InvoiceLines(_Table):
+    """Parsed invoice lines; ``lines[i]`` is the i-th accepted row."""
+    invoice_id: Coded
+    stock_code: Coded
+    description: Coded
+    quantity: np.ndarray
+    invoice_date: Coded
+    unit_price: np.ndarray
+    customer_id: Coded  # code -1: an anonymous line
+    country: Coded
+
+    row_type = InvoiceLine
+    dtypes = {"quantity": np.int64, "unit_price": np.float64}
+
+
+@dataclass(frozen=True, eq=False)
+class Transactions(_Table):
+    """Cleaned transactions; ``txns[i]`` is the i-th as a record."""
+    customer_id: Coded
+    stock_code: Coded
+    invoice_id: Coded
+    invoice_date: Coded
+    spend: np.ndarray
+    quantity: np.ndarray
+
+    row_type = CleanedTransaction
+    dtypes = {"spend": np.float64, "quantity": np.int64}
+
+    def for_customers(self, customer_ids) -> "Transactions":
+        """The transactions of the given customers, in table order."""
+        return self.take(self.customer_id.isin(set(customer_ids)))
+
+
 class PurchaseMatrix:
     """Sparse non-negative customer x item spend matrix.
 
@@ -162,6 +286,33 @@ def _parse_date(raw: str, formats: tuple[str, ...]) -> datetime | None:
     return None
 
 
+# While it is the first format, stamps of this format are read by a pattern
+# instead of strptime (see _parse_stamp).
+_FAST_FORMAT = "%m/%d/%Y %H:%M"
+_FAST_STAMP = re.compile(r"(\d\d?)/(\d\d?)/(\d{4}) (\d\d?):(\d\d)", re.ASCII)
+
+
+def _parse_stamp(raw: str, formats: tuple[str, ...]) -> datetime | None:
+    """``_parse_date`` with a shortcut while ``%m/%d/%Y %H:%M`` is the first
+    format.
+
+    A stamp the pattern matches and ``datetime`` accepts is one that
+    strptime reads to the same value with that format: its %m, %d and %H
+    take one or two digits, %Y four and %M two. Anything else (a 30 Feb,
+    hour 24, a space-padded day, repeated spaces, non-ASCII digits, a
+    one-digit minute or another format) goes through ``_parse_date``.
+    """
+    if formats[:1] == (_FAST_FORMAT,):
+        match = _FAST_STAMP.fullmatch(raw)
+        if match:
+            month, day, year, hour, minute = map(int, match.groups())
+            try:
+                return datetime(year, month, day, hour, minute)
+            except ValueError:
+                pass
+    return _parse_date(raw, formats)
+
+
 def _has_delimiter(value: str) -> bool:
     """Ids are written back out in quote-free CSV, so they must not carry
     the delimiter or a line break."""
@@ -173,12 +324,14 @@ def parse_invoice_csv(
     schema: dict[str, str] | None = None,
     encoding: str = "utf-8",
     date_formats: tuple[str, ...] = DEFAULT_DATE_FORMATS,
-) -> tuple[list[InvoiceLine], list[RejectedRow]]:
-    """Parse an invoice-line CSV into typed records plus a reject report.
+) -> tuple[InvoiceLines, list[RejectedRow]]:
+    """Parse an invoice-line CSV into a line table plus a reject report.
 
     Malformed data rows land in the reject report instead of aborting the
     parse; that includes ids (invoice, stock code, customer) carrying a
-    comma or line break, which the quote-free artifacts cannot hold. A
+    comma or line break, which the quote-free artifacts cannot hold, and
+    numbers the arrays cannot hold exactly (a quantity outside the signed
+    32-bit range, a non-finite unit price or quantity x unit price). A
     missing file, a missing mandatory column, or an undecodable byte stream
     is a hard error.
     """
@@ -192,7 +345,7 @@ def parse_invoice_csv(
             reader = csv.reader(f)
             header = next(reader, None)
             if header is None:
-                return [], []
+                return InvoiceLines.from_records([]), []
             header = [name.lstrip("\ufeff") for name in header]
             missing = [col for col in schema.values() if col not in header]
             if missing:
@@ -205,15 +358,21 @@ def parse_invoice_csv(
             f"pass the correct encoding") from exc
 
 
+# Quantities are summed per invoice in int64; 32-bit inputs cannot wrap.
+_QUANTITY_RANGE = range(-2 ** 31, 2 ** 31)
+
+
 def _parse_rows(reader, header: list[str], schema: dict[str, str],
                 date_formats: tuple[str, ...],
-                ) -> tuple[list[InvoiceLine], list[RejectedRow]]:
+                ) -> tuple[InvoiceLines, list[RejectedRow]]:
     """Type the data rows of an invoice CSV as they are read.
 
     Rows are read the way ``csv.DictReader`` reads them: blank lines are
     skipped and not numbered, a repeated header name takes the last
     matching field, a short row reads its missing fields as "", and a long
     row keeps its extra fields under the key None of the reject record.
+    An accepted row's fields are appended to the columns, each repeated
+    value as its code in that column's vocabulary.
     """
     width = len(header)
     at = {name: i for i, name in enumerate(header)}
@@ -222,33 +381,37 @@ def _parse_rows(reader, header: list[str], schema: dict[str, str],
         "invoice_id", "stock_code", "description", "quantity",
         "invoice_date", "unit_price", "customer_id", "country"))
 
-    lines: list[InvoiceLine] = []
+    invoices, stocks, descriptions, customers, countries = {}, {}, {}, {}, {}
+    moments: dict[datetime, int] = {}  # distinct parsed dates
+    stamps: dict[str, int] = {}  # raw stamp -> code in moments, -1 if unparseable
+    (invoice_col, stock_col, description_col, quantity_col, date_col, price_col,
+     customer_col, country_col) = ([] for _ in range(8))
     rejects: list[RejectedRow] = []
-    dates: dict[str, datetime | None] = {}  # many lines share one invoice stamp
+
+    def reject(idx: int, row: list[str], column: str, reason: str) -> None:
+        raw = dict(zip(header, row))
+        if len(row) > width:
+            raw[None] = row[width:]
+        rejects.append(RejectedRow(idx, column, reason, raw))
+
     for idx, row in enumerate(filter(None, reader), start=2):  # header is line 1
         if len(row) < width:
             row += [""] * (width - len(row))
 
-        def reject(column: str, reason: str) -> None:
-            raw = dict(zip(header, row))
-            if len(row) > width:
-                raw[None] = row[width:]
-            rejects.append(RejectedRow(idx, column, reason, raw))
-
         invoice_id = row[i_invoice].strip()
         if not invoice_id:
-            reject(schema["invoice_id"], "empty invoice id")
+            reject(idx, row, schema["invoice_id"], "empty invoice id")
             continue
         if _has_delimiter(invoice_id):
-            reject(schema["invoice_id"],
+            reject(idx, row, schema["invoice_id"],
                    f"invoice id {invoice_id!r} contains a delimiter or newline")
             continue
         stock_code = row[i_stock].strip()
         if not stock_code:
-            reject(schema["stock_code"], "empty stock code")
+            reject(idx, row, schema["stock_code"], "empty stock code")
             continue
         if _has_delimiter(stock_code):
-            reject(schema["stock_code"],
+            reject(idx, row, schema["stock_code"],
                    f"stock code {stock_code!r} contains a delimiter or newline")
             continue
 
@@ -256,68 +419,104 @@ def _parse_rows(reader, header: list[str], schema: dict[str, str],
         try:
             quantity = int(raw_qty)
         except ValueError:
-            reject(schema["quantity"], f"non-integer quantity {raw_qty!r}")
+            reject(idx, row, schema["quantity"], f"non-integer quantity {raw_qty!r}")
+            continue
+        if quantity not in _QUANTITY_RANGE:
+            reject(idx, row, schema["quantity"],
+                   f"quantity {raw_qty!r} outside the signed 32-bit range")
             continue
 
         raw_price = row[i_price].strip()
         try:
             unit_price = float(raw_price)
         except ValueError:
-            reject(schema["unit_price"], f"non-numeric unit price {raw_price!r}")
+            reject(idx, row, schema["unit_price"], f"non-numeric unit price {raw_price!r}")
+            continue
+        if not math.isfinite(unit_price):
+            reject(idx, row, schema["unit_price"], f"non-finite unit price {raw_price!r}")
+            continue
+        if not math.isfinite(quantity * unit_price):
+            reject(idx, row, schema["unit_price"],
+                   f"quantity {raw_qty!r} x unit price {raw_price!r} is not finite")
             continue
 
         raw_date = row[i_date].strip()
-        if raw_date not in dates:
-            dates[raw_date] = _parse_date(raw_date, date_formats)
-        invoice_date = dates[raw_date]
-        if invoice_date is None:
-            reject(schema["invoice_date"], f"unparseable date {raw_date!r}")
+        date_code = stamps.get(raw_date)
+        if date_code is None:  # many lines share one invoice stamp
+            moment = _parse_stamp(raw_date, date_formats)
+            date_code = stamps[raw_date] = (
+                -1 if moment is None else moments.setdefault(moment, len(moments)))
+        if date_code < 0:
+            reject(idx, row, schema["invoice_date"], f"unparseable date {raw_date!r}")
             continue
 
         customer_id = row[i_customer].strip() or None
         if customer_id is not None and _has_delimiter(customer_id):
-            reject(schema["customer_id"],
+            reject(idx, row, schema["customer_id"],
                    f"customer id {customer_id!r} contains a delimiter or newline")
             continue
-        lines.append(InvoiceLine(
-            invoice_id=invoice_id,
-            stock_code=stock_code,
-            description=row[i_description].strip(),
-            quantity=quantity,
-            invoice_date=invoice_date,
-            unit_price=unit_price,
-            customer_id=customer_id,
-            country=row[i_country].strip(),
-        ))
+        invoice_col.append(invoices.setdefault(invoice_id, len(invoices)))
+        stock_col.append(stocks.setdefault(stock_code, len(stocks)))
+        description = row[i_description].strip()
+        description_col.append(descriptions.setdefault(description, len(descriptions)))
+        quantity_col.append(quantity)
+        date_col.append(date_code)
+        price_col.append(unit_price)
+        customer_col.append(-1 if customer_id is None
+                            else customers.setdefault(customer_id, len(customers)))
+        country = row[i_country].strip()
+        country_col.append(countries.setdefault(country, len(countries)))
+    lines = InvoiceLines(
+        invoice_id=Coded.ranked(invoice_col, list(invoices)),
+        stock_code=Coded.ranked(stock_col, list(stocks)),
+        description=Coded.ranked(description_col, list(descriptions)),
+        quantity=np.array(quantity_col, dtype=np.int64),
+        invoice_date=Coded.ranked(date_col, list(moments)),
+        unit_price=np.array(price_col, dtype=np.float64),
+        customer_id=Coded.ranked(customer_col, list(customers)),
+        country=Coded.ranked(country_col, list(countries)),
+    )
     return lines, rejects
 
 
-def clean_transactions(lines, rules: CleaningRules = CleaningRules()) -> list[CleanedTransaction]:
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Runs of equal values in sorted ``keys``: the index at which each run
+    starts, and the run number of every element."""
+    starts = np.empty(len(keys), dtype=bool)
+    starts[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    return np.flatnonzero(starts), np.cumsum(starts) - 1
+
+
+def clean_transactions(lines: InvoiceLines,
+                       rules: CleaningRules = CleaningRules()) -> Transactions:
     """Filter raw lines down to usable transactions.
 
     Drops anonymous lines, cancellation invoices, and non-positive
     quantities or prices; never raises. Spend is quantity x unit price.
     """
-    out = []
-    for line in lines:
-        if line.customer_id is None:
-            continue
-        if rules.cancellation_prefix and line.invoice_id.startswith(rules.cancellation_prefix):
-            continue
-        if line.quantity <= 0 or line.unit_price <= 0:
-            continue
-        out.append(CleanedTransaction(
-            customer_id=line.customer_id,
-            stock_code=line.stock_code,
-            invoice_id=line.invoice_id,
-            invoice_date=line.invoice_date,
-            spend=line.quantity * line.unit_price,
-            quantity=line.quantity,
-        ))
-    return out
+    # "not (q <= 0 or p <= 0)" rather than "q > 0 and p > 0": a NaN price
+    # (possible in a table built from records) is kept, as it always was.
+    keep = (lines.customer_id.codes >= 0) & ~((lines.quantity <= 0) | (lines.unit_price <= 0))
+    prefix = rules.cancellation_prefix
+    if prefix:
+        cancelled = np.array([i.startswith(prefix) for i in lines.invoice_id.values],
+                             dtype=bool)
+        keep &= ~cancelled[lines.invoice_id.codes]
+    rows = np.flatnonzero(keep)
+    quantity = lines.quantity[rows]
+    return Transactions(
+        customer_id=lines.customer_id.take(rows),
+        stock_code=lines.stock_code.take(rows),
+        invoice_id=lines.invoice_id.take(rows),
+        invoice_date=lines.invoice_date.take(rows),
+        spend=quantity.astype(np.float64) * lines.unit_price[rows],
+        quantity=quantity,
+    )
 
 
-def segment_customers(txns, cfg: SegmentationConfig = SegmentationConfig()) -> list[CustomerSegment]:
+def segment_customers(txns: Transactions,
+                      cfg: SegmentationConfig = SegmentationConfig()) -> list[CustomerSegment]:
     """Partition registered customers into Wholesale / Frequent / Infrequent.
 
     Wholesale is flagged first: any single invoice totaling more than
@@ -325,55 +524,55 @@ def segment_customers(txns, cfg: SegmentationConfig = SegmentationConfig()) -> l
     iff they have at least ``frequent_min_purchases`` distinct invoices.
     Every customer present in the transactions gets exactly one segment.
     """
-    invoices: dict[str, set[str]] = {}
-    invoice_units: dict[tuple[str, str], int] = {}
-    for t in txns:
-        invoices.setdefault(t.customer_id, set()).add(t.invoice_id)
-        key = (t.customer_id, t.invoice_id)
-        invoice_units[key] = invoice_units.get(key, 0) + t.quantity
+    if len(txns) == 0:
+        return []
+    n_invoices = len(txns.invoice_id.values)
+    pairs, pair_of = np.unique(txns.customer_id.codes * n_invoices + txns.invoice_id.codes,
+                               return_inverse=True)
+    units = np.zeros(len(pairs), dtype=np.int64)
+    np.add.at(units, pair_of, txns.quantity)
+    owner = pairs // n_invoices  # sorted, since codes order like ids
+    starts, _ = _runs(owner)
+    n_purchases = np.diff(starts, append=len(owner))
+    biggest = np.maximum.reduceat(units, starts)
 
     out = []
-    for customer_id in sorted(invoices):
-        n_purchases = len(invoices[customer_id])
-        biggest = max(invoice_units[(customer_id, inv)] for inv in invoices[customer_id])
-        if biggest > cfg.wholesale_quantity_threshold:
+    for code, n, big in zip(owner[starts].tolist(), n_purchases.tolist(), biggest.tolist()):
+        if big > cfg.wholesale_quantity_threshold:
             segment = Segment.WHOLESALE
-        elif n_purchases >= cfg.frequent_min_purchases:
+        elif n >= cfg.frequent_min_purchases:
             segment = Segment.FREQUENT
         else:
             segment = Segment.INFREQUENT
-        out.append(CustomerSegment(customer_id, segment, n_purchases))
+        out.append(CustomerSegment(txns.customer_id.values[code], segment, n))
     return out
 
 
-def build_incidence_matrix(txns, members) -> PurchaseMatrix:
+def build_incidence_matrix(txns: Transactions, members) -> PurchaseMatrix:
     """Total spend of each member customer on each stock code.
 
     Columns are the stock codes the member set actually purchased. Spends
-    are accumulated in sorted transaction order so the result is identical
-    across runs.
+    are accumulated in (customer, stock code, invoice) order, ties in table
+    order, so the result is identical across runs.
     """
     members = set(members)
     if not members:
         raise ValueError("empty member set")
-    present = {t.customer_id for t in txns}
-    unknown = members - present
+    unknown = members - set(txns.customer_id.used())
     if unknown:
         raise ValueError(f"members with no transactions: {sorted(unknown)}")
 
-    member_txns = sorted(
-        (t for t in txns if t.customer_id in members),
-        key=lambda t: (t.customer_id, t.stock_code, t.invoice_id),
-    )
-    row_ids = sorted(members)
-    col_ids = sorted({t.stock_code for t in member_txns})
-    row_index = {c: i for i, c in enumerate(row_ids)}
-    col_index = {s: j for j, s in enumerate(col_ids)}
-    entries: dict[tuple[int, int], float] = {}
-    for t in member_txns:
-        key = (row_index[t.customer_id], col_index[t.stock_code])
-        entries[key] = entries.get(key, 0.0) + t.spend
-    return PurchaseMatrix(row_ids, col_ids, entries)
+    t = txns.for_customers(members)
+    order = np.lexsort((t.invoice_id.codes, t.stock_code.codes, t.customer_id.codes))
+    customer, stock = t.customer_id.codes[order], t.stock_code.codes[order]
+    row_codes, col_codes = np.unique(customer), np.unique(stock)
+    row = np.searchsorted(row_codes, customer)
+    col = np.searchsorted(col_codes, stock)
+    starts, cell = _runs(row * len(col_codes) + col)
+    totals = np.bincount(cell, weights=t.spend[order])  # adds in order
+    entries = dict(zip(zip(row[starts].tolist(), col[starts].tolist()), totals.tolist()))
+    col_ids = [t.stock_code.values[k] for k in col_codes.tolist()]
+    return PurchaseMatrix(sorted(members), col_ids, entries)
 
 
 def write_matrix(matrix: PurchaseMatrix, directory: str | Path, prefix: str) -> list[Path]:
@@ -413,18 +612,30 @@ def write_rejects(rejects, path: str | Path) -> None:
         for r in rejects))
 
 
-def write_transactions(txns, path: str | Path) -> None:
+def write_transactions(txns: Transactions, path: str | Path) -> None:
+    def cells(column: Coded) -> list:
+        return [column.values[k] for k in column.codes.tolist()]
+
+    stamps = Coded(txns.invoice_date.codes, [d.isoformat() for d in txns.invoice_date.values])
     write_csv(Path(path),
               ["customer_id", "stock_code", "invoice_id", "invoice_date", "spend", "quantity"],
-              ([t.customer_id, t.stock_code, t.invoice_id,
-                t.invoice_date.isoformat(), fmt_float(t.spend), str(t.quantity)]
-               for t in txns))
+              zip(cells(txns.customer_id), cells(txns.stock_code), cells(txns.invoice_id),
+                  cells(stamps), map(fmt_float, txns.spend.tolist()),
+                  map(str, txns.quantity.tolist())))
 
 
-def read_transactions(path: str | Path) -> list[CleanedTransaction]:
-    _, rows = read_csv(Path(path))
-    return [CleanedTransaction(c, s, inv, datetime.fromisoformat(d), float(sp), int(q))
-            for c, s, inv, d, sp, q in rows]
+def read_transactions(path: str | Path) -> Transactions:
+    _, columns = read_csv_columns(Path(path))
+    customers, stocks, invoices, stamps, spends, quantities = columns or [[]] * 6
+    dates = Coded.encode(stamps)
+    return Transactions(
+        customer_id=Coded.encode(customers),
+        stock_code=Coded.encode(stocks),
+        invoice_id=Coded.encode(invoices),
+        invoice_date=Coded.ranked(dates.codes, [datetime.fromisoformat(d) for d in dates.values]),
+        spend=np.array([float(s) for s in spends], dtype=np.float64),
+        quantity=np.array([int(q) for q in quantities], dtype=np.int64),
+    )
 
 
 def write_segments(segments, path: str | Path) -> None:

@@ -213,8 +213,8 @@ def _stage_rfm(cfg: PipelineConfig, run_dir: Path):
     segments = ingest_mod.read_segments(seg_path)
     frequent = {s.customer_id for s in segments
                 if s.segment is ingest_mod.Segment.FREQUENT}
-    member_txns = [t for t in txns if t.customer_id in frequent]
-    as_of = max(t.invoice_date for t in member_txns)
+    member_txns = txns.for_customers(frequent)
+    as_of = max(member_txns.invoice_date.used())
     weights = rfm_mod.RfmWeights(cfg.rfm.w_recency, cfg.rfm.w_frequency,
                                  cfg.rfm.w_monetary)
     scores, params = rfm_mod.score_customers(member_txns, as_of, weights,

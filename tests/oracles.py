@@ -5,25 +5,34 @@ statements as the library, deliberately using different algorithms (proximal
 gradient instead of coordinate descent, a threshold-sweep over the complete
 reachability graph instead of an MST walk, a brute-force likelihood grid
 instead of bracketed optimization). Nothing imports the code paths it
-checks. Three references are exceptions by design, because the library must
+checks. Four references are exceptions by design, because the library must
 match them bit for bit: the full-matrix distance layer (``full_*``), the
 n x n reference for the library's row-block core distances and row-by-row
 Prim tree; ``reference_fit_lasso``, the plain cyclic coordinate descent
-that the library's screened solver reproduces; and the NMF layer
+that the library's screened solver reproduces; the NMF layer
 (``reference_fit_nmf`` and its mask and imputation helpers), the separate
 W and H updates that the library's single column sweep reproduces, with
 ``reference_grid_search``, the serial cell loop that the library may run in
 worker processes. It shares only the input coercion and the factor
-initialization with the library.
+initialization with the library. And the per-record ingest and RFM loops
+(``reference_parse_rows`` to ``reference_compute_rfm_attributes``), which
+the library's column tables reproduce; they share the record types and
+``_has_delimiter``/``_minmax`` with the library.
 """
 
 import itertools
+from datetime import datetime
 
 import numpy as np
 
+from shoplens.ingest import (CleanedTransaction, CleaningRules,
+                             CustomerSegment, InvoiceLine, PurchaseMatrix,
+                             RejectedRow, Segment, SegmentationConfig,
+                             _has_delimiter)
 from shoplens.lasso import DesignMatrix, LassoModel, SolverConfig
 from shoplens.nmf import (Factorization, HoldoutMask, NmfConfig, _as_dense,
                           _init_factors)
+from shoplens.rfm import RfmAttributes, _minmax
 
 
 # ------------------------------------------------------------ lasso ------
@@ -308,6 +317,224 @@ def reference_grid_search(p_prime, k_range, alpha_grid, l1_grid, seed: int = 0,
         table.append((k, alpha_m, l1_ratio, reference_imputation_mse(dense, f, mask)))
         fits.append((f.n_iter, f.converged))
     return table, fits
+
+
+# -------------------------------------------------------- ingest/rfm -----
+# The per-record ingest and RFM code the column tables replaced, kept
+# verbatim apart from the names: the tables must reproduce its records,
+# rejects, segments, matrix entries and attributes bit for bit.
+
+def reference_parse_date(raw: str, formats: tuple[str, ...]) -> datetime | None:
+    for fmt in formats:
+        try:
+            return datetime.strptime(raw, fmt)
+        except ValueError:
+            pass
+    return None
+
+
+def reference_parse_rows(reader, header: list[str], schema: dict[str, str],
+                date_formats: tuple[str, ...],
+                ) -> tuple[list[InvoiceLine], list[RejectedRow]]:
+    """Type the data rows of an invoice CSV as they are read.
+
+    Rows are read the way ``csv.DictReader`` reads them: blank lines are
+    skipped and not numbered, a repeated header name takes the last
+    matching field, a short row reads its missing fields as "", and a long
+    row keeps its extra fields under the key None of the reject record.
+    """
+    width = len(header)
+    at = {name: i for i, name in enumerate(header)}
+    (i_invoice, i_stock, i_description, i_quantity, i_date, i_price,
+     i_customer, i_country) = (at[schema[key]] for key in (
+        "invoice_id", "stock_code", "description", "quantity",
+        "invoice_date", "unit_price", "customer_id", "country"))
+
+    lines: list[InvoiceLine] = []
+    rejects: list[RejectedRow] = []
+    dates: dict[str, datetime | None] = {}  # many lines share one invoice stamp
+    for idx, row in enumerate(filter(None, reader), start=2):  # header is line 1
+        if len(row) < width:
+            row += [""] * (width - len(row))
+
+        def reject(column: str, reason: str) -> None:
+            raw = dict(zip(header, row))
+            if len(row) > width:
+                raw[None] = row[width:]
+            rejects.append(RejectedRow(idx, column, reason, raw))
+
+        invoice_id = row[i_invoice].strip()
+        if not invoice_id:
+            reject(schema["invoice_id"], "empty invoice id")
+            continue
+        if _has_delimiter(invoice_id):
+            reject(schema["invoice_id"],
+                   f"invoice id {invoice_id!r} contains a delimiter or newline")
+            continue
+        stock_code = row[i_stock].strip()
+        if not stock_code:
+            reject(schema["stock_code"], "empty stock code")
+            continue
+        if _has_delimiter(stock_code):
+            reject(schema["stock_code"],
+                   f"stock code {stock_code!r} contains a delimiter or newline")
+            continue
+
+        raw_qty = row[i_quantity].strip()
+        try:
+            quantity = int(raw_qty)
+        except ValueError:
+            reject(schema["quantity"], f"non-integer quantity {raw_qty!r}")
+            continue
+
+        raw_price = row[i_price].strip()
+        try:
+            unit_price = float(raw_price)
+        except ValueError:
+            reject(schema["unit_price"], f"non-numeric unit price {raw_price!r}")
+            continue
+
+        raw_date = row[i_date].strip()
+        if raw_date not in dates:
+            dates[raw_date] = reference_parse_date(raw_date, date_formats)
+        invoice_date = dates[raw_date]
+        if invoice_date is None:
+            reject(schema["invoice_date"], f"unparseable date {raw_date!r}")
+            continue
+
+        customer_id = row[i_customer].strip() or None
+        if customer_id is not None and _has_delimiter(customer_id):
+            reject(schema["customer_id"],
+                   f"customer id {customer_id!r} contains a delimiter or newline")
+            continue
+        lines.append(InvoiceLine(
+            invoice_id=invoice_id,
+            stock_code=stock_code,
+            description=row[i_description].strip(),
+            quantity=quantity,
+            invoice_date=invoice_date,
+            unit_price=unit_price,
+            customer_id=customer_id,
+            country=row[i_country].strip(),
+        ))
+    return lines, rejects
+
+
+def reference_clean_transactions(lines, rules: CleaningRules = CleaningRules()) -> list[CleanedTransaction]:
+    """Filter raw lines down to usable transactions.
+
+    Drops anonymous lines, cancellation invoices, and non-positive
+    quantities or prices; never raises. Spend is quantity x unit price.
+    """
+    out = []
+    for line in lines:
+        if line.customer_id is None:
+            continue
+        if rules.cancellation_prefix and line.invoice_id.startswith(rules.cancellation_prefix):
+            continue
+        if line.quantity <= 0 or line.unit_price <= 0:
+            continue
+        out.append(CleanedTransaction(
+            customer_id=line.customer_id,
+            stock_code=line.stock_code,
+            invoice_id=line.invoice_id,
+            invoice_date=line.invoice_date,
+            spend=line.quantity * line.unit_price,
+            quantity=line.quantity,
+        ))
+    return out
+
+
+def reference_segment_customers(txns, cfg: SegmentationConfig = SegmentationConfig()) -> list[CustomerSegment]:
+    """Partition registered customers into Wholesale / Frequent / Infrequent.
+
+    Wholesale is flagged first: any single invoice totaling more than
+    ``wholesale_quantity_threshold`` units. Remaining customers are Frequent
+    iff they have at least ``frequent_min_purchases`` distinct invoices.
+    Every customer present in the transactions gets exactly one segment.
+    """
+    invoices: dict[str, set[str]] = {}
+    invoice_units: dict[tuple[str, str], int] = {}
+    for t in txns:
+        invoices.setdefault(t.customer_id, set()).add(t.invoice_id)
+        key = (t.customer_id, t.invoice_id)
+        invoice_units[key] = invoice_units.get(key, 0) + t.quantity
+
+    out = []
+    for customer_id in sorted(invoices):
+        n_purchases = len(invoices[customer_id])
+        biggest = max(invoice_units[(customer_id, inv)] for inv in invoices[customer_id])
+        if biggest > cfg.wholesale_quantity_threshold:
+            segment = Segment.WHOLESALE
+        elif n_purchases >= cfg.frequent_min_purchases:
+            segment = Segment.FREQUENT
+        else:
+            segment = Segment.INFREQUENT
+        out.append(CustomerSegment(customer_id, segment, n_purchases))
+    return out
+
+
+def reference_build_incidence_matrix(txns, members) -> PurchaseMatrix:
+    """Total spend of each member customer on each stock code.
+
+    Columns are the stock codes the member set actually purchased. Spends
+    are accumulated in sorted transaction order so the result is identical
+    across runs.
+    """
+    members = set(members)
+    if not members:
+        raise ValueError("empty member set")
+    present = {t.customer_id for t in txns}
+    unknown = members - present
+    if unknown:
+        raise ValueError(f"members with no transactions: {sorted(unknown)}")
+
+    member_txns = sorted(
+        (t for t in txns if t.customer_id in members),
+        key=lambda t: (t.customer_id, t.stock_code, t.invoice_id),
+    )
+    row_ids = sorted(members)
+    col_ids = sorted({t.stock_code for t in member_txns})
+    row_index = {c: i for i, c in enumerate(row_ids)}
+    col_index = {s: j for j, s in enumerate(col_ids)}
+    entries: dict[tuple[int, int], float] = {}
+    for t in member_txns:
+        key = (row_index[t.customer_id], col_index[t.stock_code])
+        entries[key] = entries.get(key, 0.0) + t.spend
+    return PurchaseMatrix(row_ids, col_ids, entries)
+
+
+def reference_compute_rfm_attributes(txns, as_of: datetime) -> list[RfmAttributes]:
+    """Per-customer normalized recency, frequency, and monetary attributes.
+
+    recency = 1 - minmax(days since last purchase), frequency =
+    minmax(distinct invoice count), monetary = minmax(total spend), all
+    relative to the customers present in the input.
+    """
+    if not txns:
+        raise ValueError("no transactions to score")
+    last_seen: dict[str, datetime] = {}
+    invoices: dict[str, set[str]] = {}
+    spend: dict[str, float] = {}
+    for t in sorted(txns, key=lambda t: (t.customer_id, t.invoice_id, t.stock_code)):
+        if t.invoice_date > as_of:
+            raise ValueError(
+                f"transaction at {t.invoice_date} is after as_of {as_of}")
+        c = t.customer_id
+        last_seen[c] = max(last_seen.get(c, t.invoice_date), t.invoice_date)
+        invoices.setdefault(c, set()).add(t.invoice_id)
+        spend[c] = spend.get(c, 0.0) + t.spend
+
+    ids = sorted(last_seen)
+    days = np.array([(as_of - last_seen[c]).total_seconds() / 86400.0 for c in ids])
+    freq = np.array([float(len(invoices[c])) for c in ids])
+    money = np.array([spend[c] for c in ids])
+
+    recency = _minmax(-days)  # negate so larger = more recent
+    frequency = _minmax(freq)
+    monetary = _minmax(money)
+    return [RfmAttributes(c, float(recency[i]), float(frequency[i]), float(monetary[i]))
+            for i, c in enumerate(ids)]
 
 
 # ---------------------------------------------------------- box-cox ------

@@ -302,8 +302,8 @@ class TestPartB:
         txns, _, frequent, matrix = uci
         member_txns = [t for t in txns if t.customer_id in set(frequent)]
         as_of = max(t.invoice_date for t in member_txns)
-        scores, params = rfm_mod.score_customers(member_txns, as_of,
-                                                 rfm_mod.RfmWeights())
+        scores, params = rfm_mod.score_customers(
+            ingest_mod.Transactions.from_records(member_txns), as_of, rfm_mod.RfmWeights())
         print(f"  [B] fitted box-cox lambda={params.lam:.4f} shift={params.shift:.2e}")
 
         def skew(a):

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from shoplens._fmt import dump_json, dump_jsonl, write_csv, write_text
+from shoplens._fmt import (dump_json, dump_jsonl, read_csv, read_csv_columns, write_csv,
+                          write_text)
 
 
 def rows_then_failure():
@@ -54,3 +55,29 @@ def test_completed_writes_replace_the_file(tmp_path):
     assert json.loads(path.read_text()) == {"b": [1.5]}
     assert path.read_bytes() == b'{\n  "b": [\n    1.5\n  ]\n}\n'
     assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+
+def test_non_finite_json_float_raises_and_keeps_previous_file(tmp_path):
+    path = tmp_path / "artifact"
+    write_text(path, "previous\n")
+    with pytest.raises(ValueError):
+        dump_jsonl(path, [{"w": 1.5}, {"w": float("inf")}])
+    assert path.read_bytes() == b"previous\n"
+
+
+def test_csv_columns_transpose_the_rows(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["k", "v", "w"], [["a", "1", ""], ["b", "2", "x"]])
+    header, rows = read_csv(path)
+    assert read_csv_columns(path) == (header, [list(c) for c in zip(*rows)])
+    write_csv(path, ["k", "v"], [])
+    assert read_csv_columns(path) == (["k", "v"], [[], []])
+    path.write_text("", encoding="utf-8")
+    assert read_csv_columns(path) == ([], [])
+
+
+def test_csv_columns_reject_a_ragged_row(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("k,v\na,1\nb\nc,3,4\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="2 cells"):
+        read_csv_columns(path)

@@ -164,6 +164,14 @@ class TestRoundTrip:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "g.graphml", "g_edges.jsonl", "g_nodes.jsonl"]
 
+    @pytest.mark.parametrize("weight", [float("nan"), np.float64("inf")])
+    def test_non_finite_edge_weight_raises_and_leaves_no_edge_file(self, tmp_path, weight):
+        doc = GraphDocument(nodes=[{"kind": "item", "id": "x"}],
+                            edges=[{"_from": "customer/c", "_to": "item/x", "weight": weight}])
+        with pytest.raises(ValueError):
+            export_jsonl(doc, tmp_path, "g")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g_nodes.jsonl"]
+
     def test_edges_reference_kind_qualified_ids(self):
         doc = self.make_doc()
         for ed in doc.edges:

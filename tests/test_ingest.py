@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from shoplens import ingest
-from shoplens.ingest import (CleaningRules, PurchaseMatrix, Segment,
-                             SegmentationConfig, build_incidence_matrix,
-                             clean_transactions, parse_invoice_csv,
-                             read_matrix, segment_customers, write_matrix)
+from shoplens.ingest import (CleaningRules, InvoiceLines, PurchaseMatrix,
+                             Segment, SegmentationConfig, Transactions,
+                             build_incidence_matrix, clean_transactions,
+                             parse_invoice_csv, read_matrix,
+                             segment_customers, write_matrix)
 
 from conftest import make_line, make_txn
 
@@ -23,12 +24,12 @@ def write(tmp_path, body, name="in.csv"):
 class TestParse:
     def test_empty_data_section(self, tmp_path):
         lines, rejects = parse_invoice_csv(write(tmp_path, ""))
-        assert lines == [] and rejects == []
+        assert len(lines) == 0 and rejects == []
 
     def test_non_numeric_quantity_rejected(self, tmp_path):
         body = "1,A,X,abc,1/2/2011 10:00,1.5,C1,UK\n"
         lines, rejects = parse_invoice_csv(write(tmp_path, body))
-        assert lines == []
+        assert len(lines) == 0
         assert len(rejects) == 1
         assert rejects[0].column == "Quantity"
         assert rejects[0].line_number == 2
@@ -140,10 +141,12 @@ class TestParse:
 
 class TestClean:
     def test_missing_customer_excluded(self):
-        assert clean_transactions([make_line(customer_id=None)]) == []
+        assert len(clean_transactions(
+            InvoiceLines.from_records([make_line(customer_id=None)]))) == 0
 
     def test_cancellation_prefix_excluded(self):
-        assert clean_transactions([make_line(invoice_id="C536379")]) == []
+        assert len(clean_transactions(
+            InvoiceLines.from_records([make_line(invoice_id="C536379")]))) == 0
 
     def test_six_line_fixture(self):
         lines = [
@@ -154,19 +157,22 @@ class TestClean:
             make_line(invoice_id="5", customer_id="C2"),
             make_line(invoice_id="6", customer_id="C3"),
         ]
-        txns = clean_transactions(lines)
+        txns = clean_transactions(InvoiceLines.from_records(lines))
         assert len(txns) == 3
 
     def test_spend_is_quantity_times_price(self):
-        txns = clean_transactions([make_line(quantity=3, unit_price=2.5)])
+        txns = clean_transactions(InvoiceLines.from_records(
+            [make_line(quantity=3, unit_price=2.5)]))
         assert txns[0].spend == pytest.approx(7.5)
 
     def test_nonpositive_price_excluded(self):
-        assert clean_transactions([make_line(unit_price=0.0)]) == []
+        assert len(clean_transactions(
+            InvoiceLines.from_records([make_line(unit_price=0.0)]))) == 0
 
     def test_custom_prefix(self):
         rules = CleaningRules(cancellation_prefix="X")
-        kept = clean_transactions([make_line(invoice_id="C1")], rules)
+        kept = clean_transactions(InvoiceLines.from_records([make_line(invoice_id="C1")]),
+                                  rules)
         assert len(kept) == 1
 
     def test_idempotent_on_clean_output(self):
@@ -174,13 +180,13 @@ class TestClean:
                            customer_id=c)
                  for i, (q, p, c) in enumerate(
                      [(2, 1.5, "C1"), (5, 0.8, "C2"), (1, 9.0, "C1")])]
-        once = clean_transactions(lines)
+        once = clean_transactions(InvoiceLines.from_records(lines))
         relines = [make_line(invoice_id=t.invoice_id, stock_code=t.stock_code,
                              quantity=1, unit_price=t.spend,
                              customer_id=t.customer_id,
                              date=t.invoice_date.isoformat())
                    for t in once]
-        twice = clean_transactions(relines)
+        twice = clean_transactions(InvoiceLines.from_records(relines))
         assert [(t.customer_id, t.invoice_id, t.spend) for t in twice] == \
                [(t.customer_id, t.invoice_id, t.spend) for t in once]
 
@@ -188,31 +194,31 @@ class TestClean:
 class TestSegment:
     def test_five_invoices_is_frequent(self):
         txns = [make_txn(invoice_id=str(i)) for i in range(5)]
-        (seg,) = segment_customers(txns)
+        (seg,) = segment_customers(Transactions.from_records(txns))
         assert seg.segment is Segment.FREQUENT
         assert seg.n_purchases == 5
 
     def test_four_invoices_is_infrequent(self):
         txns = [make_txn(invoice_id=str(i)) for i in range(4)]
-        (seg,) = segment_customers(txns)
+        (seg,) = segment_customers(Transactions.from_records(txns))
         assert seg.segment is Segment.INFREQUENT
 
     def test_duplicate_invoice_lines_count_once(self):
         txns = [make_txn(invoice_id="1", stock_code=f"S{i}") for i in range(9)]
-        (seg,) = segment_customers(txns)
+        (seg,) = segment_customers(Transactions.from_records(txns))
         assert seg.n_purchases == 1
 
     def test_wholesale_flagged_before_frequency(self):
         txns = [make_txn(invoice_id=str(i)) for i in range(6)]
         txns.append(make_txn(invoice_id="big", quantity=5000))
-        (seg,) = segment_customers(txns)
+        (seg,) = segment_customers(Transactions.from_records(txns))
         assert seg.segment is Segment.WHOLESALE
 
     def test_wholesale_threshold_is_strict(self):
         txns = [make_txn(invoice_id=str(i)) for i in range(5)]
         txns.append(make_txn(invoice_id="edge", quantity=1000))
         cfg = SegmentationConfig(wholesale_quantity_threshold=1000)
-        (seg,) = segment_customers(txns, cfg)
+        (seg,) = segment_customers(Transactions.from_records(txns), cfg)
         assert seg.segment is Segment.FREQUENT  # equal to threshold stays retail
 
     def test_partition_is_exhaustive_and_exclusive(self, fixture_csv):
@@ -228,17 +234,18 @@ class TestIncidenceMatrix:
     def test_two_purchases_sum(self):
         txns = [make_txn(invoice_id="1", spend=2.0),
                 make_txn(invoice_id="2", spend=3.0)]
-        m = build_incidence_matrix(txns, {"C1"})
+        m = build_incidence_matrix(Transactions.from_records(txns), {"C1"})
         assert m.shape == (1, 1)
         assert m.to_dense().tolist() == [[5.0]]
 
     def test_empty_member_set(self):
         with pytest.raises(ValueError, match="empty member set"):
-            build_incidence_matrix([make_txn()], set())
+            build_incidence_matrix(Transactions.from_records([make_txn()]), set())
 
     def test_member_not_in_transactions(self):
         with pytest.raises(ValueError, match="no transactions"):
-            build_incidence_matrix([make_txn()], {"C1", "ghost"})
+            build_incidence_matrix(Transactions.from_records([make_txn()]),
+                                   {"C1", "ghost"})
 
     def test_matches_groupby_oracle(self):
         rng = np.random.default_rng(5)
@@ -253,7 +260,7 @@ class TestIncidenceMatrix:
             txns.append(make_txn(customer_id=c, stock_code=s,
                                  invoice_id=str(i), spend=spend))
             expected[(c, s)] = expected.get((c, s), 0.0) + spend
-        m = build_incidence_matrix(txns, set(customers))
+        m = build_incidence_matrix(Transactions.from_records(txns), set(customers))
         for (c, s), total in expected.items():
             i, j = m.row_ids.index(c), m.col_ids.index(s)
             assert m.to_dense()[i, j] == pytest.approx(total, abs=1e-12)
@@ -327,6 +334,6 @@ class TestSerialization:
 
     def test_transactions_round_trip(self, tmp_path):
         txns = [make_txn(invoice_id="7", spend=1.23, quantity=3)]
-        ingest.write_transactions(txns, tmp_path / "t.csv")
+        ingest.write_transactions(Transactions.from_records(txns), tmp_path / "t.csv")
         back = ingest.read_transactions(tmp_path / "t.csv")
-        assert back == txns
+        assert list(back) == txns

@@ -261,6 +261,32 @@ class TestCli:
         assert any(r["raw"].get("null") == ["extra"] and r["column"] == "Quantity"
                    for r in rejects)
 
+    def test_non_finite_and_out_of_range_numbers_are_rejected_not_fatal(
+            self, fixture_csv, fixture_config_path, tmp_path):
+        # A100 is a frequent shopper and PEN04 one of its matrix columns: a
+        # NaN spend used to abort ingest, an infinite one rfm, and a huge
+        # quantity silently made A100 wholesale.
+        text = fixture_csv.read_text(encoding="utf-8")
+        last = len(text.splitlines())
+        src = tmp_path / "invoices.csv"
+        src.write_text(text + "".join(
+            f"1001,PEN04,GEL PEN SET,{q},3/20/2011 11:25,{p},A100,United Kingdom\n"
+            for q, p in [(7, "nan"), (7, "inf"), (10 ** 20, "1.50")]), encoding="utf-8")
+        out = tmp_path / "run"
+        for stage in ("ingest", "rfm"):
+            rc = cli_main(["--config", str(fixture_config_path), stage,
+                           "--input", str(src), "--out", str(out)])
+            assert rc == 0
+        rejects = [json.loads(line) for line in
+                   (out / "ingest" / "rejects.jsonl").read_text().splitlines()]
+        assert [(r["line"], r["column"], r["reason"]) for r in rejects[-3:]] == [
+            (last + 1, "UnitPrice", "non-finite unit price 'nan'"),
+            (last + 2, "UnitPrice", "non-finite unit price 'inf'"),
+            (last + 3, "Quantity",
+             "quantity '100000000000000000000' outside the signed 32-bit range")]
+        _, segments = read_csv(out / "ingest" / "segments.csv")
+        assert ["A100", "Frequent", "5"] in segments
+
     def test_rfm_weight_flags(self, fixture_csv, fixture_config_path, tmp_path):
         out = tmp_path / "run"
         cfg = fixture_config(fixture_csv, fixture_config_path, out)

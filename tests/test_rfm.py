@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shoplens.ingest import Transactions
 from shoplens.rfm import (BoxCoxParams, RfmAttributes, RfmWeights,
                           boxcox_lambda_mle, boxcox_transform,
                           compute_rfm_attributes, weighted_rfm_score)
@@ -19,7 +20,7 @@ AS_OF = datetime(2011, 12, 31)
 class TestAttributes:
     def test_single_customer_degenerates_to_ones(self):
         txns = [make_txn(date="2011-06-01 00:00")]
-        (a,) = compute_rfm_attributes(txns, AS_OF)
+        (a,) = compute_rfm_attributes(Transactions.from_records(txns), AS_OF)
         assert (a.recency, a.frequency, a.monetary) == (1.0, 1.0, 1.0)
 
     def test_dominating_customer_hits_the_endpoints(self):
@@ -28,7 +29,7 @@ class TestAttributes:
             make_txn(customer_id="top", invoice_id="t2", date="2011-12-01 00:00", spend=50.0),
             make_txn(customer_id="low", invoice_id="l1", date="2011-06-01 00:00", spend=10.0),
         ]
-        low, top = compute_rfm_attributes(txns, AS_OF)
+        low, top = compute_rfm_attributes(Transactions.from_records(txns), AS_OF)
         assert (top.recency, top.frequency, top.monetary) == (1.0, 1.0, 1.0)
         assert (low.recency, low.frequency, low.monetary) == (0.0, 0.0, 0.0)
 
@@ -58,7 +59,7 @@ class TestAttributes:
             "C4": (1.0, 1.0, 1.0),
             "C5": (15 / 35, 0.5, 0.75),
         }
-        for a in compute_rfm_attributes(txns, AS_OF):
+        for a in compute_rfm_attributes(Transactions.from_records(txns), AS_OF):
             r, f, m = expected[a.customer_id]
             assert a.recency == pytest.approx(r, abs=1e-12)
             assert a.frequency == pytest.approx(f, abs=1e-12)
@@ -66,11 +67,12 @@ class TestAttributes:
 
     def test_empty_input(self):
         with pytest.raises(ValueError):
-            compute_rfm_attributes([], AS_OF)
+            compute_rfm_attributes(Transactions.from_records([]), AS_OF)
 
     def test_transaction_after_as_of(self):
         with pytest.raises(ValueError, match="after as_of"):
-            compute_rfm_attributes([make_txn(date="2012-01-05 00:00")], AS_OF)
+            compute_rfm_attributes(
+                Transactions.from_records([make_txn(date="2012-01-05 00:00")]), AS_OF)
 
 
 class TestWeightedScore:

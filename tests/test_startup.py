@@ -29,6 +29,23 @@ def test_cli_import_leaves_heavy_modules_unloaded():
     assert json.loads(proc.stdout) == []
 
 
+def test_ingest_and_rfm_stages_leave_scipy_optimize_unloaded(
+        fixture_csv, fixture_config_path, tmp_path):
+    # The Box-Cox fit runs an in-package bounded Brent, so scoring does not
+    # pay for scipy.optimize either.
+    argv = ["--config", str(fixture_config_path), "--input", str(fixture_csv),
+            "--out", str(tmp_path / "run")]
+    code = ("import json, sys\n"
+            "from shoplens.cli import main\n"
+            f"argv = {argv!r}\n"
+            "codes = [main(argv[:2] + [stage] + argv[2:]) for stage in ('ingest', 'rfm')]\n"
+            "print(json.dumps([codes, 'scipy.optimize' in sys.modules]))\n")
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0], False]
+    assert (tmp_path / "run" / "rfm" / "boxcox.json").exists()
+
+
 def test_importing_main_module_runs_nothing():
     proc = run_python("-c", "import shoplens.__main__")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
