@@ -48,11 +48,9 @@ class GraphDocument:
 
 
 def build_purchase_graph(p_prime: PurchaseMatrix) -> BipartiteGraph:
-    """One edge per stored matrix entry, weighted by spend."""
-    edges = [(p_prime.row_ids[i], p_prime.col_ids[j], float(v))
-             for (i, j), v in sorted(p_prime.entries.items())]
+    """One edge per stored matrix entry, weighted by spend, row-major."""
     return BipartiteGraph(CUSTOMER, ITEM, list(p_prime.row_ids),
-                          list(p_prime.col_ids), edges)
+                          list(p_prime.col_ids), list(p_prime.triplets()))
 
 
 def _factor_ids(f: Factorization) -> tuple[list[str], list[str]]:

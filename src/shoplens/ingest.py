@@ -7,6 +7,9 @@ into sorted vocabularies, so cleaning, segmentation and the matrix are
 array operations. Indexing or iterating a table yields the
 ``InvoiceLine``/``CleanedTransaction`` records.
 
+The spend matrix is CSR (``PurchaseMatrix``: sorted ids and the arrays
+``indptr``, ``indices``, ``data``), whose arrays only this module reads.
+
 All functions are pure: they take immutable inputs and return new values,
 so results can be shared freely across threads.
 """
@@ -219,30 +222,39 @@ class Transactions(_Table):
         return self.take(self.customer_id.isin(set(customer_ids)))
 
 
+def _positions(ids: list[str], wanted, unknown: str) -> np.ndarray:
+    """Index of each wanted id in the sorted ``ids``, compared as strings."""
+    missing = set(wanted).difference(ids)
+    if missing:
+        raise ValueError(f"{unknown}: {sorted(missing)}")
+    return np.searchsorted(np.array(ids, dtype=object), np.array(wanted, dtype=object))
+
+
 class PurchaseMatrix:
-    """Sparse non-negative customer x item spend matrix.
+    """Sparse customer x item spend matrix in CSR form: row i stores
+    ``data[indptr[i]:indptr[i + 1]]`` in the strictly increasing columns
+    ``indices[indptr[i]:indptr[i + 1]]``. Stored values are positive and
+    finite; absent entries mean zero spend. Ids are sorted and unique."""
 
-    Stored entries are strictly positive; absent entries mean zero spend.
-    Row and column id lists are duplicate-free and sorted, so two matrices
-    built from the same transactions are identical.
-    """
-
-    def __init__(self, row_ids: list[str], col_ids: list[str],
-                 entries: dict[tuple[int, int], float]):
-        if len(set(row_ids)) != len(row_ids):
-            raise ValueError("duplicate row ids")
-        if len(set(col_ids)) != len(col_ids):
-            raise ValueError("duplicate column ids")
-        if list(row_ids) != sorted(row_ids) or list(col_ids) != sorted(col_ids):
-            raise ValueError("row/column ids must be sorted")
-        for (i, j), v in entries.items():
-            if not (0 <= i < len(row_ids) and 0 <= j < len(col_ids)):
-                raise ValueError(f"entry ({i}, {j}) out of range")
-            if not v > 0:
-                raise ValueError(f"stored entry ({i}, {j}) must be positive, got {v}")
-        self.row_ids = list(row_ids)
-        self.col_ids = list(col_ids)
-        self.entries = dict(entries)
+    def __init__(self, row_ids, col_ids, indptr, indices, data):
+        self.row_ids, self.col_ids = list(row_ids), list(col_ids)
+        for what, ids in (("row", self.row_ids), ("column", self.col_ids)):
+            if any(a >= b for a, b in zip(ids, ids[1:])):
+                raise ValueError(f"{what} ids must be sorted and unique")
+        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.indices = np.asarray(indices, dtype=np.int64)
+        self.data = np.asarray(data, dtype=np.float64)
+        rows, cols, values = self._rows(), self.indices, self.data
+        unordered = (rows[1:] == rows[:-1]) & (cols[1:] <= cols[:-1])
+        for problem, bad in (("is out of range", (cols < 0) | (cols >= len(self.col_ids))),
+                             ("repeats or breaks its row's column order",
+                              np.append(False, unordered)),
+                             ("must be positive and finite",
+                              ~(np.isfinite(values) & (values > 0)))):
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise ValueError(f"stored entry ({rows[k]}, {cols[k]}) {problem}, "
+                                 f"value {values[k]!r}")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -250,31 +262,36 @@ class PurchaseMatrix:
 
     @property
     def nnz(self) -> int:
-        return len(self.entries)
+        return len(self.data)
+
+    def _rows(self) -> np.ndarray:
+        """The row number of every stored entry."""
+        return np.repeat(np.arange(len(self.row_ids)), np.diff(self.indptr))
+
+    def triplets(self):
+        """(row id, column id, value) of every stored entry, row-major."""
+        return zip(map(self.row_ids.__getitem__, self._rows().tolist()),
+                   map(self.col_ids.__getitem__, self.indices.tolist()), self.data.tolist())
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros(self.shape)
-        for (i, j), v in self.entries.items():
-            dense[i, j] = v
+        dense[self._rows(), self.indices] = self.data
         return dense
 
     def restrict_columns(self, codes: list[str]) -> "PurchaseMatrix":
         """Sub-matrix keeping only the given stock codes (rows unchanged)."""
         keep = sorted(set(codes))
-        position = {c: j for j, c in enumerate(self.col_ids)}
-        missing = [c for c in keep if c not in position]
-        if missing:
-            raise ValueError(f"unknown stock codes: {missing}")
-        old_to_new = {position[c]: k for k, c in enumerate(keep)}
-        entries = {(i, old_to_new[j]): v for (i, j), v in self.entries.items()
-                   if j in old_to_new}
-        return PurchaseMatrix(self.row_ids, keep, entries)
+        new_col = np.full(len(self.col_ids), -1)
+        new_col[_positions(self.col_ids, keep, "unknown stock codes")] = np.arange(len(keep))
+        col = new_col[self.indices]
+        kept = col >= 0
+        indptr = np.cumsum(np.append(0, kept))[self.indptr]  # kept entries before each row
+        return PurchaseMatrix(self.row_ids, keep, indptr, col[kept], self.data[kept])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PurchaseMatrix)
-                and self.row_ids == other.row_ids
-                and self.col_ids == other.col_ids
-                and self.entries == other.entries)
+                and (self.row_ids, self.col_ids) == (other.row_ids, other.col_ids)
+                and list(self.triplets()) == list(other.triplets()))
 
 
 def _parse_date(raw: str, formats: tuple[str, ...]) -> datetime | None:
@@ -564,42 +581,48 @@ def build_incidence_matrix(txns: Transactions, members) -> PurchaseMatrix:
 
     t = txns.for_customers(members)
     order = np.lexsort((t.invoice_id.codes, t.stock_code.codes, t.customer_id.codes))
-    customer, stock = t.customer_id.codes[order], t.stock_code.codes[order]
-    row_codes, col_codes = np.unique(customer), np.unique(stock)
-    row = np.searchsorted(row_codes, customer)
-    col = np.searchsorted(col_codes, stock)
+    row_codes, row = np.unique(t.customer_id.codes[order], return_inverse=True)
+    col_codes, col = np.unique(t.stock_code.codes[order], return_inverse=True)
     starts, cell = _runs(row * len(col_codes) + col)
     totals = np.bincount(cell, weights=t.spend[order])  # adds in order
-    entries = dict(zip(zip(row[starts].tolist(), col[starts].tolist()), totals.tolist()))
     col_ids = [t.stock_code.values[k] for k in col_codes.tolist()]
-    return PurchaseMatrix(sorted(members), col_ids, entries)
+    indptr = np.searchsorted(row[starts], np.arange(len(row_codes) + 1))
+    return PurchaseMatrix(sorted(members), col_ids, indptr, col[starts], totals)
 
 
 def write_matrix(matrix: PurchaseMatrix, directory: str | Path, prefix: str) -> list[Path]:
-    """Serialize as a sparse triplet file plus row/column index sidecars."""
+    """Serialize as a row-major triplet file plus row/column id sidecars."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     triplets = directory / f"{prefix}.triplets.csv"
     rows_path = directory / f"{prefix}.rows.txt"
     cols_path = directory / f"{prefix}.cols.txt"
-    ordered = sorted(matrix.entries.items())
     write_csv(triplets, ["row_id", "col_id", "value"],
-              ([matrix.row_ids[i], matrix.col_ids[j], fmt_float(v)]
-               for (i, j), v in ordered))
+              ([r, c, fmt_float(v)] for r, c, v in matrix.triplets()))
     write_text(rows_path, "".join(r + "\n" for r in matrix.row_ids))
     write_text(cols_path, "".join(c + "\n" for c in matrix.col_ids))
     return [triplets, rows_path, cols_path]
 
 
 def read_matrix(directory: str | Path, prefix: str) -> PurchaseMatrix:
+    """Read ``write_matrix``'s files: sorted, unique sidecar ids and, in any
+    order, one triplet per position with known ids and a positive, finite
+    value. Anything else raises a ValueError naming the triplet file."""
     directory = Path(directory)
-    row_ids = (directory / f"{prefix}.rows.txt").read_text(encoding="utf-8").splitlines()
-    col_ids = (directory / f"{prefix}.cols.txt").read_text(encoding="utf-8").splitlines()
-    row_index = {r: i for i, r in enumerate(row_ids)}
-    col_index = {c: j for j, c in enumerate(col_ids)}
-    _, rows = read_csv(directory / f"{prefix}.triplets.csv")
-    entries = {(row_index[r], col_index[c]): float(v) for r, c, v in rows}
-    return PurchaseMatrix(row_ids, col_ids, entries)
+    path = directory / f"{prefix}.triplets.csv"
+    _, columns = read_csv_columns(path)  # names the file on a short row
+    try:
+        row_ids, col_ids = ((directory / f"{prefix}.{name}.txt").read_text(encoding="utf-8")
+                            .splitlines() for name in ("rows", "cols"))
+        row_cells, col_cells, values = columns
+        rows = _positions(row_ids, row_cells, f"ids not in {prefix}.rows.txt")
+        cols = _positions(col_ids, col_cells, f"ids not in {prefix}.cols.txt")
+        order = np.lexsort((cols, rows))
+        indptr = np.searchsorted(rows[order], np.arange(len(row_ids) + 1))
+        return PurchaseMatrix(row_ids, col_ids, indptr, cols[order],
+                              np.array([float(v) for v in values])[order])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_rejects(rejects, path: str | Path) -> None:

@@ -23,8 +23,6 @@ from itertools import repeat
 
 import numpy as np
 
-from .ingest import PurchaseMatrix
-
 
 @dataclass(frozen=True)
 class NmfConfig:
@@ -82,13 +80,6 @@ class GridSearchResult:
     fits: list[tuple[int, bool]] = field(default_factory=list)
 
 
-def _as_dense(p_prime) -> tuple[np.ndarray, list[str] | None, list[str] | None]:
-    if isinstance(p_prime, PurchaseMatrix):
-        return p_prime.to_dense(), p_prime.row_ids, p_prime.col_ids
-    arr = np.asarray(p_prime, dtype=float)
-    return arr, None, None
-
-
 def make_holdout_mask(p_prime, fraction: float = 1.0 / 3.0,
                       seed: int = 0) -> HoldoutMask:
     """Seeded uniform sample of the stored (positive) entries.
@@ -96,7 +87,7 @@ def make_holdout_mask(p_prime, fraction: float = 1.0 / 3.0,
     Structural zeros are absences, not observations, so they are never held
     out; predicting them would swamp the imputation error.
     """
-    dense, _, _ = _as_dense(p_prime)
+    dense = np.asarray(p_prime, dtype=float)
     rows, cols = np.nonzero(dense > 0)  # row-major, i.e. sorted positions
     if not rows.size:
         raise ValueError("matrix has no stored entries to hold out")
@@ -130,7 +121,7 @@ def _objective(data: np.ndarray, w: np.ndarray, h: np.ndarray,
 def objective_value(p_prime, f: Factorization, cfg: NmfConfig,
                     mask: HoldoutMask | None = None) -> float:
     """Full regularized objective; with a mask, held-out residuals weigh 0."""
-    dense, _, _ = _as_dense(p_prime)
+    dense = np.asarray(p_prime, dtype=float)
     return _objective(dense, f.w, f.h, _weight_matrix(dense.shape, mask),
                       cfg.alpha_m * cfg.l1_ratio, cfg.alpha_m * (1.0 - cfg.l1_ratio))[1]
 
@@ -200,7 +191,7 @@ def fit_nmf(p_prime, cfg: NmfConfig,
     objective trace never increases. Stops when the per-iteration objective
     decrease relative to the starting objective falls below cfg.tol.
     """
-    dense, row_ids, col_ids = _as_dense(p_prime)
+    dense = np.asarray(p_prime, dtype=float)
     if np.any(dense < 0):
         raise ValueError("input matrix must be non-negative")
     n, m = dense.shape
@@ -231,14 +222,14 @@ def fit_nmf(p_prime, cfg: NmfConfig,
             break
 
     return Factorization(w=w, h=h, objective_trace=trace, converged=converged,
-                         n_iter=n_iter, row_ids=row_ids, col_ids=col_ids)
+                         n_iter=n_iter)
 
 
 def imputation_mse(p_prime, f: Factorization, mask: HoldoutMask) -> float:
     """Mean squared prediction error over the held-out positions."""
     if not mask.held_out:
         raise ValueError("empty holdout mask")
-    dense, _, _ = _as_dense(p_prime)
+    dense = np.asarray(p_prime, dtype=float)
     at = mask.index
     return float(np.mean(np.float_power(dense[at] - (f.w @ f.h)[at], 2.0)))
 
@@ -293,10 +284,10 @@ def grid_search(p_prime, k_range, alpha_grid, l1_grid,
     """Imputation-driven hyperparameter search over (k, alpha_m, l1_ratio).
 
     One shared holdout mask is drawn per search; every grid cell fits with
-    that mask and is scored on it. P' is densified once for the whole
-    search. Ties break toward smaller k, then larger alpha_m, then larger
-    l1_ratio. A failing cell is recorded and skipped. A large grid runs its
-    cells in worker processes (see ``_run_cells``); the result is the same.
+    that mask and is scored on it. Ties break toward smaller k, then larger
+    alpha_m, then larger l1_ratio. A failing cell is recorded and skipped. A
+    large grid runs its cells in worker processes (see ``_run_cells``); the
+    result is the same.
     """
     ks = sorted(set(int(k) for k in k_range))
     alphas = sorted(set(float(a) for a in alpha_grid), reverse=True)
@@ -304,7 +295,7 @@ def grid_search(p_prime, k_range, alpha_grid, l1_grid,
     if not ks or not alphas or not l1s:
         raise ValueError("empty search grid")
 
-    dense, _, _ = _as_dense(p_prime)
+    dense = np.asarray(p_prime, dtype=float)
     mask = make_holdout_mask(dense, fraction=holdout_fraction, seed=seed)
     cfgs = [NmfConfig(k=k, alpha_m=alpha_m, l1_ratio=l1_ratio, tol=tol,
                       max_iter=max_iter, seed=seed, init=init)

@@ -339,7 +339,7 @@ def _stage_grid_search(cfg: PipelineConfig, run_dir: Path):
 
     p_prime = ingest_mod.read_matrix(run_dir / "select-features", "p_prime")
     result = nmf_mod.grid_search(
-        p_prime,
+        p_prime.to_dense(),
         range(cfg.nmf.k_min, cfg.nmf.k_max + 1),
         cfg.nmf.alpha_grid, cfg.nmf.l1_grid,
         seed=cfg.nmf.seed, tol=cfg.nmf.tol, max_iter=cfg.nmf.max_iter,
@@ -381,7 +381,8 @@ def _stage_factorize(cfg: PipelineConfig, run_dir: Path):
     nmf_cfg = nmf_mod.NmfConfig(k=k, alpha_m=alpha_m, l1_ratio=l1_ratio,
                                 tol=cfg.nmf.tol, max_iter=cfg.nmf.max_iter,
                                 seed=cfg.nmf.seed, init=cfg.nmf.init)
-    f = nmf_mod.fit_nmf(p_prime, nmf_cfg)
+    f = replace(nmf_mod.fit_nmf(p_prime.to_dense(), nmf_cfg),
+                row_ids=p_prime.row_ids, col_ids=p_prime.col_ids)
     h_norm, scales, zero_rows = nmf_mod.normalize_dictionary(f)
     profile = nmf_mod.top_items_per_element(h_norm, cfg.nmf.top_n, f.col_ids)
 

@@ -12,7 +12,6 @@ same work.
 import numpy as np
 import pytest
 
-from shoplens.ingest import PurchaseMatrix
 from shoplens.nmf import grid_search
 
 pytest.importorskip("pytest_benchmark")
@@ -24,12 +23,9 @@ L1_RATIOS = [0.0, 0.1, 0.5, 0.9, 1.0]
 
 @pytest.fixture(scope="module")
 def p_prime():
+    """Dense, as the pipeline hands P' to the grid search."""
     rng = np.random.default_rng(0)
-    spend = rng.exponential(20.0, (N_ROWS, N_ITEMS)) * (rng.random((N_ROWS, N_ITEMS)) < DENSITY)
-    return PurchaseMatrix([f"c{i:04d}" for i in range(N_ROWS)],
-                          [f"s{j:03d}" for j in range(N_ITEMS)],
-                          {(int(i), int(j)): float(spend[i, j])
-                           for i, j in zip(*np.nonzero(spend))})
+    return rng.exponential(20.0, (N_ROWS, N_ITEMS)) * (rng.random((N_ROWS, N_ITEMS)) < DENSITY)
 
 
 def test_grid_search(benchmark, p_prime):

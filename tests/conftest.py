@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shoplens.ingest import CleanedTransaction, InvoiceLine
+from shoplens.ingest import CleanedTransaction, InvoiceLine, PurchaseMatrix
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "shoplens" / "data"
 
@@ -35,6 +35,14 @@ def make_txn(customer_id="C1", stock_code="SKU1", invoice_id="1001",
                               invoice_id=invoice_id,
                               invoice_date=datetime.fromisoformat(date),
                               spend=spend, quantity=quantity)
+
+
+def purchase_matrix(row_ids, col_ids, entries: dict) -> PurchaseMatrix:
+    """A matrix from a {(row, col): value} dict of its stored entries."""
+    keys = sorted(entries)
+    rows = np.array([i for i, _ in keys], dtype=np.int64)
+    return PurchaseMatrix(row_ids, col_ids, np.searchsorted(rows, np.arange(len(row_ids) + 1)),
+                          [j for _, j in keys], [entries[key] for key in keys])
 
 
 def blobs_with_noise(seed, n_blob=50, n_noise=20, dim=5, sep=8.0, sigma=0.25,

@@ -13,11 +13,12 @@ that the library's screened solver reproduces; the NMF layer
 (``reference_fit_nmf`` and its mask and imputation helpers), the separate
 W and H updates that the library's single column sweep reproduces, with
 ``reference_grid_search``, the serial cell loop that the library may run in
-worker processes. It shares only the input coercion and the factor
-initialization with the library. And the per-record ingest and RFM loops
-(``reference_parse_rows`` to ``reference_compute_rfm_attributes``), which
-the library's column tables reproduce; they share the record types and
-``_has_delimiter``/``_minmax`` with the library.
+worker processes. It shares only the factor initialization with the
+library. And the per-record ingest and RFM loops (``reference_parse_rows``
+to ``reference_compute_rfm_attributes``), which the library's column tables
+reproduce; they share the record types and ``_has_delimiter``/``_minmax``
+with the library, and the incidence-matrix oracle builds its CSR result
+from an entry dict with ``conftest.purchase_matrix``.
 """
 
 import itertools
@@ -30,9 +31,10 @@ from shoplens.ingest import (CleanedTransaction, CleaningRules,
                              RejectedRow, Segment, SegmentationConfig,
                              _has_delimiter)
 from shoplens.lasso import DesignMatrix, LassoModel, SolverConfig
-from shoplens.nmf import (Factorization, HoldoutMask, NmfConfig, _as_dense,
-                          _init_factors)
+from shoplens.nmf import Factorization, HoldoutMask, NmfConfig, _init_factors
 from shoplens.rfm import RfmAttributes, _minmax
+
+from conftest import purchase_matrix
 
 
 # ------------------------------------------------------------ lasso ------
@@ -163,7 +165,7 @@ def reference_holdout_mask(p_prime, fraction: float = 1.0 / 3.0,
     Structural zeros are absences, not observations, so they are never held
     out; predicting them would swamp the imputation error.
     """
-    dense, _, _ = _as_dense(p_prime)
+    dense = np.asarray(p_prime, dtype=float)
     positions = [(int(i), int(j)) for i, j in zip(*np.nonzero(dense > 0))]
     positions.sort()
     if not positions:
@@ -194,7 +196,7 @@ def reference_fit_nmf(p_prime, cfg: NmfConfig,
     objective trace never increases. Stops when the per-iteration objective
     decrease relative to the starting objective falls below cfg.tol.
     """
-    dense, row_ids, col_ids = _as_dense(p_prime)
+    dense = np.asarray(p_prime, dtype=float)
     if np.any(dense < 0):
         raise ValueError("input matrix must be non-negative")
     n, m = dense.shape
@@ -278,14 +280,14 @@ def reference_fit_nmf(p_prime, cfg: NmfConfig,
             break
 
     return Factorization(w=w, h=h, objective_trace=trace, converged=converged,
-                         n_iter=n_iter, row_ids=row_ids, col_ids=col_ids)
+                         n_iter=n_iter)
 
 
 def reference_imputation_mse(p_prime, f: Factorization, mask: HoldoutMask) -> float:
     """Mean squared prediction error over the held-out positions."""
     if not mask.held_out:
         raise ValueError("empty holdout mask")
-    dense, _, _ = _as_dense(p_prime)
+    dense = np.asarray(p_prime, dtype=float)
     recon = f.w @ f.h
     errs = [(dense[i, j] - recon[i, j]) ** 2 for i, j in mask.held_out]
     return float(np.mean(errs))
@@ -300,7 +302,7 @@ def reference_grid_search(p_prime, k_range, alpha_grid, l1_grid, seed: int = 0,
     Returns the table rows (k, alpha_m, l1_ratio, imputation MSE or nan for
     a failed cell) and the (n_iter, converged) of every cell that fitted.
     """
-    dense, _, _ = _as_dense(p_prime)
+    dense = np.asarray(p_prime, dtype=float)
     mask = reference_holdout_mask(dense, fraction=holdout_fraction, seed=seed)
     table, fits = [], []
     for k, alpha_m, l1_ratio in itertools.product(
@@ -501,7 +503,7 @@ def reference_build_incidence_matrix(txns, members) -> PurchaseMatrix:
     for t in member_txns:
         key = (row_index[t.customer_id], col_index[t.stock_code])
         entries[key] = entries.get(key, 0.0) + t.spend
-    return PurchaseMatrix(row_ids, col_ids, entries)
+    return purchase_matrix(row_ids, col_ids, entries)
 
 
 def reference_compute_rfm_attributes(txns, as_of: datetime) -> list[RfmAttributes]:

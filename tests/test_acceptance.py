@@ -378,7 +378,7 @@ class TestPartB:
 
     def test_b14_nmf_grid_calibration(self, uci_selection):
         *_, p_prime = uci_selection
-        result = nmf_mod.grid_search(p_prime, range(2, 21),
+        result = nmf_mod.grid_search(p_prime.to_dense(), range(2, 21),
                                      (0.0, 0.1, 0.5, 1.0, 2.0),
                                      (0.0, 0.1, 0.5, 0.9, 1.0), seed=0)
         best = result.best
@@ -394,10 +394,10 @@ class TestPartB:
 
     def test_b15_cluster_calibration(self, uci_selection):
         *_, p_prime = uci_selection
-        result = nmf_mod.grid_search(p_prime, range(2, 21),
+        result = nmf_mod.grid_search(p_prime.to_dense(), range(2, 21),
                                      (0.0, 0.1, 0.5, 1.0, 2.0),
                                      (0.0, 0.1, 0.5, 0.9, 1.0), seed=0)
-        f = nmf_mod.fit_nmf(p_prime, result.best)
+        f = nmf_mod.fit_nmf(p_prime.to_dense(), result.best)
         labeling = cluster_mod.cluster_rows(f.w, cluster_mod.DensityParams(5, 5))
         noise = labeling.sizes.get(-1, 0)
         ok = labeling.n_clusters >= 3 and noise > f.w.shape[0] / 2

@@ -6,8 +6,9 @@ from shoplens.graph import (BipartiteGraph, GraphDocument, attach_embeddings,
                             build_affinity_graph, build_purchase_graph,
                             export_graphml, export_jsonl, import_jsonl,
                             similar_nodes)
-from shoplens.ingest import PurchaseMatrix
 from shoplens.nmf import Factorization
+
+from conftest import purchase_matrix
 
 
 def factorization(w, h, row_ids=None, col_ids=None):
@@ -19,14 +20,14 @@ def factorization(w, h, row_ids=None, col_ids=None):
 
 class TestPurchaseGraph:
     def test_empty_matrix_has_nodes_but_no_edges(self):
-        m = PurchaseMatrix(["a", "b"], ["x"], {})
+        m = purchase_matrix(["a", "b"], ["x"], {})
         g = build_purchase_graph(m)
         assert g.left_ids == ["a", "b"]
         assert g.right_ids == ["x"]
         assert g.edges == []
 
     def test_single_entry(self):
-        m = PurchaseMatrix(["a"], ["x"], {(0, 0): 5.0})
+        m = purchase_matrix(["a"], ["x"], {(0, 0): 5.0})
         g = build_purchase_graph(m)
         assert g.edges == [("a", "x", 5.0)]
 
@@ -34,11 +35,11 @@ class TestPurchaseGraph:
         rng = np.random.default_rng(0)
         entries = {(i, j): float(rng.uniform(0.5, 9)) for i in range(4)
                    for j in range(5) if rng.random() < 0.6}
-        m = PurchaseMatrix([f"c{i}" for i in range(4)],
-                           [f"s{j}" for j in range(5)], entries)
+        m = purchase_matrix([f"c{i}" for i in range(4)],
+                            [f"s{j}" for j in range(5)], entries)
         g = build_purchase_graph(m)
         assert len(g.edges) == m.nnz
-        assert sorted(w for *_, w in g.edges) == sorted(entries.values())
+        assert g.edges == [(f"c{i}", f"s{j}", v) for (i, j), v in sorted(entries.items())]
 
     def test_positive_weights_enforced(self):
         with pytest.raises(ValueError, match="non-positive"):
@@ -71,7 +72,7 @@ class TestAffinityGraph:
 
 class TestAttachEmbeddings:
     def test_cluster_property_only_with_labels(self):
-        m = PurchaseMatrix(["a"], ["x"], {(0, 0): 2.0})
+        m = purchase_matrix(["a"], ["x"], {(0, 0): 2.0})
         f = factorization([[1.0, 2.0]], [[3.0], [4.0]], ["a"], ["x"])
         doc = attach_embeddings(build_purchase_graph(m), f)
         assert all("cluster" not in nd for nd in doc.nodes)
@@ -83,15 +84,15 @@ class TestAttachEmbeddings:
     def test_embedding_lengths_match_k(self):
         rng = np.random.default_rng(2)
         w, h = rng.uniform(1, 2, (4, 5)), rng.uniform(1, 2, (5, 3))
-        m = PurchaseMatrix([f"c{i}" for i in range(4)], ["x", "y", "z"],
-                           {(0, 0): 1.0})
+        m = purchase_matrix([f"c{i}" for i in range(4)], ["x", "y", "z"],
+                            {(0, 0): 1.0})
         f = factorization(w, h, [f"c{i}" for i in range(4)], ["x", "y", "z"])
         doc = attach_embeddings(build_purchase_graph(m), f)
         for nd in doc.nodes:
             assert len(nd["embedding"]) == 5
 
     def test_id_mismatch_lists_offenders(self):
-        m = PurchaseMatrix(["ghost"], ["x"], {(0, 0): 1.0})
+        m = purchase_matrix(["ghost"], ["x"], {(0, 0): 1.0})
         f = factorization([[1.0]], [[1.0]], ["a"], ["x"])
         with pytest.raises(ValueError, match="ghost"):
             attach_embeddings(build_purchase_graph(m), f)

@@ -1,7 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from shoplens import ingest
 from shoplens.ingest import (CleaningRules, InvoiceLines, PurchaseMatrix,
@@ -10,7 +13,7 @@ from shoplens.ingest import (CleaningRules, InvoiceLines, PurchaseMatrix,
                              parse_invoice_csv, read_matrix,
                              segment_customers, write_matrix)
 
-from conftest import make_line, make_txn
+from conftest import make_line, make_txn, purchase_matrix
 
 HEADER = "InvoiceNo,StockCode,Description,Quantity,InvoiceDate,UnitPrice,CustomerID,Country\n"
 
@@ -272,7 +275,7 @@ class TestIncidenceMatrix:
         segments = segment_customers(txns)
         members = {s.customer_id for s in segments if s.segment is Segment.FREQUENT}
         m = build_incidence_matrix(txns, members)
-        assert all(v > 0 for v in m.entries.values())
+        assert all(v > 0 for *_, v in m.triplets())
         brute = {}
         for t in txns:
             if t.customer_id in members:
@@ -284,29 +287,114 @@ class TestIncidenceMatrix:
 
     def test_matrix_validation(self):
         with pytest.raises(ValueError, match="positive"):
-            PurchaseMatrix(["a"], ["x"], {(0, 0): 0.0})
+            PurchaseMatrix(["a"], ["x"], [0, 1], [0], [0.0])
         with pytest.raises(ValueError, match="sorted"):
-            PurchaseMatrix(["b", "a"], ["x"], {})
+            PurchaseMatrix(["b", "a"], ["x"], [0, 0, 0], [], [])
+
+    @pytest.mark.parametrize("ids,arrays,message", [
+        ((["a", "a"], ["x"]), ([0, 0, 0], [], []), "row ids must be sorted and unique"),
+        ((["a"], ["x", "x"]), ([0, 0], [], []), "column ids must be sorted and unique"),
+        ((["a"], ["x"]), ([0, 1], [0], [float("inf")]), r"\(0, 0\) must be positive and finite"),
+        ((["a"], ["x"]), ([0, 1], [0], [float("nan")]), r"\(0, 0\) must be positive and finite"),
+        ((["a"], ["x"]), ([0, 1], [0], [-1.0]), r"\(0, 0\) must be positive and finite"),
+        ((["a"], ["x"]), ([0, 1], [1], [1.0]), r"\(0, 1\) is out of range"),
+        ((["a"], ["x"]), ([0, 1], [-1], [1.0]), r"\(0, -1\) is out of range"),
+        ((["a"], ["x", "y"]), ([0, 2], [0, 0], [1.0, 2.0]), r"\(0, 0\) repeats"),
+        ((["a"], ["x", "y"]), ([0, 2], [1, 0], [1.0, 2.0]), r"\(0, 0\) repeats or breaks"),
+    ])
+    def test_csr_validation(self, ids, arrays, message):
+        with pytest.raises(ValueError, match=message):
+            PurchaseMatrix(*ids, *arrays)
+
+    def test_rows_may_restart_column_order(self):
+        m = PurchaseMatrix(["a", "b"], ["x", "y"], [0, 1, 2], [1, 0], [1.0, 2.0])
+        assert m.to_dense().tolist() == [[0.0, 1.0], [2.0, 0.0]]
+        assert list(m.triplets()) == [("a", "y", 1.0), ("b", "x", 2.0)]
 
     def test_restrict_columns(self):
-        m = PurchaseMatrix(["a", "b"], ["x", "y", "z"],
-                           {(0, 0): 1.0, (0, 2): 2.0, (1, 1): 3.0})
+        m = purchase_matrix(["a", "b"], ["x", "y", "z"],
+                            {(0, 0): 1.0, (0, 2): 2.0, (1, 1): 3.0})
         sub = m.restrict_columns(["z", "x"])
         assert sub.col_ids == ["x", "z"]
         assert sub.to_dense().tolist() == [[1.0, 2.0], [0.0, 0.0]]
 
     def test_restrict_columns_unknown_codes(self):
-        m = PurchaseMatrix(["a"], ["x", "y"], {(0, 1): 1.0})
+        m = purchase_matrix(["a"], ["x", "y"], {(0, 1): 1.0})
         with pytest.raises(ValueError, match=r"unknown stock codes: \['q', 'w'\]"):
             m.restrict_columns(["y", "w", "q", "w"])
 
 
 class TestSerialization:
     def test_matrix_round_trip(self, tmp_path):
-        m = PurchaseMatrix(["a", "b"], ["x", "y"],
-                           {(0, 0): 1.25, (1, 1): 3.5})
+        m = purchase_matrix(["a", "b"], ["x", "y"],
+                            {(0, 0): 1.25, (1, 1): 3.5})
         write_matrix(m, tmp_path, "m")
         assert read_matrix(tmp_path, "m") == m
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_matrix_round_trip_any_row_order(self, tmp_path, data):
+        ids = st.lists(st.text("abXY09-_. é", min_size=1, max_size=3),
+                       min_size=1, max_size=5, unique=True).map(sorted)
+        row_ids, col_ids = data.draw(ids), data.draw(ids)
+        positions = st.tuples(st.integers(0, len(row_ids) - 1),
+                              st.integers(0, len(col_ids) - 1))
+        entries = data.draw(st.dictionaries(
+            positions, st.floats(0.0, exclude_min=True, allow_infinity=False)))
+        m = purchase_matrix(row_ids, col_ids, entries)
+        write_matrix(m, tmp_path, "m")
+        back = read_matrix(tmp_path, "m")
+        assert back == m
+        assert back.to_dense().tobytes() == m.to_dense().tobytes()
+
+        path = tmp_path / "m.triplets.csv"
+        header, *lines = path.read_text(encoding="utf-8").splitlines()
+        shuffled = data.draw(st.permutations(lines))
+        path.write_text("\n".join([header, *shuffled]) + "\n", encoding="utf-8")
+        assert read_matrix(tmp_path, "m") == m
+
+    @staticmethod
+    def write_triplets(directory, body, rows="a\nb\n", cols="x\ny\n"):
+        (directory / "m.rows.txt").write_text(rows, encoding="utf-8")
+        (directory / "m.cols.txt").write_text(cols, encoding="utf-8")
+        path = directory / "m.triplets.csv"
+        path.write_text("row_id,col_id,value\n" + body, encoding="utf-8")
+        return re.escape(str(path))
+
+    def test_read_accepts_any_row_order(self, tmp_path):
+        self.write_triplets(tmp_path, "b,y,4.0\na,y,2.0\nb,x,3.0\na,x,1.0\n")
+        m = read_matrix(tmp_path, "m")
+        assert m == purchase_matrix(["a", "b"], ["x", "y"],
+                                    {(0, 0): 1.0, (0, 1): 2.0, (1, 0): 3.0, (1, 1): 4.0})
+
+    def test_read_rejects_repeated_position(self, tmp_path):
+        name = self.write_triplets(tmp_path, "a,x,1.0\nb,y,2.0\na,x,5.0\n")
+        with pytest.raises(ValueError, match=name + r".*\(0, 0\) repeats"):
+            read_matrix(tmp_path, "m")
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0.0", "-1.5"])
+    def test_read_rejects_value_not_positive_and_finite(self, tmp_path, value):
+        name = self.write_triplets(tmp_path, f"a,x,1.0\nb,y,{value}\n")
+        with pytest.raises(ValueError, match=name + ".*must be positive and finite"):
+            read_matrix(tmp_path, "m")
+
+    @pytest.mark.parametrize("body,missing", [("zz,x,1.0\n", r"not in m.rows.txt: \['zz'\]"),
+                                              ("a,zz,1.0\n", r"not in m.cols.txt: \['zz'\]")])
+    def test_read_rejects_id_missing_from_sidecar(self, tmp_path, body, missing):
+        name = self.write_triplets(tmp_path, "b,y,2.0\n" + body)
+        with pytest.raises(ValueError, match=name + ".*" + missing):
+            read_matrix(tmp_path, "m")
+
+    def test_read_rejects_two_cell_row(self, tmp_path):
+        name = self.write_triplets(tmp_path, "a,x,1.0\nb,2.0\n")
+        with pytest.raises(ValueError, match=name + ".*does not have 3 cells"):
+            read_matrix(tmp_path, "m")
+
+    def test_read_rejects_unsorted_sidecar(self, tmp_path):
+        name = self.write_triplets(tmp_path, "a,x,1.0\n", rows="b\na\n")
+        with pytest.raises(ValueError, match=name + ".*row ids must be sorted and unique"):
+            read_matrix(tmp_path, "m")
 
     def test_pipeline_is_deterministic(self, fixture_csv, tmp_path):
         outputs = []

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from shoplens import lasso as lasso_mod
-from shoplens.ingest import PurchaseMatrix
 from shoplens.lasso import (DesignMatrix, DropExperimentCurve, SelectionRule,
                             SolverConfig, cross_validate_alpha,
                             default_alpha_grid, drop_experiment, duality_gap,
@@ -10,6 +9,7 @@ from shoplens.lasso import (DesignMatrix, DropExperimentCurve, SelectionRule,
                             max_alpha, ols_refit, residual_diagnostics,
                             select_features, standardize)
 
+from conftest import purchase_matrix
 from oracles import (ols_holdout_mse, projected_gradient_lasso,
                      reference_fit_lasso)
 
@@ -38,15 +38,15 @@ def planted_design(seed, n=60, p=13, support=(0, 1, 2), coefs=(3.0, -2.0, 1.5),
 
 class TestStandardize:
     def test_constant_column_removed(self):
-        m = PurchaseMatrix(["a", "b", "c"], ["x", "y"],
-                           {(0, 0): 1.0, (1, 0): 1.0, (2, 0): 1.0,
-                            (0, 1): 1.0, (1, 1): 2.0, (2, 1): 4.0})
+        m = purchase_matrix(["a", "b", "c"], ["x", "y"],
+                            {(0, 0): 1.0, (1, 0): 1.0, (2, 0): 1.0,
+                             (0, 1): 1.0, (1, 1): 2.0, (2, 1): 4.0})
         d = standardize(m, {"a": 0.1, "b": 0.2, "c": 0.3})
         assert d.dropped_cols == ["x"]
         assert d.col_ids == ["y"]
 
     def test_two_row_column_hits_plus_minus_one(self):
-        m = PurchaseMatrix(["a", "b"], ["y"], {(1, 0): 2.0})  # column [0, 2]
+        m = purchase_matrix(["a", "b"], ["y"], {(1, 0): 2.0})  # column [0, 2]
         d = standardize(m, {"a": 0.0, "b": 1.0})
         assert d.x[:, 0].tolist() == pytest.approx([-1.0, 1.0], abs=1e-12)
 
@@ -65,12 +65,12 @@ class TestStandardize:
         assert np.abs(d.x.std(0) - 1).max() < 1e-9
 
     def test_needs_two_rows(self):
-        m = PurchaseMatrix(["a"], ["x"], {(0, 0): 1.0})
+        m = purchase_matrix(["a"], ["x"], {(0, 0): 1.0})
         with pytest.raises(ValueError, match="at least 2 rows"):
             standardize(m, {"a": 1.0})
 
     def test_missing_response(self):
-        m = PurchaseMatrix(["a", "b"], ["x"], {(0, 0): 1.0, (1, 0): 2.0})
+        m = purchase_matrix(["a", "b"], ["x"], {(0, 0): 1.0, (1, 0): 2.0})
         with pytest.raises(ValueError, match="without a response"):
             standardize(m, {"a": 1.0})
 

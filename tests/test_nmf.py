@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from shoplens import nmf as nmf_mod
-from shoplens.ingest import PurchaseMatrix
 from shoplens.nmf import (Factorization, HoldoutMask, NmfConfig, fit_nmf,
                           grid_search, imputation_mse, make_holdout_mask,
                           normalize_dictionary, objective_value,
                           top_items_per_element)
 
+from conftest import purchase_matrix
 from oracles import (reference_fit_nmf, reference_grid_search,
                      reference_holdout_mask, reference_imputation_mse)
 
@@ -133,13 +133,6 @@ class TestFit:
         f1 = fit_nmf(p, NmfConfig(k=3, seed=0, init="nndsvd", max_iter=50))
         f2 = fit_nmf(p, NmfConfig(k=3, seed=99, init="nndsvd", max_iter=50))
         assert np.array_equal(f1.w, f2.w)  # seed does not enter nndsvd
-
-    def test_purchase_matrix_input_keeps_ids(self):
-        m = PurchaseMatrix(["a", "b"], ["x", "y"],
-                           {(0, 0): 1.0, (0, 1): 2.0, (1, 0): 3.0, (1, 1): 1.5})
-        f = fit_nmf(m, NmfConfig(k=1, seed=0))
-        assert f.row_ids == ["a", "b"]
-        assert f.col_ids == ["x", "y"]
 
     def test_full_rank_beats_clipped_svd_baseline(self):
         for seed in (12, 13):
@@ -373,12 +366,12 @@ class TestReferenceEquality:
 
     def test_grid_search_table(self):
         p = spend(7, 30, 12)
-        matrix = PurchaseMatrix([f"c{i:02d}" for i in range(30)],
-                                [f"s{j:02d}" for j in range(12)],
-                                {(int(i), int(j)): float(p[i, j])
-                                 for i, j in zip(*np.nonzero(p))})
+        matrix = purchase_matrix([f"c{i:02d}" for i in range(30)],
+                                 [f"s{j:02d}" for j in range(12)],
+                                 {(int(i), int(j)): float(p[i, j])
+                                  for i, j in zip(*np.nonzero(p))})
         ks, alphas, l1s = [1, 2, 3, 13], [0.0, 0.5, 2.0], [0.0, 1.0]
-        result = grid_search(matrix, ks, alphas, l1s, seed=7, max_iter=30)
+        result = grid_search(matrix.to_dense(), ks, alphas, l1s, seed=7, max_iter=30)
         want, want_fits = reference_grid_search(p, ks, alphas, l1s, seed=7,
                                                 max_iter=30)
         assert [row[:3] for row in result.table] == [row[:3] for row in want]

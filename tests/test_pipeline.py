@@ -98,7 +98,7 @@ class TestFullRun:
         grid = by_name["grid-search"]
         p_prime = read_matrix(out / "select-features", "p_prime")
         _, fits = reference_grid_search(
-            p_prime, range(cfg.nmf.k_min, cfg.nmf.k_max + 1), cfg.nmf.alpha_grid,
+            p_prime.to_dense(), range(cfg.nmf.k_min, cfg.nmf.k_max + 1), cfg.nmf.alpha_grid,
             cfg.nmf.l1_grid, seed=cfg.nmf.seed, tol=cfg.nmf.tol,
             max_iter=cfg.nmf.max_iter, init=cfg.nmf.init,
             holdout_fraction=cfg.nmf.holdout_fraction)
@@ -109,6 +109,15 @@ class TestFullRun:
         _, curve = read_csv(out / "select-features" / "cv_curve.csv")
         assert select["cv_fits"] == cfg.lasso.folds * len(curve)
         assert 0 <= select["cv_unconverged_fits"] <= select["cv_fits"]
+
+    def test_factors_carry_p_prime_ids(self, full_run):
+        _, out, _ = full_run
+        rows = (out / "select-features" / "p_prime.rows.txt").read_text().splitlines()
+        cols = (out / "select-features" / "p_prime.cols.txt").read_text().splitlines()
+        _, w_rows = read_csv(out / "factorize" / "W.csv")
+        h_header, _ = read_csv(out / "factorize" / "H.csv")
+        assert [r[0] for r in w_rows] == rows
+        assert h_header[1:] == cols
 
     def test_model_reports_duality_gap(self, full_run):
         _, out, _ = full_run

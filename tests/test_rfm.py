@@ -1,13 +1,15 @@
 import math
 from datetime import datetime
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shoplens.ingest import Transactions
-from shoplens.rfm import (BoxCoxParams, RfmAttributes, RfmWeights,
+from shoplens.rfm import (LOG_BRANCH_TOL, BoxCoxParams, RfmAttributes, RfmWeights,
                           boxcox_lambda_mle, boxcox_transform,
                           compute_rfm_attributes, weighted_rfm_score)
 
@@ -15,6 +17,29 @@ from conftest import make_txn
 from oracles import boxcox_grid_lambda
 
 AS_OF = datetime(2011, 12, 31)
+
+
+def exact_boxcox(value: float, lam: float) -> Fraction:
+    """The transform of the float ``value`` to 60 significant digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x = Decimal(value)
+        if abs(lam) < LOG_BRANCH_TOL:
+            return Fraction(x.ln())
+        return Fraction((x ** Decimal(lam) - 1) / Decimal(lam))
+
+
+def rounding_bound(value: float, lam: float) -> float:
+    """Twice a bound on |boxcox_transform(value) - exact_boxcox(value)|.
+
+    The pow (or log) result is within one ulp, and the subtraction and the
+    division each round by half an ulp. The pow error is divided by |lam|,
+    so it can exceed one ulp of the output by far.
+    """
+    out = abs(boxcox_transform(value, BoxCoxParams(lam=lam)))
+    if abs(lam) < LOG_BRANCH_TOL:
+        return 2.0 ** -51 * out
+    return 2.0 ** -51 * (value ** lam / abs(lam) + out)
 
 
 class TestAttributes:
@@ -144,12 +169,23 @@ class TestTransform:
     @settings(max_examples=200)
     @given(v1=st.floats(0.01, 1000), v2=st.floats(0.01, 1000),
            lam=st.floats(-5, 5))
+    # Exact transforms 1.5e-18 apart, under half an ulp of their value ~0.2,
+    # so both round to the same float.
+    @example(v1=937.0, v2=938.0, lam=-5.0)
+    # Exact transforms 3.4e-17 apart, more than one ulp of 0.2 (2.8e-17), yet
+    # computed equal: the "- 1" rounds on the grid of 1.0, and dividing by 5
+    # maps adjacent values of that grid less than one ulp of 0.2 apart.
+    @example(v1=590.5880654477023, v2=592.0220993914978, lam=-5.0)
     def test_strictly_increasing_in_value(self, v1, v2, lam):
-        if abs(v1 - v2) < 1e-9 * max(v1, v2):
-            return
+        """Non-decreasing for every draw; strictly increasing wherever the
+        exact transforms differ by more than the two outputs' rounding."""
         lo, hi = sorted((v1, v2))
         params = BoxCoxParams(lam=lam)
-        assert boxcox_transform(lo, params) < boxcox_transform(hi, params)
+        t_lo, t_hi = boxcox_transform(lo, params), boxcox_transform(hi, params)
+        assert t_lo <= t_hi
+        gap = exact_boxcox(hi, lam) - exact_boxcox(lo, lam)
+        if gap > Fraction(rounding_bound(lo, lam) + rounding_bound(hi, lam)):
+            assert t_lo < t_hi
 
 
 class TestLambdaMle:

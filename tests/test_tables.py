@@ -73,9 +73,10 @@ def assert_same_as_reference(path, schema=None, rules=CleaningRules(),
     if members:
         m = build_incidence_matrix(txns, members)
         ref = reference_build_incidence_matrix(ref_txns, members)
-        assert (m.row_ids, m.col_ids, list(m.entries)) == \
-               (ref.row_ids, ref.col_ids, list(ref.entries))
-        assert as_bytes(m.entries.values()) == as_bytes(ref.entries.values())
+        assert (m.row_ids, m.col_ids) == (ref.row_ids, ref.col_ids)
+        assert m.indptr.tolist() == ref.indptr.tolist()
+        assert m.indices.tolist() == ref.indices.tolist()
+        assert as_bytes(m.data) == as_bytes(ref.data)
 
         chosen = txns.for_customers(members)
         ref_chosen = [t for t in ref_txns if t.customer_id in set(members)]
