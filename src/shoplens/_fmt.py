@@ -9,6 +9,7 @@ interrupted write leaves the previous file, or none, and never a partial one.
 import hashlib
 import json
 import os
+import re
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -39,22 +40,40 @@ def write_text(path: Path, text: str) -> None:
         f.write(text)
 
 
+# Every character str.splitlines() ends a line at. All of them are
+# non-printable, so printable text needs no regex search.
+_LINE_BREAK = re.compile("[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
+def _breaks_line(text: str) -> bool:
+    return not text.isprintable() and _LINE_BREAK.search(text) is not None
+
+
+def unsafe_cell(text: str) -> bool:
+    """True when ``text`` cannot be one cell of the quote-free CSV: it holds
+    the delimiter or a character at which ``read_csv`` would split a line."""
+    return "," in text or _breaks_line(text)
+
+
 def write_csv(path: Path, header: list[str], rows) -> None:
     """Write rows of already-formatted strings with a fixed line terminator.
 
-    The format is deliberately quote-free, so cells must not contain the
-    delimiter or newlines.
+    The format is deliberately quote-free, so no cell may be ``unsafe_cell``.
     """
-    def check(cells):
-        for cell in cells:
-            if "," in cell or "\n" in cell or "\r" in cell:
-                raise ValueError(f"cell {cell!r} contains a delimiter or newline")
-        return cells
+    def line(cells) -> str:
+        # One test of the joined row; only a row that fails it is searched
+        # for the cell to name.
+        text = ",".join(cells)
+        if text.count(",") >= len(cells) or _breaks_line(text):
+            for cell in cells:
+                if unsafe_cell(cell):
+                    raise ValueError(f"cell {cell!r} contains a delimiter or newline")
+        return text + "\n"
 
     with _atomic_open(path) as f:
-        f.write(",".join(check(header)) + "\n")
+        f.write(line(header))
         for row in rows:
-            f.write(",".join(check(row)) + "\n")
+            f.write(line(row))
 
 
 def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:

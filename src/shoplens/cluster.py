@@ -27,7 +27,6 @@ import numpy as np
 class DensityParams:
     min_cluster_size: int = 5
     min_samples: int = 5
-    metric: str = "euclidean"
 
     def validate(self) -> None:
         if self.min_cluster_size < 2:
@@ -36,8 +35,6 @@ class DensityParams:
             raise ValueError(f"min_samples must be >= 1, got {self.min_samples}")
         if self.min_samples > self.min_cluster_size:
             raise ValueError("min_samples must not exceed min_cluster_size")
-        if self.metric != "euclidean":
-            raise ValueError(f"unsupported metric {self.metric!r}")
 
 
 @dataclass

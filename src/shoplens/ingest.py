@@ -24,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ._fmt import (dump_jsonl, fmt_float, read_csv, read_csv_columns, write_csv,
-                   write_text)
+from ._fmt import (dump_jsonl, fmt_float, read_csv, read_csv_columns, unsafe_cell,
+                   write_csv, write_text)
 
 # Logical column names and their defaults in the UCI Online Retail export.
 DEFAULT_SCHEMA = {
@@ -330,12 +330,6 @@ def _parse_stamp(raw: str, formats: tuple[str, ...]) -> datetime | None:
     return _parse_date(raw, formats)
 
 
-def _has_delimiter(value: str) -> bool:
-    """Ids are written back out in quote-free CSV, so they must not carry
-    the delimiter or a line break."""
-    return "," in value or "\n" in value or "\r" in value
-
-
 def parse_invoice_csv(
     path: str | Path,
     schema: dict[str, str] | None = None,
@@ -346,7 +340,8 @@ def parse_invoice_csv(
 
     Malformed data rows land in the reject report instead of aborting the
     parse; that includes ids (invoice, stock code, customer) carrying a
-    comma or line break, which the quote-free artifacts cannot hold, and
+    comma or any line boundary of ``str.splitlines()`` (``_fmt.unsafe_cell``),
+    which the quote-free artifacts cannot hold, and
     numbers the arrays cannot hold exactly (a quantity outside the signed
     32-bit range, a non-finite unit price or quantity x unit price). A
     missing file, a missing mandatory column, or an undecodable byte stream
@@ -419,7 +414,7 @@ def _parse_rows(reader, header: list[str], schema: dict[str, str],
         if not invoice_id:
             reject(idx, row, schema["invoice_id"], "empty invoice id")
             continue
-        if _has_delimiter(invoice_id):
+        if unsafe_cell(invoice_id):
             reject(idx, row, schema["invoice_id"],
                    f"invoice id {invoice_id!r} contains a delimiter or newline")
             continue
@@ -427,7 +422,7 @@ def _parse_rows(reader, header: list[str], schema: dict[str, str],
         if not stock_code:
             reject(idx, row, schema["stock_code"], "empty stock code")
             continue
-        if _has_delimiter(stock_code):
+        if unsafe_cell(stock_code):
             reject(idx, row, schema["stock_code"],
                    f"stock code {stock_code!r} contains a delimiter or newline")
             continue
@@ -468,7 +463,7 @@ def _parse_rows(reader, header: list[str], schema: dict[str, str],
             continue
 
         customer_id = row[i_customer].strip() or None
-        if customer_id is not None and _has_delimiter(customer_id):
+        if customer_id is not None and unsafe_cell(customer_id):
             reject(idx, row, schema["customer_id"],
                    f"customer id {customer_id!r} contains a delimiter or newline")
             continue

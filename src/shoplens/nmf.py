@@ -61,7 +61,6 @@ class Factorization:
 @dataclass(frozen=True)
 class HoldoutMask:
     held_out: tuple[tuple[int, int], ...]
-    fraction: float
 
     @cached_property
     def index(self) -> tuple[np.ndarray, np.ndarray]:
@@ -95,7 +94,7 @@ def make_holdout_mask(p_prime, fraction: float = 1.0 / 3.0,
     count = max(1, round(fraction * rows.size))
     chosen = rng.choice(rows.size, size=count, replace=False)
     held = tuple((int(rows[i]), int(cols[i])) for i in sorted(chosen))
-    return HoldoutMask(held_out=held, fraction=fraction)
+    return HoldoutMask(held_out=held)
 
 
 def _weight_matrix(shape: tuple[int, int], mask: HoldoutMask | None) -> np.ndarray | None:

@@ -9,7 +9,7 @@ files byte for byte.
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -127,8 +127,18 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
+        """Build a config; a key that names no section or field raises a
+        ValueError, so a misspelling is never silently replaced by a default."""
+        def check_keys(given, known_cls, where):
+            known = [f.name for f in fields(known_cls)]
+            unknown = sorted(set(given) - set(known))
+            if unknown:
+                raise ValueError(f"unknown {where} {', '.join(map(repr, unknown))}; "
+                                 f"valid: {', '.join(known)}")
+
         def build(sub_cls, key):
             sub = dict(data.get(key) or {})
+            check_keys(sub, sub_cls, f"field in config section {key!r}:")
             for name in ("alpha_grid", "l1_grid"):
                 if isinstance(sub.get(name), list):
                     sub[name] = tuple(sub[name])
@@ -136,6 +146,7 @@ class PipelineConfig:
                 sub["boxcox_search"] = tuple(sub["boxcox_search"])
             return sub_cls(**sub)
 
+        check_keys(data, cls, "config key")
         return cls(
             input_path=data["input_path"],
             output_dir=data["output_dir"],

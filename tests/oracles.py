@@ -16,7 +16,7 @@ W and H updates that the library's single column sweep reproduces, with
 worker processes. It shares only the factor initialization with the
 library. And the per-record ingest and RFM loops (``reference_parse_rows``
 to ``reference_compute_rfm_attributes``), which the library's column tables
-reproduce; they share the record types and ``_has_delimiter``/``_minmax``
+reproduce; they share the record types and ``unsafe_cell``/``_minmax``
 with the library, and the incidence-matrix oracle builds its CSR result
 from an entry dict with ``conftest.purchase_matrix``.
 """
@@ -26,10 +26,10 @@ from datetime import datetime
 
 import numpy as np
 
+from shoplens._fmt import unsafe_cell
 from shoplens.ingest import (CleanedTransaction, CleaningRules,
                              CustomerSegment, InvoiceLine, PurchaseMatrix,
-                             RejectedRow, Segment, SegmentationConfig,
-                             _has_delimiter)
+                             RejectedRow, Segment, SegmentationConfig)
 from shoplens.lasso import DesignMatrix, LassoModel, SolverConfig
 from shoplens.nmf import Factorization, HoldoutMask, NmfConfig, _init_factors
 from shoplens.rfm import RfmAttributes, _minmax
@@ -174,7 +174,7 @@ def reference_holdout_mask(p_prime, fraction: float = 1.0 / 3.0,
     count = max(1, round(fraction * len(positions)))
     chosen = rng.choice(len(positions), size=count, replace=False)
     held = tuple(positions[i] for i in sorted(chosen))
-    return HoldoutMask(held_out=held, fraction=fraction)
+    return HoldoutMask(held_out=held)
 
 
 def reference_weight_matrix(shape: tuple[int, int],
@@ -369,7 +369,7 @@ def reference_parse_rows(reader, header: list[str], schema: dict[str, str],
         if not invoice_id:
             reject(schema["invoice_id"], "empty invoice id")
             continue
-        if _has_delimiter(invoice_id):
+        if unsafe_cell(invoice_id):
             reject(schema["invoice_id"],
                    f"invoice id {invoice_id!r} contains a delimiter or newline")
             continue
@@ -377,7 +377,7 @@ def reference_parse_rows(reader, header: list[str], schema: dict[str, str],
         if not stock_code:
             reject(schema["stock_code"], "empty stock code")
             continue
-        if _has_delimiter(stock_code):
+        if unsafe_cell(stock_code):
             reject(schema["stock_code"],
                    f"stock code {stock_code!r} contains a delimiter or newline")
             continue
@@ -405,7 +405,7 @@ def reference_parse_rows(reader, header: list[str], schema: dict[str, str],
             continue
 
         customer_id = row[i_customer].strip() or None
-        if customer_id is not None and _has_delimiter(customer_id):
+        if customer_id is not None and unsafe_cell(customer_id):
             reject(schema["customer_id"],
                    f"customer id {customer_id!r} contains a delimiter or newline")
             continue

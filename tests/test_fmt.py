@@ -1,9 +1,11 @@
 import json
+import re
+import sys
 
 import pytest
 
-from shoplens._fmt import (dump_json, dump_jsonl, read_csv, read_csv_columns, write_csv,
-                          write_text)
+from shoplens._fmt import (dump_json, dump_jsonl, read_csv, read_csv_columns, unsafe_cell,
+                          write_csv, write_text)
 
 
 def rows_then_failure():
@@ -81,3 +83,19 @@ def test_csv_columns_reject_a_ragged_row(tmp_path):
     path.write_text("k,v\na,1\nb\nc,3,4\n", encoding="utf-8")
     with pytest.raises(ValueError, match="2 cells"):
         read_csv_columns(path)
+
+
+def test_unsafe_cells_are_the_delimiter_and_every_line_boundary():
+    # The readers split files with str.splitlines(), so a cell may hold none
+    # of the characters it breaks at.
+    chars = [chr(c) for c in range(sys.maxunicode + 1)]
+    assert ([c for c in chars if unsafe_cell(f"a{c}b")]
+            == [c for c in chars if c == "," or len(f"a{c}b".splitlines()) > 1])
+
+
+@pytest.mark.parametrize("cell", ["b,c", "b\nc", "b\x0bc", "b\x1ec", "b\x85c", "b\u2028c"])
+def test_write_csv_names_the_cell_that_would_split_a_line(tmp_path, cell):
+    with pytest.raises(ValueError, match=re.escape(f"cell {cell!r} contains")):
+        write_csv(tmp_path / "t.csv", ["k", "v", "w"], [["a", "1", "x"], ["b", cell, "é"]])
+    with pytest.raises(ValueError, match=re.escape(f"cell {cell!r} contains")):
+        write_csv(tmp_path / "t.csv", ["k", cell], [])

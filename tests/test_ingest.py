@@ -75,7 +75,11 @@ class TestParse:
         ('"1,2",A,X,2,1/2/2011 10:00,1.5,C1,UK\n', "InvoiceNo"),
         ('1,A,X,2,1/2/2011 10:00,1.5,"C\n1",UK\n', "CustomerID"),
         ('1,"A\r\nB",X,2,1/2/2011 10:00,1.5,C1,UK\n', "StockCode"),
-    ], ids=["stock-code-comma", "invoice-comma", "customer-newline", "stock-code-crlf"])
+        ("1,A\u2028B,X,2,1/2/2011 10:00,1.5,C1,UK\n", "StockCode"),
+        ("1\x852,A,X,2,1/2/2011 10:00,1.5,C1,UK\n", "InvoiceNo"),
+        ("1,A,X,2,1/2/2011 10:00,1.5,C\x1c1,UK\n", "CustomerID"),
+    ], ids=["stock-code-comma", "invoice-comma", "customer-newline", "stock-code-crlf",
+            "stock-code-u2028", "invoice-nel", "customer-file-separator"])
     def test_delimiter_in_id_rejected(self, tmp_path, row, column):
         body = row + "2,B,X,2,1/2/2011 10:00,1.5,C1,UK\n"
         lines, rejects = parse_invoice_csv(write(tmp_path, body))

@@ -6,8 +6,8 @@ from shoplens.lasso import (DesignMatrix, DropExperimentCurve, SelectionRule,
                             SolverConfig, cross_validate_alpha,
                             default_alpha_grid, drop_experiment, duality_gap,
                             fit_lasso, kkt_violations, lasso_objective,
-                            max_alpha, ols_refit, residual_diagnostics,
-                            select_features, standardize)
+                            max_alpha, normal_cdf, ols_refit,
+                            residual_diagnostics, select_features, standardize)
 
 from conftest import purchase_matrix
 from oracles import (ols_holdout_mse, projected_gradient_lasso,
@@ -535,6 +535,25 @@ class TestDiagnostics:
     def test_empty_holdout(self):
         with pytest.raises(ValueError, match="empty"):
             residual_diagnostics(np.array([]), np.array([]))
+
+    def test_normal_cdf_matches_scipy_ndtr(self):
+        from scipy.special import ndtr
+        rng = np.random.default_rng(78)
+        z = np.concatenate([np.linspace(-20.0, 20.0, 100_001),
+                            rng.standard_normal(100_000), 3.0 * rng.standard_normal(100_000)])
+        z = z[np.abs(z) <= 20.0]
+        got = np.array([normal_cdf(v) for v in z.tolist()])
+        want = ndtr(z)
+        assert (np.abs(got - want) / want).max() <= 1e-13
+        assert normal_cdf(0.0) == normal_cdf(-0.0) == 0.5
+
+    def test_pp_theoretical_is_the_normal_cdf_of_the_sorted_residuals(self):
+        rng = np.random.default_rng(79)
+        actual, predicted = rng.standard_normal(50), rng.standard_normal(50)
+        report = residual_diagnostics(actual, predicted)
+        resid = actual - predicted
+        z = np.sort((resid - resid.mean()) / resid.std())
+        assert report.pp_theoretical.tolist() == [normal_cdf(v) for v in z.tolist()]
 
 
 class TestOlsRefit:

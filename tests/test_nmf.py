@@ -51,7 +51,7 @@ class TestObjective:
     def test_masked_entries_drop_out(self):
         p = np.array([[1.0, 5.0], [2.0, 3.0]])
         f = Factorization(np.zeros((2, 1)), np.zeros((1, 2)), [], True, 0)
-        mask = HoldoutMask(held_out=((0, 1),), fraction=0.25)
+        mask = HoldoutMask(held_out=((0, 1),))
         cfg = NmfConfig(k=1)
         expected = 0.5 * (1.0 + 4.0 + 9.0)  # (0,1) excluded
         assert objective_value(p, f, cfg, mask) == pytest.approx(expected)
@@ -152,13 +152,13 @@ class TestImputation:
         w = np.array([[1.0], [2.0]])
         h = np.array([[3.0, 4.0]])
         f = Factorization(w, h, [], True, 0)
-        mask = HoldoutMask(held_out=((0, 0), (1, 1)), fraction=0.5)
+        mask = HoldoutMask(held_out=((0, 0), (1, 1)))
         assert imputation_mse(w @ h, f, mask) == pytest.approx(0.0)
 
     def test_single_entry_squared_error(self):
         p = np.array([[4.0]])
         f = Factorization(np.array([[1.0]]), np.array([[3.0]]), [], True, 0)
-        mask = HoldoutMask(held_out=((0, 0),), fraction=1.0)
+        mask = HoldoutMask(held_out=((0, 0),))
         assert imputation_mse(p, f, mask) == pytest.approx(1.0)
 
     def test_right_rank_beats_rank_one(self):
@@ -171,7 +171,7 @@ class TestImputation:
     def test_empty_mask_rejected(self):
         f = Factorization(np.ones((1, 1)), np.ones((1, 1)), [], True, 0)
         with pytest.raises(ValueError, match="empty"):
-            imputation_mse(np.ones((1, 1)), f, HoldoutMask(held_out=(), fraction=0.0))
+            imputation_mse(np.ones((1, 1)), f, HoldoutMask(held_out=()))
 
     def test_mask_samples_only_stored_entries(self):
         p = np.array([[1.0, 0.0], [0.0, 2.0]])
@@ -318,8 +318,7 @@ class TestReferenceEquality:
         p = spend(3, 12, 8, density=0.6)
         p[2] = 1.0
         held = tuple((2, j) for j in range(8))
-        mask = HoldoutMask(held_out=held + ((0, int(np.flatnonzero(p[0])[0])),),
-                           fraction=0.1)
+        mask = HoldoutMask(held_out=held + ((0, int(np.flatnonzero(p[0])[0])),))
         f = self.assert_same_fit(
             p, NmfConfig(k=3, alpha_m=0.0 if l1_ratio == 0.0 else 2.0,
                          l1_ratio=l1_ratio, seed=3, max_iter=30), mask)
@@ -360,7 +359,7 @@ class TestReferenceEquality:
         # scalar e ** 2 the per-pair loop computed.
         p = np.array([[error, 1.0]])
         f = Factorization(np.zeros((1, 1)), np.zeros((1, 2)), [], True, 0)
-        mask = HoldoutMask(held_out=((0, 0),), fraction=0.5)
+        mask = HoldoutMask(held_out=((0, 0),))
         assert (as_bytes(imputation_mse(p, f, mask))
                 == as_bytes(reference_imputation_mse(p, f, mask)))
 

@@ -255,6 +255,27 @@ class TestCli:
         _, rows = read_csv(out / "ingest" / "transactions.csv")
         assert all(len(row) == 6 for row in rows)
 
+    def test_line_boundary_in_stock_code_is_rejected_not_fatal(
+            self, fixture_csv, fixture_config_path, tmp_path):
+        # The artifact readers split lines with str.splitlines(), which also
+        # breaks at U+2028: such a stock code used to pass ingest and make
+        # rfm fail on a short transactions.csv row.
+        text = fixture_csv.read_text(encoding="utf-8")
+        last = len(text.splitlines())
+        src = tmp_path / "invoices.csv"
+        src.write_text(text + "1001,A\u2028B,GEL PEN SET,7,3/20/2011 11:25,1.50,A100,"
+                              "United Kingdom\n" * 6, encoding="utf-8")
+        out = tmp_path / "run"
+        for stage in ("ingest", "rfm"):
+            rc = cli_main(["--config", str(fixture_config_path), stage,
+                           "--input", str(src), "--out", str(out)])
+            assert rc == 0
+        rejects = [json.loads(line) for line in
+                   (out / "ingest" / "rejects.jsonl").read_text().splitlines()]
+        assert [(r["line"], r["column"]) for r in rejects[-6:]] == [
+            (last + i, "StockCode") for i in range(1, 7)]
+        assert "A\u2028B" not in (out / "ingest" / "matrix.cols.txt").read_text()
+
     def test_long_row_is_rejected_not_fatal(self, fixture_csv, fixture_config_path,
                                             tmp_path):
         src = tmp_path / "invoices.csv"
@@ -295,6 +316,24 @@ class TestCli:
              "quantity '100000000000000000000' outside the signed 32-bit range")]
         _, segments = read_csv(out / "ingest" / "segments.csv")
         assert ["A100", "Frequent", "5"] in segments
+
+    @pytest.mark.parametrize("edit, named", [
+        ({"lasso_": {"folds": 99}}, "config key 'lasso_'"),
+        ({"sed": 3}, "config key 'sed'"),
+        ({"lasso": {"folds": 2, "fold": 3}}, "config section 'lasso': 'fold'"),
+    ], ids=["misspelt-section", "unknown-key", "unknown-field"])
+    def test_unknown_config_key_is_a_clean_error(self, fixture_csv, fixture_config_path,
+                                                 tmp_path, capsys, edit, named):
+        # A misspelt section used to be ignored in favour of the defaults,
+        # and an unknown field died with a TypeError traceback.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**json.loads(fixture_config_path.read_text()), **edit}))
+        rc = cli_main(["--config", str(config), "ingest", "--input", str(fixture_csv),
+                       "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown ") and named in err
+        assert not (tmp_path / "run").exists()
 
     def test_rfm_weight_flags(self, fixture_csv, fixture_config_path, tmp_path):
         out = tmp_path / "run"

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import shoplens
+from shoplens.pipeline import STAGE_ORDER
 
 SRC = str(Path(shoplens.__file__).resolve().parent.parent)
 
@@ -44,6 +45,24 @@ def test_ingest_and_rfm_stages_leave_scipy_optimize_unloaded(
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0], False]
     assert (tmp_path / "run" / "rfm" / "boxcox.json").exists()
+
+
+def test_run_all_runs_without_scipy(fixture_csv, fixture_config_path, tmp_path):
+    # The runtime needs numpy and the standard library only: with every
+    # scipy import made to fail, all seven stages still run.
+    argv = ["--config", str(fixture_config_path), "run-all", "--input", str(fixture_csv),
+            "--out", str(tmp_path / "run")]
+    code = ("import json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from shoplens.cli import main\n"
+            f"rc = main({argv!r})\n"
+            "print(json.dumps([rc, sorted(name for name, module in sys.modules.items()\n"
+            "                             if name.startswith('scipy') and module)]))\n")
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert [s["name"] for s in manifest["stages"]] == STAGE_ORDER
 
 
 def test_importing_main_module_runs_nothing():
