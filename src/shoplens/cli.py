@@ -12,22 +12,18 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import graph as graph_mod
-from .pipeline import (MissingStageError, PipelineConfig, emit_plot_data,
+from .pipeline import (STAGES, MissingStageError, PipelineConfig, emit_plot_data,
                        run_all, run_stage)
 
 
 def _base_config(args) -> PipelineConfig:
-    if args.config:
-        cfg = PipelineConfig.load(args.config)
-    else:
-        if not getattr(args, "input", None) and not getattr(args, "out", None):
-            raise SystemExit("either --config or --input/--out is required")
-        cfg = PipelineConfig(input_path=getattr(args, "input", None) or "",
-                             output_dir=getattr(args, "out", None) or "run")
-    if getattr(args, "input", None):
-        cfg = replace(cfg, input_path=args.input)
-    if getattr(args, "out", None):
-        cfg = replace(cfg, output_dir=args.out)
+    paths = {name: getattr(args, flag, None)
+             for name, flag in (("input_path", "input"), ("output_dir", "out"))}
+    paths = {name: value for name, value in paths.items() if value}
+    if not args.config and not paths:
+        raise SystemExit("either --config or --input/--out is required")
+    cfg = replace(PipelineConfig.load(args.config) if args.config else PipelineConfig(),
+                  **paths)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed,
                       lasso=replace(cfg.lasso, seed=None),
@@ -64,17 +60,6 @@ _OVERRIDES = [
      {"type": float, "help": "minimum affinity edge weight"}, ("export-graph",)),
 ]
 
-_STAGES = [
-    ("ingest", "parse, clean, segment, build the incidence matrix"),
-    ("rfm", "score customer value and fit the normalizing transform"),
-    ("select-features", "LASSO feature selection"),
-    ("grid-search", "NMF hyperparameter search by imputation error"),
-    ("factorize", "fit the purchase dictionary and affinities"),
-    ("cluster", "density-cluster the affinity rows"),
-    ("export-graph", "export bipartite graphs with embeddings"),
-    ("run-all", "run every stage in order"),
-]
-
 
 def _apply_overrides(cfg: PipelineConfig, args) -> PipelineConfig:
     sections: dict[str, dict] = {}
@@ -100,13 +85,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="global seed applied to every stage")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for stage, help_text in _STAGES:
+    subcommands = [(name, stage.help) for name, stage in STAGES.items()]
+    for stage, help_text in subcommands + [("run-all", "run every stage in order")]:
         p = sub.add_parser(stage, help=help_text)
         p.add_argument("--input", help="invoice-line CSV (ingest input)")
         p.add_argument("--out", help="run directory")
-        if stage == "export-graph":
-            p.add_argument("--kind", choices=["purchase", "affinity", "both"],
-                           default="both")
         for flag, _, _, kwargs, stages in _OVERRIDES:
             if stage in stages:
                 p.add_argument(flag, **kwargs)
@@ -145,15 +128,9 @@ def main(argv=None) -> int:
             return 0
 
         cfg = _apply_overrides(_base_config(args), args)
-        if args.command == "run-all":
-            for entry in run_all(cfg):
-                print(f"[{entry['name']}] {json.dumps(entry['metrics'], sort_keys=True)}")
-        elif args.command == "export-graph":
-            kinds = ("purchase", "affinity") if args.kind == "both" else (args.kind,)
-            entry = run_stage("export-graph", cfg, kinds=kinds)
-            print(f"[{entry['name']}] {json.dumps(entry['metrics'], sort_keys=True)}")
-        else:
-            entry = run_stage(args.command, cfg)
+        entries = (run_all(cfg) if args.command == "run-all"
+                   else [run_stage(args.command, cfg)])
+        for entry in entries:
             print(f"[{entry['name']}] {json.dumps(entry['metrics'], sort_keys=True)}")
         return 0
     except MissingStageError as exc:

@@ -215,7 +215,6 @@ def extract_clusters(mst: list[tuple[int, int, float]],
     next_cid = n + 1
     records: list[tuple[int, int, float, int]] = []  # (parent cid, point, lambda, 1)
     birth = {root_cid: 0.0}
-    cluster_size = {root_cid: n}
     cluster_kids: dict[int, list[int]] = {root_cid: []}
     cluster_parent: dict[int, int] = {}
     point_departure: dict[int, tuple[int, float]] = {}
@@ -236,7 +235,6 @@ def extract_clusters(mst: list[tuple[int, int, float]],
                 new_cid = next_cid
                 next_cid += 1
                 birth[new_cid] = lam
-                cluster_size[new_cid] = size[c]
                 cluster_kids[new_cid] = []
                 cluster_kids[cid].append(new_cid)
                 cluster_parent[new_cid] = cid

@@ -344,11 +344,11 @@ def parse_invoice_csv(
     which the quote-free artifacts cannot hold, and
     numbers the arrays cannot hold exactly (a quantity outside the signed
     32-bit range, a non-finite unit price or quantity x unit price). A
-    missing file, a missing mandatory column, or an undecodable byte stream
-    is a hard error.
+    path that is not a file (missing, or a directory), a missing mandatory
+    column, or an undecodable byte stream is a hard error.
     """
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise FileNotFoundError(f"input file not found: {path}")
     schema = dict(DEFAULT_SCHEMA, **(schema or {}))
 
@@ -585,30 +585,33 @@ def build_incidence_matrix(txns: Transactions, members) -> PurchaseMatrix:
     return PurchaseMatrix(sorted(members), col_ids, indptr, col[starts], totals)
 
 
+def matrix_paths(directory: str | Path, prefix: str) -> list[Path]:
+    """The files of the matrix ``prefix``: triplets, row ids, column ids."""
+    return [Path(directory) / f"{prefix}.{part}"
+            for part in ("triplets.csv", "rows.txt", "cols.txt")]
+
+
 def write_matrix(matrix: PurchaseMatrix, directory: str | Path, prefix: str) -> list[Path]:
     """Serialize as a row-major triplet file plus row/column id sidecars."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    triplets = directory / f"{prefix}.triplets.csv"
-    rows_path = directory / f"{prefix}.rows.txt"
-    cols_path = directory / f"{prefix}.cols.txt"
+    Path(directory).mkdir(parents=True, exist_ok=True)
+    paths = matrix_paths(directory, prefix)
+    triplets, rows_path, cols_path = paths
     write_csv(triplets, ["row_id", "col_id", "value"],
               ([r, c, fmt_float(v)] for r, c, v in matrix.triplets()))
     write_text(rows_path, "".join(r + "\n" for r in matrix.row_ids))
     write_text(cols_path, "".join(c + "\n" for c in matrix.col_ids))
-    return [triplets, rows_path, cols_path]
+    return paths
 
 
 def read_matrix(directory: str | Path, prefix: str) -> PurchaseMatrix:
     """Read ``write_matrix``'s files: sorted, unique sidecar ids and, in any
     order, one triplet per position with known ids and a positive, finite
     value. Anything else raises a ValueError naming the triplet file."""
-    directory = Path(directory)
-    path = directory / f"{prefix}.triplets.csv"
+    path, rows_path, cols_path = matrix_paths(directory, prefix)
     _, columns = read_csv_columns(path)  # names the file on a short row
     try:
-        row_ids, col_ids = ((directory / f"{prefix}.{name}.txt").read_text(encoding="utf-8")
-                            .splitlines() for name in ("rows", "cols"))
+        row_ids, col_ids = (p.read_text(encoding="utf-8").splitlines()
+                            for p in (rows_path, cols_path))
         row_cells, col_cells, values = columns
         rows = _positions(row_ids, row_cells, f"ids not in {prefix}.rows.txt")
         cols = _positions(col_ids, col_cells, f"ids not in {prefix}.cols.txt")

@@ -9,8 +9,11 @@ files byte for byte.
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,12 +24,6 @@ from . import lasso as lasso_mod
 from . import nmf as nmf_mod
 from . import rfm as rfm_mod
 from ._fmt import dump_json, file_digest, fmt_float, read_csv, write_csv
-
-STAGE_ORDER = ["ingest", "rfm", "select-features", "grid-search",
-               "factorize", "cluster", "export-graph"]
-
-PLOT_KINDS = ["drop-curve", "feature-importance", "grid-mse",
-              "dictionary-profile", "cluster-sizes", "centroid-profile"]
 
 
 class MissingStageError(RuntimeError):
@@ -100,8 +97,8 @@ class GraphSettings:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    input_path: str
-    output_dir: str
+    input_path: str = ""
+    output_dir: str = "run"
     seed: int = 42
     ingest: IngestSettings = IngestSettings()
     rfm: RfmSettings = RfmSettings()
@@ -127,8 +124,10 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
-        """Build a config; a key that names no section or field raises a
-        ValueError, so a misspelling is never silently replaced by a default."""
+        """Build a config; a missing key takes its default. A key that names
+        no section or field, or a config or section that is not an object,
+        raises a ValueError, so a misspelling is never silently replaced by a
+        default."""
         def check_keys(given, known_cls, where):
             known = [f.name for f in fields(known_cls)]
             unknown = sorted(set(given) - set(known))
@@ -137,27 +136,22 @@ class PipelineConfig:
                                  f"valid: {', '.join(known)}")
 
         def build(sub_cls, key):
-            sub = dict(data.get(key) or {})
+            sub = data[key] or {}
+            if not isinstance(sub, dict):
+                raise ValueError(f"config section {key!r} must be an object, "
+                                 f"got {type(sub).__name__}")
+            sub = dict(sub)
             check_keys(sub, sub_cls, f"field in config section {key!r}:")
-            for name in ("alpha_grid", "l1_grid"):
+            for name in ("alpha_grid", "l1_grid", "boxcox_search"):
                 if isinstance(sub.get(name), list):
                     sub[name] = tuple(sub[name])
-            if isinstance(sub.get("boxcox_search"), list):
-                sub["boxcox_search"] = tuple(sub["boxcox_search"])
             return sub_cls(**sub)
 
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
         check_keys(data, cls, "config key")
-        return cls(
-            input_path=data["input_path"],
-            output_dir=data["output_dir"],
-            seed=data.get("seed", 42),
-            ingest=build(IngestSettings, "ingest"),
-            rfm=build(RfmSettings, "rfm"),
-            lasso=build(LassoSettings, "lasso"),
-            nmf=build(NmfSettings, "nmf"),
-            cluster=build(ClusterSettings, "cluster"),
-            graph=build(GraphSettings, "graph"),
-        )
+        return cls(**{f.name: build(f.type, f.name) if is_dataclass(f.type) else data[f.name]
+                      for f in fields(cls) if f.name in data})
 
     @classmethod
     def load(cls, path: str | Path) -> "PipelineConfig":
@@ -165,24 +159,58 @@ class PipelineConfig:
             return cls.from_dict(json.load(f))
 
 
-def _require(run_dir: Path, relpath: str, stage: str) -> Path:
-    path = run_dir / relpath
-    if not path.exists():
-        raise MissingStageError(stage, path)
-    return path
+class _Inputs:
+    """The files a stage reads. ``need`` checks that an upstream artifact is
+    there and records it, and ``run_stage`` digests every recorded file, so
+    the manifest lists each file the stage read."""
+
+    def __init__(self, run_dir: Path):
+        self.run_dir = run_dir
+        self.paths: list[Path] = []
+
+    def need(self, relpath: str) -> Path:
+        """``run_dir / relpath``. The path's first directory is the stage that
+        writes it, and MissingStageError names that stage if the file is absent."""
+        path = self.run_dir / relpath
+        if not path.is_file():
+            raise MissingStageError(relpath.split("/")[0], path)
+        self.paths.append(path)
+        return path
+
+    def matrix(self, stage_dir: str, prefix: str) -> ingest_mod.PurchaseMatrix:
+        """The matrix ``prefix`` that ``ingest.write_matrix`` wrote into
+        ``stage_dir``, each of its files checked and recorded."""
+        for path in ingest_mod.matrix_paths(stage_dir, prefix):
+            self.need(path.as_posix())
+        return ingest_mod.read_matrix(self.run_dir / stage_dir, prefix)
+
+
+def _write_labelled(path: Path, corner: str, row_ids, col_ids, values) -> None:
+    """A matrix as CSV: a header of ``corner`` and the column ids, then one
+    row per row id followed by that row's values."""
+    write_csv(path, [corner, *col_ids],
+              ([rid] + [fmt_float(v) for v in row] for rid, row in zip(row_ids, values)))
+
+
+def _read_labelled(path: Path) -> tuple[list[str], list[str], np.ndarray]:
+    """``_write_labelled``'s file as (row ids, column ids, values)."""
+    header, rows = read_csv(path)
+    values = np.array([[float(v) for v in r[1:]] for r in rows])
+    return [r[0] for r in rows], header[1:], values
 
 
 # ------------------------------------------------------------- stages ----
+# Each stage takes (config, run directory, inputs), reads upstream files only
+# through ``inputs``, and returns (output paths, metrics).
 
-def _stage_ingest(cfg: PipelineConfig, run_dir: Path):
+def _stage_ingest(cfg: PipelineConfig, run_dir: Path, inputs: _Inputs):
     src = Path(cfg.input_path)
-    if not src.exists():
-        raise FileNotFoundError(f"input file not found: {src}")
+    lines, rejects = ingest_mod.parse_invoice_csv(
+        src, schema=cfg.ingest.schema or None, encoding=cfg.ingest.encoding)
+    inputs.paths.append(src)
     out = run_dir / "ingest"
     out.mkdir(parents=True, exist_ok=True)
 
-    lines, rejects = ingest_mod.parse_invoice_csv(
-        src, schema=cfg.ingest.schema or None, encoding=cfg.ingest.encoding)
     rules = ingest_mod.CleaningRules(cancellation_prefix=cfg.ingest.cancellation_prefix)
     txns = ingest_mod.clean_transactions(lines, rules)
     seg_cfg = ingest_mod.SegmentationConfig(
@@ -211,17 +239,15 @@ def _stage_ingest(cfg: PipelineConfig, run_dir: Path):
         "matrix_cols": matrix.shape[1],
         "matrix_nnz": matrix.nnz,
     }
-    return [src], outputs, metrics
+    return outputs, metrics
 
 
-def _stage_rfm(cfg: PipelineConfig, run_dir: Path):
-    txn_path = _require(run_dir, "ingest/transactions.csv", "ingest")
-    seg_path = _require(run_dir, "ingest/segments.csv", "ingest")
+def _stage_rfm(cfg: PipelineConfig, run_dir: Path, inputs: _Inputs):
+    txns = ingest_mod.read_transactions(inputs.need("ingest/transactions.csv"))
+    segments = ingest_mod.read_segments(inputs.need("ingest/segments.csv"))
     out = run_dir / "rfm"
     out.mkdir(parents=True, exist_ok=True)
 
-    txns = ingest_mod.read_transactions(txn_path)
-    segments = ingest_mod.read_segments(seg_path)
     frequent = {s.customer_id for s in segments
                 if s.segment is ingest_mod.Segment.FREQUENT}
     member_txns = txns.for_customers(frequent)
@@ -241,7 +267,7 @@ def _stage_rfm(cfg: PipelineConfig, run_dir: Path):
                     "monetary": weights.w_monetary},
     })
     metrics = {"lambda": params.lam, "shift": params.shift, "scored": len(scores)}
-    return [txn_path, seg_path], [out / "scores.csv", out / "boxcox.json"], metrics
+    return [out / "scores.csv", out / "boxcox.json"], metrics
 
 
 def _read_scores(path: Path) -> dict[str, float]:
@@ -249,16 +275,12 @@ def _read_scores(path: Path) -> dict[str, float]:
     return {r[0]: float(r[2]) for r in rows}  # gamma_prime
 
 
-def _stage_select_features(cfg: PipelineConfig, run_dir: Path):
-    matrix_path = _require(run_dir, "ingest/matrix.triplets.csv", "ingest")
-    _require(run_dir, "ingest/matrix.rows.txt", "ingest")
-    _require(run_dir, "ingest/matrix.cols.txt", "ingest")
-    scores_path = _require(run_dir, "rfm/scores.csv", "rfm")
+def _stage_select_features(cfg: PipelineConfig, run_dir: Path, inputs: _Inputs):
+    matrix = inputs.matrix("ingest", "matrix")
+    responses = _read_scores(inputs.need("rfm/scores.csv"))
     out = run_dir / "select-features"
     out.mkdir(parents=True, exist_ok=True)
 
-    matrix = ingest_mod.read_matrix(run_dir / "ingest", "matrix")
-    responses = _read_scores(scores_path)
     design = lasso_mod.standardize(matrix, responses)
     solver = lasso_mod.SolverConfig(tol=cfg.lasso.tol, max_iter=cfg.lasso.max_iter)
 
@@ -340,15 +362,14 @@ def _stage_select_features(cfg: PipelineConfig, run_dir: Path):
         "cv_fits": len(cv_fits),
         "cv_unconverged_fits": sum(1 for _, converged in cv_fits if not converged),
     }
-    return [matrix_path, scores_path], outputs, metrics
+    return outputs, metrics
 
 
-def _stage_grid_search(cfg: PipelineConfig, run_dir: Path):
-    p_path = _require(run_dir, "select-features/p_prime.triplets.csv", "select-features")
+def _stage_grid_search(cfg: PipelineConfig, run_dir: Path, inputs: _Inputs):
+    p_prime = inputs.matrix("select-features", "p_prime")
     out = run_dir / "grid-search"
     out.mkdir(parents=True, exist_ok=True)
 
-    p_prime = ingest_mod.read_matrix(run_dir / "select-features", "p_prime")
     result = nmf_mod.grid_search(
         p_prime.to_dense(),
         range(cfg.nmf.k_min, cfg.nmf.k_max + 1),
@@ -371,23 +392,17 @@ def _stage_grid_search(cfg: PipelineConfig, run_dir: Path):
                "failed_cells": len(result.failures), "fits": len(result.fits),
                "iterations": sum(n_iter for n_iter, _ in result.fits),
                "unconverged_cells": sum(1 for _, converged in result.fits if not converged)}
-    return [p_path], [out / "grid.csv", out / "best.json"], metrics
+    return [out / "grid.csv", out / "best.json"], metrics
 
 
-def _stage_factorize(cfg: PipelineConfig, run_dir: Path):
-    p_path = _require(run_dir, "select-features/p_prime.triplets.csv", "select-features")
-    out = run_dir / "factorize"
-    out.mkdir(parents=True, exist_ok=True)
-
-    p_prime = ingest_mod.read_matrix(run_dir / "select-features", "p_prime")
-    inputs = [p_path]
+def _stage_factorize(cfg: PipelineConfig, run_dir: Path, inputs: _Inputs):
+    p_prime = inputs.matrix("select-features", "p_prime")
     k, alpha_m, l1_ratio = cfg.nmf.k, cfg.nmf.alpha_m, cfg.nmf.l1_ratio
     if cfg.nmf.use_grid_best:
-        best_path = _require(run_dir, "grid-search/best.json", "grid-search")
-        inputs.append(best_path)
-        with open(best_path, "r", encoding="utf-8") as f:
-            best = json.load(f)
+        best = json.loads(inputs.need("grid-search/best.json").read_text(encoding="utf-8"))
         k, alpha_m, l1_ratio = best["k"], best["alpha_m"], best["l1_ratio"]
+    out = run_dir / "factorize"
+    out.mkdir(parents=True, exist_ok=True)
 
     nmf_cfg = nmf_mod.NmfConfig(k=k, alpha_m=alpha_m, l1_ratio=l1_ratio,
                                 tol=cfg.nmf.tol, max_iter=cfg.nmf.max_iter,
@@ -398,15 +413,9 @@ def _stage_factorize(cfg: PipelineConfig, run_dir: Path):
     profile = nmf_mod.top_items_per_element(h_norm, cfg.nmf.top_n, f.col_ids)
 
     element_ids = [f"e{t}" for t in range(k)]
-    write_csv(out / "W.csv", ["customer_id"] + element_ids,
-              ([rid] + [fmt_float(v) for v in f.w[i]]
-               for i, rid in enumerate(f.row_ids)))
-    write_csv(out / "H.csv", ["element_id"] + list(f.col_ids),
-              ([element_ids[t]] + [fmt_float(v) for v in f.h[t]]
-               for t in range(k)))
-    write_csv(out / "H_normalized.csv", ["element_id"] + list(f.col_ids),
-              ([element_ids[t]] + [fmt_float(v) for v in h_norm[t]]
-               for t in range(k)))
+    _write_labelled(out / "W.csv", "customer_id", f.row_ids, element_ids, f.w)
+    _write_labelled(out / "H.csv", "element_id", element_ids, f.col_ids, f.h)
+    _write_labelled(out / "H_normalized.csv", "element_id", element_ids, f.col_ids, h_norm)
     write_csv(out / "scales.csv", ["element_id", "scale"],
               ([element_ids[t], fmt_float(scales[t])] for t in range(k)))
     write_csv(out / "dictionary_profile.csv", ["element", "item", "weight"],
@@ -429,36 +438,20 @@ def _stage_factorize(cfg: PipelineConfig, run_dir: Path):
         "w_zero_fraction": float((f.w == 0).mean()),
         "h_zero_fraction": float((f.h == 0).mean()),
     }
-    return inputs, outputs, metrics
+    return outputs, metrics
 
 
-def _read_w(run_dir: Path) -> tuple[list[str], np.ndarray]:
-    header, rows = read_csv(run_dir / "factorize" / "W.csv")
-    ids = [r[0] for r in rows]
-    w = np.array([[float(v) for v in r[1:]] for r in rows])
-    return ids, w
-
-
-def _read_h(run_dir: Path) -> tuple[list[str], np.ndarray]:
-    header, rows = read_csv(run_dir / "factorize" / "H.csv")
-    col_ids = header[1:]
-    h = np.array([[float(v) for v in r[1:]] for r in rows])
-    return col_ids, h
-
-
-def _stage_cluster(cfg: PipelineConfig, run_dir: Path):
-    w_path = _require(run_dir, "factorize/W.csv", "factorize")
+def _stage_cluster(cfg: PipelineConfig, run_dir: Path, inputs: _Inputs):
+    ids, _, w = _read_labelled(inputs.need("factorize/W.csv"))
     out = run_dir / "cluster"
     out.mkdir(parents=True, exist_ok=True)
 
-    ids, w = _read_w(run_dir)
     points = w
     if cfg.cluster.row_normalize:
         norms = np.linalg.norm(points, axis=1, keepdims=True)
         points = np.where(norms > 0, points / np.where(norms > 0, norms, 1.0), points)
-    params = cluster_mod.DensityParams(
-        min_cluster_size=cfg.cluster.min_cluster_size,
-        min_samples=cfg.cluster.min_samples or cfg.cluster.min_cluster_size)
+    params = cluster_mod.DensityParams(min_cluster_size=cfg.cluster.min_cluster_size,
+                                       min_samples=cfg.cluster.min_samples)
     labeling = cluster_mod.cluster_rows(points, params)
     profiles = cluster_mod.profile_clusters(labeling, w)
 
@@ -477,76 +470,71 @@ def _stage_cluster(cfg: PipelineConfig, run_dir: Path):
         "sizes": {str(k): v for k, v in labeling.sizes.items()},
         "noise": labeling.sizes.get(-1, 0),
     }
-    return [w_path], outputs, metrics
+    return outputs, metrics
 
 
-def _stage_export_graph(cfg: PipelineConfig, run_dir: Path, kinds=("purchase", "affinity")):
-    p_path = _require(run_dir, "select-features/p_prime.triplets.csv", "select-features")
-    w_path = _require(run_dir, "factorize/W.csv", "factorize")
-    labels_path = _require(run_dir, "cluster/labels.csv", "cluster")
+def _stage_export_graph(cfg: PipelineConfig, run_dir: Path, inputs: _Inputs):
+    p_prime = inputs.matrix("select-features", "p_prime")
+    row_ids, _, w = _read_labelled(inputs.need("factorize/W.csv"))
+    _, col_ids, h = _read_labelled(inputs.need("factorize/H.csv"))
+    _, label_rows = read_csv(inputs.need("cluster/labels.csv"))
     out = run_dir / "graph"
     out.mkdir(parents=True, exist_ok=True)
 
-    p_prime = ingest_mod.read_matrix(run_dir / "select-features", "p_prime")
-    row_ids, w = _read_w(run_dir)
-    col_ids, h = _read_h(run_dir)
     f = nmf_mod.Factorization(w=w, h=h, objective_trace=[], converged=True,
                               n_iter=0, row_ids=row_ids, col_ids=col_ids)
-    _, label_rows = read_csv(labels_path)
     label_by_id = {r[0]: int(r[1]) for r in label_rows}
     labels = cluster_mod.ClusterLabeling(
         labels=np.array([label_by_id[r] for r in row_ids]),
         n_clusters=len({v for v in label_by_id.values() if v >= 0}),
         sizes={})
 
-    outputs = []
-    counts = {}
-    if "purchase" in kinds:
-        doc = graph_mod.attach_embeddings(graph_mod.build_purchase_graph(p_prime),
-                                          f, labels)
-        nodes_p, edges_p = graph_mod.export_jsonl(doc, out, "purchase")
-        gml = graph_mod.export_graphml(doc, out / "purchase.graphml")
-        outputs += [nodes_p, edges_p, gml]
-        counts["purchase_nodes"] = len(doc.nodes)
-        counts["purchase_edges"] = len(doc.edges)
-    if "affinity" in kinds:
-        doc = graph_mod.attach_embeddings(
-            graph_mod.build_affinity_graph(f, cfg.graph.affinity_threshold),
-            f, labels)
-        nodes_a, edges_a = graph_mod.export_jsonl(doc, out, "affinity")
-        gml = graph_mod.export_graphml(doc, out / "affinity.graphml")
-        outputs += [nodes_a, edges_a, gml]
-        counts["affinity_nodes"] = len(doc.nodes)
-        counts["affinity_edges"] = len(doc.edges)
-    return [p_path, w_path, labels_path], outputs, counts
+    builders = {
+        "purchase": lambda: graph_mod.build_purchase_graph(p_prime),
+        "affinity": lambda: graph_mod.build_affinity_graph(f, cfg.graph.affinity_threshold),
+    }
+    outputs, metrics = [], {}
+    for kind, build in builders.items():
+        doc = graph_mod.attach_embeddings(build(), f, labels)
+        outputs += [*graph_mod.export_jsonl(doc, out, kind),
+                    graph_mod.export_graphml(doc, out / f"{kind}.graphml")]
+        metrics[f"{kind}_nodes"] = len(doc.nodes)
+        metrics[f"{kind}_edges"] = len(doc.edges)
+    return outputs, metrics
 
 
-_STAGE_FUNCS = {
-    "ingest": _stage_ingest,
-    "rfm": _stage_rfm,
-    "select-features": _stage_select_features,
-    "grid-search": _stage_grid_search,
-    "factorize": _stage_factorize,
-    "cluster": _stage_cluster,
-    "export-graph": _stage_export_graph,
+class Stage(NamedTuple):
+    run: Callable[[PipelineConfig, Path, _Inputs], tuple[list[Path], dict]]
+    help: str
+
+
+# Every stage in run order; the CLI makes one subcommand of each.
+STAGES = {
+    "ingest": Stage(_stage_ingest, "parse, clean, segment, build the incidence matrix"),
+    "rfm": Stage(_stage_rfm, "score customer value and fit the normalizing transform"),
+    "select-features": Stage(_stage_select_features, "LASSO feature selection"),
+    "grid-search": Stage(_stage_grid_search, "NMF hyperparameter search by imputation error"),
+    "factorize": Stage(_stage_factorize, "fit the purchase dictionary and affinities"),
+    "cluster": Stage(_stage_cluster, "density-cluster the affinity rows"),
+    "export-graph": Stage(_stage_export_graph, "export bipartite graphs with embeddings"),
 }
 
 
-def run_stage(name: str, config: PipelineConfig, **kwargs) -> dict:
+def run_stage(name: str, config: PipelineConfig) -> dict:
     """Execute one stage, write its artifacts, and update the manifest."""
-    if name not in _STAGE_FUNCS:
-        raise ValueError(f"unknown stage {name!r}; valid: {STAGE_ORDER}")
+    if name not in STAGES:
+        raise ValueError(f"unknown stage {name!r}; valid: {list(STAGES)}")
     cfg = config.resolved()
     run_dir = Path(cfg.output_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     dump_json(run_dir / "config.json", cfg.to_dict())
 
+    inputs = _Inputs(run_dir)
     started = time.perf_counter()
-    inputs, outputs, metrics = _STAGE_FUNCS[name](cfg, run_dir, **kwargs)
+    outputs, metrics = STAGES[name].run(cfg, run_dir, inputs)
     elapsed = time.perf_counter() - started
 
     def rel(p: Path) -> str:
-        p = Path(p)
         try:
             return str(p.relative_to(run_dir))
         except ValueError:
@@ -554,8 +542,8 @@ def run_stage(name: str, config: PipelineConfig, **kwargs) -> dict:
 
     entry = {
         "name": name,
-        "inputs": {rel(p): file_digest(Path(p)) for p in inputs},
-        "outputs": {rel(p): file_digest(Path(p)) for p in outputs},
+        "inputs": {rel(p): file_digest(p) for p in inputs.paths},
+        "outputs": {rel(p): file_digest(p) for p in outputs},
         "elapsed_seconds": round(elapsed, 6),
         "metrics": metrics,
     }
@@ -566,48 +554,40 @@ def run_stage(name: str, config: PipelineConfig, **kwargs) -> dict:
             manifest = json.load(f)
     manifest["stages"] = [s for s in manifest["stages"] if s["name"] != name]
     manifest["stages"].append(entry)
-    order = {n: i for i, n in enumerate(STAGE_ORDER)}
+    order = {n: i for i, n in enumerate(STAGES)}
     manifest["stages"].sort(key=lambda s: order.get(s["name"], 99))
     dump_json(manifest_path, manifest)
     return entry
 
 
 def run_all(config: PipelineConfig) -> list[dict]:
-    return [run_stage(name, config) for name in STAGE_ORDER]
+    return [run_stage(name, config) for name in STAGES]
+
+
+# plot kind -> (stage artifact, row -> output cells, output header)
+_PLOTS = {
+    "drop-curve": ("select-features/drop_curve.csv", itemgetter(0, 1),
+                   ["n_features", "holdout_mse"]),
+    "feature-importance": ("select-features/ranking.csv",
+                           lambda r: [r[2], fmt_float(abs(float(r[1]))), r[0]],
+                           ["rank", "abs_beta", "stock_code"]),
+    "grid-mse": ("grid-search/grid.csv", itemgetter(0, 1, 2, 3),
+                 ["k", "alpha_m", "l1_ratio", "imputation_mse"]),
+    "dictionary-profile": ("factorize/dictionary_profile.csv", itemgetter(0, 1, 2),
+                           ["element", "item", "weight"]),
+    "cluster-sizes": ("cluster/sizes.csv", itemgetter(0, 1), ["cluster_id", "size"]),
+    "centroid-profile": ("cluster/centroids.csv", itemgetter(0, 1, 3),
+                         ["cluster_id", "element", "normalized"]),
+}
 
 
 def emit_plot_data(run_dir: str | Path, kind: str, out_path: str | Path) -> Path:
     """Re-emit a stage artifact as a plain (x, y[, series]) delimited file."""
-    run_dir = Path(run_dir)
+    if kind not in _PLOTS:
+        raise ValueError(f"unknown plot kind {kind!r}; valid: {list(_PLOTS)}")
+    relpath, cells, header = _PLOTS[kind]
+    _, rows = read_csv(_Inputs(Path(run_dir)).need(relpath))
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-
-    def passthrough(relpath: str, stage: str, columns: list[int], header: list[str]):
-        src = _require(run_dir, relpath, stage)
-        _, rows = read_csv(src)
-        write_csv(out_path, header, ([r[c] for c in columns] for r in rows))
-
-    if kind == "drop-curve":
-        passthrough("select-features/drop_curve.csv", "select-features",
-                    [0, 1], ["n_features", "holdout_mse"])
-    elif kind == "feature-importance":
-        src = _require(run_dir, "select-features/ranking.csv", "select-features")
-        _, rows = read_csv(src)
-        write_csv(out_path, ["rank", "abs_beta", "stock_code"],
-                  ([r[2], fmt_float(abs(float(r[1]))), r[0]] for r in rows))
-    elif kind == "grid-mse":
-        passthrough("grid-search/grid.csv", "grid-search",
-                    [0, 1, 2, 3], ["k", "alpha_m", "l1_ratio", "imputation_mse"])
-    elif kind == "dictionary-profile":
-        passthrough("factorize/dictionary_profile.csv", "factorize",
-                    [0, 1, 2], ["element", "item", "weight"])
-    elif kind == "cluster-sizes":
-        passthrough("cluster/sizes.csv", "cluster", [0, 1], ["cluster_id", "size"])
-    elif kind == "centroid-profile":
-        src = _require(run_dir, "cluster/centroids.csv", "cluster")
-        _, rows = read_csv(src)
-        write_csv(out_path, ["cluster_id", "element", "normalized"],
-                  ([r[0], r[1], r[3]] for r in rows))
-    else:
-        raise ValueError(f"unknown plot kind {kind!r}; valid: {PLOT_KINDS}")
+    write_csv(out_path, header, (cells(r) for r in rows))
     return out_path

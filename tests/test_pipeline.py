@@ -1,5 +1,10 @@
 import json
+import os
+import shutil
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,6 +58,79 @@ class TestStageOrdering:
         cfg = fixture_config(fixture_csv, fixture_config_path, tmp_path / "r")
         with pytest.raises(ValueError, match="unknown stage"):
             run_stage("shuffle", cfg)
+
+
+# Runs the CLI with an audit hook that records, per stage, every file the
+# stage function opens under the run directory or at the input. Digests are
+# taken after the function returns, so every open recorded is a read.
+AUDIT_OPENS = """
+import json, os, sys
+from pathlib import Path
+from shoplens import cli, pipeline
+
+run_dir, source = Path(sys.argv[1]).resolve(), Path(sys.argv[2]).resolve()
+current, opened = [None], {}
+
+def hook(event, args):
+    if event == "open" and current[0]:
+        path = Path(os.fsdecode(args[0])).resolve()
+        if path == source or run_dir in path.parents:
+            opened[current[0]].add((str(path), args[1]))
+
+def traced(name, run):
+    def stage(*args):
+        current[0], opened[name] = name, set()
+        try:
+            return run(*args)
+        finally:
+            current[0] = None
+    return stage
+
+for name, stage in pipeline.STAGES.items():
+    pipeline.STAGES[name] = stage._replace(run=traced(name, stage.run))
+sys.addaudithook(hook)
+rc = cli.main(sys.argv[3:])
+print(json.dumps([rc, {name: sorted(path for path, mode in paths if mode == "r")
+                       for name, paths in opened.items()}]))
+"""
+
+
+class TestStageInputs:
+    def test_manifest_inputs_are_the_files_each_stage_opens(
+            self, fixture_csv, fixture_config_path, tmp_path):
+        import shoplens
+        run_dir = tmp_path / "run"
+        env = dict(os.environ)
+        src = str(Path(shoplens.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", AUDIT_OPENS, str(run_dir), str(fixture_csv),
+             "--config", str(fixture_config_path), "run-all",
+             "--input", str(fixture_csv), "--out", str(run_dir)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        rc, opened = json.loads(proc.stdout.splitlines()[-1])
+        assert rc == 0
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        declared = {s["name"]: sorted(str((run_dir / rel).resolve()) for rel in s["inputs"])
+                    for s in manifest["stages"]}
+        assert list(opened) == list(declared)
+        for name, paths in declared.items():
+            assert opened[name] == paths, name
+
+    @pytest.mark.parametrize("stage, deleted, named", [
+        ("export-graph", "factorize/H.csv", "factorize"),
+        ("grid-search", "select-features/p_prime.rows.txt", "select-features"),
+    ])
+    def test_missing_sidecar_names_its_stage(self, full_run, fixture_config_path,
+                                             tmp_path, capsys, stage, deleted, named):
+        _, out, _ = full_run
+        run_dir = tmp_path / "run"
+        shutil.copytree(out, run_dir)
+        (run_dir / deleted).unlink()
+        rc = cli_main(["--config", str(fixture_config_path), stage, "--out", str(run_dir)])
+        assert rc == 2
+        assert f"run the '{named}' stage first" in capsys.readouterr().err
 
 
 class TestFullRun:
@@ -183,7 +261,8 @@ class TestPlotData:
     def test_unknown_kind_lists_valid_ids(self, full_run, tmp_path):
         _, out, _ = full_run
         with pytest.raises(ValueError, match="drop-curve"):
-            emit_plot_data(out, "spiral", tmp_path / "x.csv")
+            emit_plot_data(out, "spiral", tmp_path / "plots" / "x.csv")
+        assert not (tmp_path / "plots").exists()
 
 
 class TestCli:
@@ -334,6 +413,50 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: unknown ") and named in err
         assert not (tmp_path / "run").exists()
+
+    def test_config_without_paths_takes_the_cli_defaults(
+            self, fixture_csv, fixture_config_path, tmp_path):
+        # A config with no input_path/output_dir used to raise KeyError even
+        # when --input/--out were given.
+        data = json.loads(fixture_config_path.read_text())
+        del data["input_path"], data["output_dir"]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data))
+        cfg = PipelineConfig.load(config)
+        assert (cfg.input_path, cfg.output_dir) == ("", "run")
+        rc = cli_main(["--config", str(config), "ingest", "--input", str(fixture_csv),
+                       "--out", str(tmp_path / "run")])
+        assert rc == 0
+        assert (tmp_path / "run" / "ingest" / "matrix.triplets.csv").exists()
+
+    @pytest.mark.parametrize("data, message", [
+        ({"lasso": 3}, "config section 'lasso' must be an object, got int"),
+        ([1], "config must be a JSON object, got list"),
+    ], ids=["section", "top-level"])
+    def test_config_that_is_not_an_object_is_a_clean_error(
+            self, fixture_csv, tmp_path, capsys, data, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data))
+        rc = cli_main(["--config", str(config), "ingest", "--input", str(fixture_csv),
+                       "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("given", ["none", "directory"])
+    def test_ingest_input_that_is_not_a_file_is_a_clean_error(self, tmp_path, capsys,
+                                                              monkeypatch, given):
+        # No --input reads the current directory ("" -> "."); both used to
+        # die with an IsADirectoryError traceback.
+        monkeypatch.chdir(tmp_path)
+        argv = ["ingest", "--out", "run"] + (["--input", str(tmp_path)]
+                                             if given == "directory" else [])
+        rc = cli_main(argv)
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: input file not found: ")
+
+    def test_export_graph_takes_no_kind(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["export-graph", "--out", "run", "--kind", "purchase"])
 
     def test_rfm_weight_flags(self, fixture_csv, fixture_config_path, tmp_path):
         out = tmp_path / "run"

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import shoplens
-from shoplens.pipeline import STAGE_ORDER
+from shoplens.pipeline import STAGES
 
 SRC = str(Path(shoplens.__file__).resolve().parent.parent)
 
@@ -62,7 +62,7 @@ def test_run_all_runs_without_scipy(fixture_csv, fixture_config_path, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
-    assert [s["name"] for s in manifest["stages"]] == STAGE_ORDER
+    assert [s["name"] for s in manifest["stages"]] == list(STAGES)
 
 
 def test_importing_main_module_runs_nothing():

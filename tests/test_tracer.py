@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 import shoplens
+from shoplens.pipeline import STAGES
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "perfbench"
@@ -46,3 +47,7 @@ def test_tracer_wraps_and_restores_the_names_the_benchmark_checks(tmp_path):
     patched = set(doc["patched"])
     assert runner.MUST_PATCH <= patched
     assert not runner.MUST_NOT_PATCH & patched
+
+
+def test_benchmark_runs_the_stages_in_table_order():
+    assert load_bench_runner().STAGES == list(STAGES)
