@@ -76,24 +76,31 @@ def write_csv(path: Path, header: list[str], rows) -> None:
             f.write(line(row))
 
 
-def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    header = lines[0].split(",") if lines else []
-    return header, [line.split(",") for line in lines[1:]]
-
-
-def read_csv_columns(path: Path) -> tuple[list[str], list[list[str]]]:
-    """``read_csv`` by column: the header and one list of cells per column,
-    without a list per row. Every row must have as many cells as the header."""
+def _read_rows(path: Path) -> tuple[list[str], list[str]]:
+    """The header cells and the body lines of a ``write_csv`` file. Every
+    row must have as many cells as the header; a row that does not is a
+    ValueError naming the file."""
     with open(path, "r", encoding="utf-8") as f:
         lines = f.read().splitlines()
     if not lines:
         return [], []
     header, body = lines[0].split(","), lines[1:]
+    if any(line.count(",") != len(header) - 1 for line in body):
+        raise ValueError(f"{path}: a row does not have {len(header)} cells")
+    return header, body
+
+
+def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
+    """The header and the rows of a ``write_csv`` file (see ``_read_rows``)."""
+    header, body = _read_rows(path)
+    return header, [line.split(",") for line in body]
+
+
+def read_csv_columns(path: Path) -> tuple[list[str], list[list[str]]]:
+    """``read_csv`` by column: the header and one list of cells per column,
+    without a list per row."""
+    header, body = _read_rows(path)
     width = len(header)
-    if any(line.count(",") != width - 1 for line in body):
-        raise ValueError(f"{path}: a row does not have {width} cells")
     cells = ",".join(body).split(",") if body else []
     return header, [cells[k::width] for k in range(width)]
 

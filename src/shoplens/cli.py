@@ -112,11 +112,12 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "query-similar":
-            cfg = _base_config(args)
-            run_dir = Path(cfg.output_dir)
-            doc = graph_mod.import_jsonl(
-                run_dir / "graph" / f"{args.graph}_nodes.jsonl",
-                run_dir / "graph" / f"{args.graph}_edges.jsonl")
+            graph_dir = Path(_base_config(args).output_dir) / "graph"
+            paths = [graph_dir / f"{args.graph}_{part}.jsonl" for part in ("nodes", "edges")]
+            for path in paths:
+                if not path.is_file():
+                    raise MissingStageError("export-graph", path)
+            doc = graph_mod.import_jsonl(*paths)
             for node_id, score in graph_mod.similar_nodes(doc, args.node, args.top):
                 print(f"{node_id}\t{score:.6f}")
             return 0

@@ -194,9 +194,9 @@ def extract_clusters(mst: list[tuple[int, int, float]],
     accumulated (departure lambda - birth lambda) mass; a parent beats its
     children when its stability is at least the children's combined, and
     the tree root competes like any other cluster. Points whose departure
-    chain never meets a selected cluster are noise.
+    chain never meets a selected cluster are noise. ``params`` must be valid
+    (``cluster_rows`` checks them).
     """
-    params.validate()
     n = len(mst) + 1
     if n < 2:
         raise ValueError("need at least 2 points (one spanning-tree edge)")
@@ -213,18 +213,19 @@ def extract_clusters(mst: list[tuple[int, int, float]],
 
     root_cid = n
     next_cid = n + 1
-    records: list[tuple[int, int, float, int]] = []  # (parent cid, point, lambda, 1)
+    records: list[tuple[int, float]] = []  # (cid, lambda) of each departing point
     birth = {root_cid: 0.0}
     cluster_kids: dict[int, list[int]] = {root_cid: []}
     cluster_parent: dict[int, int] = {}
-    point_departure: dict[int, tuple[int, float]] = {}
-    split_records: list[tuple[int, int, float, int]] = []  # (parent, child cid, lambda, size)
+    point_departure: dict[int, int] = {}  # point -> the cid it leaves
+    split_records: list[tuple[int, float, int]] = []  # (parent cid, lambda, child size)
 
     stack = [(root, root_cid)]
     while stack:
         node, cid = stack.pop()
         if node < n:
-            # a bare point can only carry a cluster id if mcs were 1; guarded above
+            # a bare point can only carry a cluster id if mcs were 1, which
+            # DensityParams.validate rules out
             raise AssertionError("leaf reached with a cluster identity")
         lam = math.inf if weight[node] == 0.0 else 1.0 / weight[node]
         kids = children[node]
@@ -238,7 +239,7 @@ def extract_clusters(mst: list[tuple[int, int, float]],
                 cluster_kids[new_cid] = []
                 cluster_kids[cid].append(new_cid)
                 cluster_parent[new_cid] = cid
-                split_records.append((cid, new_cid, lam, size[c]))
+                split_records.append((cid, lam, size[c]))
                 stack.append((c, new_cid))
             spill = small
         elif len(big) == 1:
@@ -248,11 +249,14 @@ def extract_clusters(mst: list[tuple[int, int, float]],
             spill = kids
         for c in spill:
             for p in _leaves_under(c, children, n):
-                records.append((cid, p, lam, 1))
-                point_departure[p] = (cid, lam)
+                records.append((cid, lam))
+                point_departure[p] = cid
 
+    # Points first, then splits: the order of the additions is part of the result.
     stability = {cid: 0.0 for cid in birth}
-    for parent_cid, _, lam, sz in records + split_records:
+    for parent_cid, lam in records:
+        stability[parent_cid] += lam - birth[parent_cid]
+    for parent_cid, lam, sz in split_records:
         stability[parent_cid] += sz * (lam - birth[parent_cid])
 
     selected = {cid: True for cid in birth}
@@ -276,7 +280,7 @@ def extract_clusters(mst: list[tuple[int, int, float]],
 
     raw_labels = np.full(n, -1, dtype=int)
     for p in range(n):
-        cid, _ = point_departure[p]
+        cid = point_departure[p]
         while cid is not None and not selected.get(cid, False):
             cid = cluster_parent.get(cid)
         if cid is not None:

@@ -4,8 +4,7 @@ and construction of the customer x item spend incidence matrix.
 Lines and transactions travel as column tables (``InvoiceLines``,
 ``Transactions``): one array per field, with ids and dates stored as codes
 into sorted vocabularies, so cleaning, segmentation and the matrix are
-array operations. Indexing or iterating a table yields the
-``InvoiceLine``/``CleanedTransaction`` records.
+array operations.
 
 The spend matrix is CSR (``PurchaseMatrix``: sorted ids and the arrays
 ``indptr``, ``indices``, ``data``), whose arrays only this module reads.
@@ -47,29 +46,6 @@ DEFAULT_DATE_FORMATS = (
     "%Y-%m-%d %H:%M",
     "%Y-%m-%d",
 )
-
-
-@dataclass(frozen=True)
-class InvoiceLine:
-    invoice_id: str
-    stock_code: str
-    description: str
-    quantity: int
-    invoice_date: datetime
-    unit_price: float
-    customer_id: str | None
-    country: str
-
-
-@dataclass(frozen=True)
-class CleanedTransaction:
-    customer_id: str
-    stock_code: str
-    invoice_id: str
-    invoice_date: datetime
-    spend: float
-    # Unit count is kept so wholesale detection can run on cleaned data.
-    quantity: int = 1
 
 
 class Segment(str, Enum):
@@ -135,10 +111,6 @@ class Coded:
     def __len__(self) -> int:
         return len(self.codes)
 
-    def __getitem__(self, i: int):
-        code = self.codes[i]
-        return None if code < 0 else self.values[code]
-
     def take(self, rows) -> "Coded":
         return Coded(self.codes[rows], self.values)
 
@@ -154,12 +126,8 @@ class Coded:
 
 
 class _Table:
-    """Records stored column by column, one column per record field and in
-    the record's field order: a ``Coded`` column for each repeated value and
-    a numpy array of ``dtypes[name]`` for each number."""
-
-    row_type: type
-    dtypes: dict
+    """Rows stored column by column, one column per field: a ``Coded``
+    column for each repeated value and a numpy array for each number."""
 
     def _columns(self) -> list:
         return [getattr(self, f.name) for f in fields(self)]
@@ -167,30 +135,15 @@ class _Table:
     def __len__(self) -> int:
         return len(getattr(self, fields(self)[0].name))
 
-    def __getitem__(self, i: int):
-        return self.row_type(*(c[i] if isinstance(c, Coded) else c[i].item()
-                               for c in self._columns()))
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
     def take(self, rows):
         """The given rows (an index array or a boolean mask), in that order."""
         return type(self)(*(c.take(rows) if isinstance(c, Coded) else c[rows]
                             for c in self._columns()))
 
-    @classmethod
-    def from_records(cls, records):
-        records = list(records)
-        return cls(*(
-            np.array([getattr(r, f.name) for r in records], dtype=cls.dtypes[f.name])
-            if f.name in cls.dtypes else Coded.encode(getattr(r, f.name) for r in records)
-            for f in fields(cls)))
-
 
 @dataclass(frozen=True, eq=False)
 class InvoiceLines(_Table):
-    """Parsed invoice lines; ``lines[i]`` is the i-th accepted row."""
+    """Parsed invoice lines, one row per accepted data row."""
     invoice_id: Coded
     stock_code: Coded
     description: Coded
@@ -200,22 +153,17 @@ class InvoiceLines(_Table):
     customer_id: Coded  # code -1: an anonymous line
     country: Coded
 
-    row_type = InvoiceLine
-    dtypes = {"quantity": np.int64, "unit_price": np.float64}
-
 
 @dataclass(frozen=True, eq=False)
 class Transactions(_Table):
-    """Cleaned transactions; ``txns[i]`` is the i-th as a record."""
+    """Cleaned transactions; spend is quantity x unit price, and the unit
+    count is kept so wholesale detection can run on cleaned data."""
     customer_id: Coded
     stock_code: Coded
     invoice_id: Coded
     invoice_date: Coded
     spend: np.ndarray
     quantity: np.ndarray
-
-    row_type = CleanedTransaction
-    dtypes = {"spend": np.float64, "quantity": np.int64}
 
     def for_customers(self, customer_ids) -> "Transactions":
         """The transactions of the given customers, in table order."""
@@ -294,8 +242,29 @@ class PurchaseMatrix:
                 and list(self.triplets()) == list(other.triplets()))
 
 
-def _parse_date(raw: str, formats: tuple[str, ...]) -> datetime | None:
-    for fmt in formats:
+# Stamps of the first format, %m/%d/%Y %H:%M, are read by a pattern instead
+# of strptime (see _parse_stamp).
+_FAST_STAMP = re.compile(r"(\d\d?)/(\d\d?)/(\d{4}) (\d\d?):(\d\d)", re.ASCII)
+
+
+def _parse_stamp(raw: str) -> datetime | None:
+    """The stamp read with the first of ``DEFAULT_DATE_FORMATS`` that fits,
+    or None.
+
+    A stamp the pattern matches and ``datetime`` accepts is one that
+    strptime reads to the same value with the first format: its %m, %d and
+    %H take one or two digits, %Y four and %M two. Anything else (a 30 Feb,
+    hour 24, a space-padded day, repeated spaces, non-ASCII digits, a
+    one-digit minute or another format) goes through strptime.
+    """
+    match = _FAST_STAMP.fullmatch(raw)
+    if match:
+        month, day, year, hour, minute = map(int, match.groups())
+        try:
+            return datetime(year, month, day, hour, minute)
+        except ValueError:
+            pass
+    for fmt in DEFAULT_DATE_FORMATS:
         try:
             return datetime.strptime(raw, fmt)
         except ValueError:
@@ -303,38 +272,10 @@ def _parse_date(raw: str, formats: tuple[str, ...]) -> datetime | None:
     return None
 
 
-# While it is the first format, stamps of this format are read by a pattern
-# instead of strptime (see _parse_stamp).
-_FAST_FORMAT = "%m/%d/%Y %H:%M"
-_FAST_STAMP = re.compile(r"(\d\d?)/(\d\d?)/(\d{4}) (\d\d?):(\d\d)", re.ASCII)
-
-
-def _parse_stamp(raw: str, formats: tuple[str, ...]) -> datetime | None:
-    """``_parse_date`` with a shortcut while ``%m/%d/%Y %H:%M`` is the first
-    format.
-
-    A stamp the pattern matches and ``datetime`` accepts is one that
-    strptime reads to the same value with that format: its %m, %d and %H
-    take one or two digits, %Y four and %M two. Anything else (a 30 Feb,
-    hour 24, a space-padded day, repeated spaces, non-ASCII digits, a
-    one-digit minute or another format) goes through ``_parse_date``.
-    """
-    if formats[:1] == (_FAST_FORMAT,):
-        match = _FAST_STAMP.fullmatch(raw)
-        if match:
-            month, day, year, hour, minute = map(int, match.groups())
-            try:
-                return datetime(year, month, day, hour, minute)
-            except ValueError:
-                pass
-    return _parse_date(raw, formats)
-
-
 def parse_invoice_csv(
     path: str | Path,
     schema: dict[str, str] | None = None,
     encoding: str = "utf-8",
-    date_formats: tuple[str, ...] = DEFAULT_DATE_FORMATS,
 ) -> tuple[InvoiceLines, list[RejectedRow]]:
     """Parse an invoice-line CSV into a line table plus a reject report.
 
@@ -356,14 +297,14 @@ def parse_invoice_csv(
         with open(path, "r", encoding=encoding, newline="") as f:
             reader = csv.reader(f)
             header = next(reader, None)
-            if header is None:
-                return InvoiceLines.from_records([]), []
+            if header is None:  # an empty file: no columns to check, no rows
+                header = list(schema.values())
             header = [name.lstrip("\ufeff") for name in header]
             missing = [col for col in schema.values() if col not in header]
             if missing:
                 raise ValueError(
                     f"{path}: missing mandatory columns {missing}; found {header}")
-            return _parse_rows(reader, header, schema, date_formats)
+            return _parse_rows(reader, header, schema)
     except UnicodeDecodeError as exc:
         raise ValueError(
             f"{path}: cannot decode as {encoding} near byte {exc.start}; "
@@ -375,7 +316,6 @@ _QUANTITY_RANGE = range(-2 ** 31, 2 ** 31)
 
 
 def _parse_rows(reader, header: list[str], schema: dict[str, str],
-                date_formats: tuple[str, ...],
                 ) -> tuple[InvoiceLines, list[RejectedRow]]:
     """Type the data rows of an invoice CSV as they are read.
 
@@ -455,7 +395,7 @@ def _parse_rows(reader, header: list[str], schema: dict[str, str],
         raw_date = row[i_date].strip()
         date_code = stamps.get(raw_date)
         if date_code is None:  # many lines share one invoice stamp
-            moment = _parse_stamp(raw_date, date_formats)
+            moment = _parse_stamp(raw_date)
             date_code = stamps[raw_date] = (
                 -1 if moment is None else moments.setdefault(moment, len(moments)))
         if date_code < 0:
@@ -508,7 +448,7 @@ def clean_transactions(lines: InvoiceLines,
     quantities or prices; never raises. Spend is quantity x unit price.
     """
     # "not (q <= 0 or p <= 0)" rather than "q > 0 and p > 0": a NaN price
-    # (possible in a table built from records) is kept, as it always was.
+    # (possible in a table built by hand) is kept, as it always was.
     keep = (lines.customer_id.codes >= 0) & ~((lines.quantity <= 0) | (lines.unit_price <= 0))
     prefix = rules.cancellation_prefix
     if prefix:

@@ -9,7 +9,7 @@ meaningful under this convention and with standardized predictor columns
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -18,13 +18,25 @@ from .ingest import PurchaseMatrix
 
 @dataclass
 class DesignMatrix:
-    x: np.ndarray          # n x p, standardized, Fortran order
+    x: np.ndarray          # n x p, standardized; Fortran order, C order once taken
     y: np.ndarray          # n responses
     row_ids: list[str]
     col_ids: list[str]
     column_means: np.ndarray
     column_scales: np.ndarray
     dropped_cols: list[str]  # constant columns excluded from x
+
+    def take(self, rows) -> "DesignMatrix":
+        """The design of the given rows, in that order.
+
+        ``x`` is numpy's fancy index of this design's ``x``, which comes out
+        in C order, and is deliberately not converted: the layout sets the
+        summation order of products such as ``x.T @ v``, and with it every
+        bit of alpha_max, the alpha grid and the fits.
+        """
+        rows = np.asarray(rows)
+        return replace(self, x=self.x[rows], y=self.y[rows],
+                       row_ids=[self.row_ids[i] for i in rows.tolist()])
 
 
 @dataclass(frozen=True)
@@ -135,24 +147,15 @@ def _soft_threshold(z: float, a: float) -> float:
     return 0.0
 
 
-def lasso_objective(x: np.ndarray, y: np.ndarray, intercept: float,
-                    beta: np.ndarray, alpha: float) -> float:
-    n = x.shape[0]
-    r = y - intercept - x @ beta
-    return float(r @ r / (2 * n) + alpha * np.abs(beta).sum())
-
-
 def fit_lasso(design: DesignMatrix, alpha: float,
               cfg: SolverConfig = SolverConfig(),
-              rows: np.ndarray | None = None,
               warm_start: np.ndarray | None = None) -> LassoModel:
     """Cyclic coordinate descent with exact soft-threshold updates.
 
     Sweeps alternate between the full coordinate set and the current active
     set; convergence is a full sweep whose largest coefficient change falls
     below cfg.tol. Hitting max_iter is reported via ``converged``, not
-    raised. ``rows`` restricts the fit to a row subset (used by
-    cross-validation); ``warm_start`` seeds the coefficients.
+    raised. ``warm_start`` seeds the coefficients.
 
     A full sweep screens each run of zero coefficients with one blocked
     gradient x[:, lo:hi]'r / n: a zero coordinate stays zero, and leaves the
@@ -167,8 +170,6 @@ def fit_lasso(design: DesignMatrix, alpha: float,
         raise ValueError(f"alpha must be positive, got {alpha}")
     alpha = float(alpha)  # Python floats: cheaper scalar arithmetic, same IEEE results
     x, y = design.x, design.y
-    if rows is not None:
-        x, y = x[np.asarray(rows)], y[np.asarray(rows)]
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("non-finite values in design")
     x = np.asfortranarray(x)
@@ -271,16 +272,13 @@ def fit_lasso(design: DesignMatrix, alpha: float,
     )
 
 
-def kkt_violations(design: DesignMatrix, model: LassoModel,
-                   rows: np.ndarray | None = None) -> tuple[float, float]:
+def kkt_violations(design: DesignMatrix, model: LassoModel) -> tuple[float, float]:
     """Largest stationarity violations, (nonzero coords, zero coords).
 
     At an exact optimum the gradient x_j'r/n equals alpha*sign(beta_j) on
     the support and lies within [-alpha, alpha] off it.
     """
     x, y = design.x, design.y
-    if rows is not None:
-        x, y = x[np.asarray(rows)], y[np.asarray(rows)]
     n = x.shape[0]
     r = y - model.intercept - x @ model.beta
     g = x.T @ r / n
@@ -290,8 +288,7 @@ def kkt_violations(design: DesignMatrix, model: LassoModel,
     return viol_nz, viol_z
 
 
-def duality_gap(design: DesignMatrix, model: LassoModel,
-                rows: np.ndarray | None = None) -> float:
+def duality_gap(design: DesignMatrix, model: LassoModel) -> float:
     """Primal objective minus the dual objective at a rescaled residual.
 
     With z = y - b0 and r = z - X.b, the dual point s.r with
@@ -301,8 +298,6 @@ def duality_gap(design: DesignMatrix, model: LassoModel,
     it is zero exactly at an optimum.
     """
     x, y = design.x, design.y
-    if rows is not None:
-        x, y = x[np.asarray(rows)], y[np.asarray(rows)]
     n = x.shape[0]
     z = y - model.intercept
     r = z - x @ model.beta
@@ -314,42 +309,38 @@ def duality_gap(design: DesignMatrix, model: LassoModel,
     return float(primal - dual)
 
 
-def max_alpha(design: DesignMatrix, rows: np.ndarray | None = None) -> float:
+def max_alpha(design: DesignMatrix) -> float:
     """Smallest alpha at which the fitted coefficient vector is all zero."""
     x, y = design.x, design.y
-    if rows is not None:
-        x, y = x[np.asarray(rows)], y[np.asarray(rows)]
     yc = y - y.mean()
     return float(np.abs(x.T @ yc).max() / x.shape[0])
 
 
 def default_alpha_grid(design: DesignMatrix, num: int = 100,
-                       lo_ratio: float = 1e-4,
-                       rows: np.ndarray | None = None) -> np.ndarray:
-    """Log-spaced grid spanning [lo_ratio, 1] x max_alpha over ``rows``."""
-    hi = max_alpha(design, rows=rows)
+                       lo_ratio: float = 1e-4) -> np.ndarray:
+    """Log-spaced grid spanning [lo_ratio, 1] x max_alpha."""
+    hi = max_alpha(design)
     return hi * np.logspace(np.log10(lo_ratio), 0.0, num)
 
 
 def cross_validate_alpha(design: DesignMatrix, grid, k: int, seed: int,
                          cfg: SolverConfig = SolverConfig(),
-                         rows: np.ndarray | None = None,
-                         fit_stats: list | None = None,
-                         ) -> tuple[float, list[tuple[float, float]]]:
+                         ) -> tuple[float, list[tuple[float, float]],
+                                    list[tuple[int, bool]]]:
     """Pick alpha by k-fold cross-validation MSE.
 
-    Fold assignment is a seeded permutation, so identical seeds give
-    identical folds. Ties on mean MSE break toward the larger alpha
-    (the sparser model). ``rows`` restricts the whole procedure to a row
-    subset (e.g. keeping a holdout untouched). A ``fit_stats`` list receives
-    the (n_iter, converged) of every fit, fold by fold.
+    Fold assignment is a seeded permutation of the row positions, so
+    identical seeds give identical folds. Ties on mean MSE break toward the
+    larger alpha (the sparser model). Returns the chosen alpha, the
+    (alpha, mean MSE) curve, and the (n_iter, converged) of every fit, fold
+    by fold.
     """
     grid = np.asarray(sorted(set(float(a) for a in grid)))
     if grid.size == 0:
         raise ValueError("empty alpha grid")
     if k < 2:
         raise ValueError(f"need at least 2 folds, got {k}")
-    pool = np.arange(len(design.y)) if rows is None else np.asarray(rows)
+    pool = np.arange(len(design.y))
     rng = np.random.default_rng(seed)
     folds = np.array_split(rng.permutation(pool), k)
     for f in folds:
@@ -357,21 +348,24 @@ def cross_validate_alpha(design: DesignMatrix, grid, k: int, seed: int,
             raise ValueError(f"fold with {len(f)} rows; need at least 2 per fold")
 
     fold_mse = np.zeros((k, grid.size))
+    fits: list[tuple[int, bool]] = []
     for fi, test_idx in enumerate(folds):
-        train_idx = np.setdiff1d(pool, test_idx)
+        train = design.take(np.setdiff1d(pool, test_idx))
+        # fit_lasso solves on a Fortran copy of x; made once per fold instead
+        # of once per fit, it is the same copy, and the taken rows are freed.
+        train.x = np.asfortranarray(train.x)
+        test = design.take(test_idx)
         warm = None
         for gi in range(grid.size - 1, -1, -1):  # descending alpha, warm-started
-            model = fit_lasso(design, grid[gi], cfg, rows=train_idx, warm_start=warm)
+            model = fit_lasso(train, grid[gi], cfg, warm_start=warm)
             warm = model.beta
-            if fit_stats is not None:
-                fit_stats.append((model.n_iter, model.converged))
-            pred = model.predict(design.x[test_idx])
-            fold_mse[fi, gi] = np.mean((design.y[test_idx] - pred) ** 2)
+            fits.append((model.n_iter, model.converged))
+            fold_mse[fi, gi] = np.mean((test.y - model.predict(test.x)) ** 2)
 
     mean_mse = fold_mse.mean(axis=0)
     best_positions = np.flatnonzero(mean_mse == mean_mse.min())
     alpha_best = float(grid[best_positions[-1]])
-    return alpha_best, [(float(a), float(m)) for a, m in zip(grid, mean_mse)]
+    return alpha_best, [(float(a), float(m)) for a, m in zip(grid, mean_mse)], fits
 
 
 def ols_refit(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray, bool]:
@@ -468,12 +462,10 @@ def normal_cdf(z: float) -> float:
     return 1.0 - y if x > 0 else y
 
 
-def residual_diagnostics(actual, predicted,
-                         standardize_residuals: bool = True) -> DiagnosticsReport:
+def residual_diagnostics(actual, predicted) -> DiagnosticsReport:
     """Predicted-vs-actual pairs plus probability-probability coordinates.
 
-    P-P points pair the normal CDF of the sorted (optionally standardized)
-    residuals with Hazen plotting positions (i - 0.5) / n. Constant
+    P-P points pair the normal CDF of the sorted standardized residuals with Hazen plotting positions (i - 0.5) / n. Constant
     residuals make standardization impossible; the report is flagged
     degenerate and carries no P-P points.
     """
@@ -483,10 +475,9 @@ def residual_diagnostics(actual, predicted,
         raise ValueError("empty holdout")
     resid = actual - predicted
     std = resid.std()
-    if standardize_residuals and std == 0:
+    if std == 0:
         return DiagnosticsReport(actual, predicted, np.array([]), np.array([]), True)
-    z = (resid - resid.mean()) / std if standardize_residuals else resid
-    z = np.sort(z)
+    z = np.sort((resid - resid.mean()) / std)
     n = z.size
     empirical = (np.arange(1, n + 1) - 0.5) / n
     theoretical = np.array([normal_cdf(v) for v in z.tolist()])

@@ -117,14 +117,6 @@ def _objective(data: np.ndarray, w: np.ndarray, h: np.ndarray,
     return resid, float(0.5 * (resid ** 2).sum() + reg)
 
 
-def objective_value(p_prime, f: Factorization, cfg: NmfConfig,
-                    mask: HoldoutMask | None = None) -> float:
-    """Full regularized objective; with a mask, held-out residuals weigh 0."""
-    dense = np.asarray(p_prime, dtype=float)
-    return _objective(dense, f.w, f.h, _weight_matrix(dense.shape, mask),
-                      cfg.alpha_m * cfg.l1_ratio, cfg.alpha_m * (1.0 - cfg.l1_ratio))[1]
-
-
 def _init_factors(p: np.ndarray, cfg: NmfConfig) -> tuple[np.ndarray, np.ndarray]:
     n, m = p.shape
     if cfg.init == "random_uniform":

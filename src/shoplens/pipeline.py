@@ -290,18 +290,16 @@ def _stage_select_features(cfg: PipelineConfig, run_dir: Path, inputs: _Inputs):
     if holdout_size >= n:
         raise ValueError("holdout fraction leaves no training rows")
     holdout = np.sort(rng.choice(n, size=holdout_size, replace=False))
-    train = np.setdiff1d(np.arange(n), holdout)
+    training = design.take(np.setdiff1d(np.arange(n), holdout))
 
     if cfg.lasso.alpha_grid is not None:
         grid = np.asarray(cfg.lasso.alpha_grid, dtype=float)
     else:
-        grid = lasso_mod.default_alpha_grid(design, cfg.lasso.grid_size,
-                                            cfg.lasso.grid_lo_ratio, rows=train)
-    cv_fits: list[tuple[int, bool]] = []
-    alpha_best, cv_curve = lasso_mod.cross_validate_alpha(
-        design, grid, cfg.lasso.folds, cfg.lasso.seed, solver, rows=train,
-        fit_stats=cv_fits)
-    model = lasso_mod.fit_lasso(design, alpha_best, solver, rows=train)
+        grid = lasso_mod.default_alpha_grid(training, cfg.lasso.grid_size,
+                                            cfg.lasso.grid_lo_ratio)
+    alpha_best, cv_curve, cv_fits = lasso_mod.cross_validate_alpha(
+        training, grid, cfg.lasso.folds, cfg.lasso.seed, solver)
+    model = lasso_mod.fit_lasso(training, alpha_best, solver)
     curve = lasso_mod.drop_experiment(design, model, holdout)
     ranking = lasso_mod.select_features(curve, lasso_mod.SelectionRule(cfg.lasso.slack))
     if ranking.selected_count == 0:
@@ -311,13 +309,13 @@ def _stage_select_features(cfg: PipelineConfig, run_dir: Path, inputs: _Inputs):
     selected_codes = [code for code, _ in ranking.ranked]
     col_pos = {c: j for j, c in enumerate(design.col_ids)}
     sel_idx = [col_pos[c] for c in selected_codes]
-    intercept, coefs, _ = lasso_mod.ols_refit(design.x[train][:, sel_idx],
-                                               design.y[train])
-    predicted = intercept + design.x[holdout][:, sel_idx] @ coefs
-    report = lasso_mod.residual_diagnostics(design.y[holdout], predicted)
-    train_pred = intercept + design.x[train][:, sel_idx] @ coefs
-    ss_res = float(((design.y[train] - train_pred) ** 2).sum())
-    ss_tot = float(((design.y[train] - design.y[train].mean()) ** 2).sum())
+    intercept, coefs, _ = lasso_mod.ols_refit(training.x[:, sel_idx], training.y)
+    held = design.take(holdout)
+    predicted = intercept + held.x[:, sel_idx] @ coefs
+    report = lasso_mod.residual_diagnostics(held.y, predicted)
+    train_pred = intercept + training.x[:, sel_idx] @ coefs
+    ss_res = float(((training.y - train_pred) ** 2).sum())
+    ss_tot = float(((training.y - training.y.mean()) ** 2).sum())
     r2_train = 1.0 - ss_res / ss_tot if ss_tot > 0 else float("nan")
 
     p_prime = matrix.restrict_columns(selected_codes)
@@ -336,9 +334,9 @@ def _stage_select_features(cfg: PipelineConfig, run_dir: Path, inputs: _Inputs):
         "n_iter": model.n_iter,
         "max_coord_delta": model.max_coord_delta,
         "converged": model.converged,
-        "duality_gap": lasso_mod.duality_gap(design, model, rows=train),
+        "duality_gap": lasso_mod.duality_gap(training, model),
         "dropped_constant_columns": design.dropped_cols,
-        "holdout_rows": [design.row_ids[i] for i in holdout],
+        "holdout_rows": held.row_ids,
     })
     write_csv(out / "diagnostics_pred.csv", ["actual", "predicted"],
               ([fmt_float(a), fmt_float(p)]

@@ -1,10 +1,9 @@
-from datetime import datetime
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from shoplens.ingest import CleanedTransaction, InvoiceLine, PurchaseMatrix
+from shoplens.ingest import PurchaseMatrix
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "shoplens" / "data"
 
@@ -17,24 +16,6 @@ def fixture_csv() -> Path:
 @pytest.fixture
 def fixture_config_path() -> Path:
     return DATA_DIR / "fixture_config.json"
-
-
-def make_line(invoice_id="1001", stock_code="SKU1", quantity=1,
-              date="2011-06-01 10:00", unit_price=2.0, customer_id="C1",
-              description="THING", country="United Kingdom") -> InvoiceLine:
-    return InvoiceLine(invoice_id=invoice_id, stock_code=stock_code,
-                       description=description, quantity=quantity,
-                       invoice_date=datetime.fromisoformat(date),
-                       unit_price=unit_price, customer_id=customer_id,
-                       country=country)
-
-
-def make_txn(customer_id="C1", stock_code="SKU1", invoice_id="1001",
-             date="2011-06-01 10:00", spend=2.0, quantity=1) -> CleanedTransaction:
-    return CleanedTransaction(customer_id=customer_id, stock_code=stock_code,
-                              invoice_id=invoice_id,
-                              invoice_date=datetime.fromisoformat(date),
-                              spend=spend, quantity=quantity)
 
 
 def purchase_matrix(row_ids, col_ids, entries: dict) -> PurchaseMatrix:

@@ -16,20 +16,26 @@ W and H updates that the library's single column sweep reproduces, with
 worker processes. It shares only the factor initialization with the
 library. And the per-record ingest and RFM loops (``reference_parse_rows``
 to ``reference_compute_rfm_attributes``), which the library's column tables
-reproduce; they share the record types and ``unsafe_cell``/``_minmax``
-with the library, and the incidence-matrix oracle builds its CSR result
-from an entry dict with ``conftest.purchase_matrix``.
+reproduce; they share ``unsafe_cell``/``_minmax`` with the library, and the
+incidence-matrix oracle builds its CSR result from an entry dict with
+``conftest.purchase_matrix``.
+
+The record view of the ingest tables (``InvoiceLine``, ``CleanedTransaction``,
+``cell``, ``records``, ``from_records``, ``make_line``, ``make_txn``) and the two
+objective helpers (``lasso_objective``, ``objective_value``) also live here:
+only tests read a table row by row or score a fit from outside the solver.
 """
 
 import itertools
+from dataclasses import dataclass, fields
 from datetime import datetime
 
 import numpy as np
 
 from shoplens._fmt import unsafe_cell
-from shoplens.ingest import (CleanedTransaction, CleaningRules,
-                             CustomerSegment, InvoiceLine, PurchaseMatrix,
-                             RejectedRow, Segment, SegmentationConfig)
+from shoplens.ingest import (CleaningRules, Coded, CustomerSegment, InvoiceLines,
+                             PurchaseMatrix, RejectedRow, Segment, SegmentationConfig,
+                             Transactions)
 from shoplens.lasso import DesignMatrix, LassoModel, SolverConfig
 from shoplens.nmf import Factorization, HoldoutMask, NmfConfig, _init_factors
 from shoplens.rfm import RfmAttributes, _minmax
@@ -38,6 +44,13 @@ from conftest import purchase_matrix
 
 
 # ------------------------------------------------------------ lasso ------
+
+def lasso_objective(x: np.ndarray, y: np.ndarray, intercept: float,
+                    beta: np.ndarray, alpha: float) -> float:
+    n = x.shape[0]
+    r = y - intercept - x @ beta
+    return float(r @ r / (2 * n) + alpha * np.abs(beta).sum())
+
 
 def projected_gradient_lasso(x, y, alpha, tol=1e-10, max_iter=500_000):
     """ISTA on (1/(2n))||y - b0 - X.b||^2 + alpha*||b||_1, b0 = mean(y)."""
@@ -187,6 +200,20 @@ def reference_weight_matrix(shape: tuple[int, int],
     return m
 
 
+def objective_value(p_prime, f: Factorization, cfg: NmfConfig,
+                    mask: HoldoutMask | None = None) -> float:
+    """Full regularized objective; with a mask, held-out residuals weigh 0."""
+    dense = np.asarray(p_prime, dtype=float)
+    resid = dense - f.w @ f.h
+    if mask is not None:
+        resid *= reference_weight_matrix(dense.shape, mask)
+    l1_reg = cfg.alpha_m * cfg.l1_ratio
+    l2_reg = cfg.alpha_m * (1.0 - cfg.l1_ratio)
+    return float(0.5 * (resid ** 2).sum()
+                 + l1_reg * (np.abs(f.w).sum() + np.abs(f.h).sum())
+                 + 0.5 * l2_reg * ((f.w ** 2).sum() + (f.h ** 2).sum()))
+
+
 def reference_fit_nmf(p_prime, cfg: NmfConfig,
                       mask: HoldoutMask | None = None) -> Factorization:
     """Alternating exact column/row coordinate updates (HALS).
@@ -319,6 +346,78 @@ def reference_grid_search(p_prime, k_range, alpha_grid, l1_grid, seed: int = 0,
         table.append((k, alpha_m, l1_ratio, reference_imputation_mse(dense, f, mask)))
         fits.append((f.n_iter, f.converged))
     return table, fits
+
+
+# ------------------------------------------------------- record view -----
+# A row of an ingest table as a frozen record, and a table built from records.
+
+@dataclass(frozen=True)
+class InvoiceLine:
+    invoice_id: str
+    stock_code: str
+    description: str
+    quantity: int
+    invoice_date: datetime
+    unit_price: float
+    customer_id: str | None
+    country: str
+
+
+@dataclass(frozen=True)
+class CleanedTransaction:
+    customer_id: str
+    stock_code: str
+    invoice_id: str
+    invoice_date: datetime
+    spend: float
+    quantity: int = 1
+
+
+_RECORD_TYPES = {InvoiceLines: InvoiceLine, Transactions: CleanedTransaction}
+_NUMBER_DTYPES = {"quantity": np.int64, "unit_price": np.float64, "spend": np.float64}
+
+
+def cell(column, i: int):
+    """Row i of a table column: a ``Coded`` row's value (None for code -1),
+    or a number as a Python scalar."""
+    if isinstance(column, Coded):
+        code = column.codes[i]
+        return None if code < 0 else column.values[code]
+    return column[i].item()
+
+
+def records(table) -> list:
+    """Every row of an ``InvoiceLines`` or ``Transactions`` table as its record."""
+    row_type = _RECORD_TYPES[type(table)]
+    columns = [getattr(table, f.name) for f in fields(table)]
+    return [row_type(*(cell(c, i) for c in columns)) for i in range(len(table))]
+
+
+def from_records(table_type, rows):
+    """The ``table_type`` table holding the given records, in order."""
+    rows = list(rows)
+    return table_type(*(
+        np.array([getattr(r, f.name) for r in rows], dtype=_NUMBER_DTYPES[f.name])
+        if f.name in _NUMBER_DTYPES else Coded.encode(getattr(r, f.name) for r in rows)
+        for f in fields(table_type)))
+
+
+def make_line(invoice_id="1001", stock_code="SKU1", quantity=1,
+              date="2011-06-01 10:00", unit_price=2.0, customer_id="C1",
+              description="THING", country="United Kingdom") -> InvoiceLine:
+    return InvoiceLine(invoice_id=invoice_id, stock_code=stock_code,
+                       description=description, quantity=quantity,
+                       invoice_date=datetime.fromisoformat(date),
+                       unit_price=unit_price, customer_id=customer_id,
+                       country=country)
+
+
+def make_txn(customer_id="C1", stock_code="SKU1", invoice_id="1001",
+             date="2011-06-01 10:00", spend=2.0, quantity=1) -> CleanedTransaction:
+    return CleanedTransaction(customer_id=customer_id, stock_code=stock_code,
+                              invoice_id=invoice_id,
+                              invoice_date=datetime.fromisoformat(date),
+                              spend=spend, quantity=quantity)
 
 
 # -------------------------------------------------------- ingest/rfm -----

@@ -300,10 +300,9 @@ class TestPartB:
     @pytest.fixture(scope="class")
     def uci_design(self, uci):
         txns, _, frequent, matrix = uci
-        member_txns = [t for t in txns if t.customer_id in set(frequent)]
-        as_of = max(t.invoice_date for t in member_txns)
-        scores, params = rfm_mod.score_customers(
-            ingest_mod.Transactions.from_records(member_txns), as_of, rfm_mod.RfmWeights())
+        member_txns = txns.for_customers(frequent)
+        as_of = max(member_txns.invoice_date.used())
+        scores, params = rfm_mod.score_customers(member_txns, as_of, rfm_mod.RfmWeights())
         print(f"  [B] fitted box-cox lambda={params.lam:.4f} shift={params.shift:.2e}")
 
         def skew(a):
@@ -327,10 +326,11 @@ class TestPartB:
         rng = np.random.default_rng(0)
         holdout = np.sort(rng.choice(n, size=max(1, round(0.2 * n)), replace=False))
         train = np.setdiff1d(np.arange(n), holdout)
-        hi = lasso_mod.max_alpha(design, rows=train)
+        training = design.take(train)
+        hi = lasso_mod.max_alpha(training)
         grid = hi * np.logspace(-4, 0, 100)
-        alpha_best, _ = lasso_mod.cross_validate_alpha(design, grid, 5, 0, rows=train)
-        model = lasso_mod.fit_lasso(design, alpha_best, rows=train)
+        alpha_best, _, _ = lasso_mod.cross_validate_alpha(training, grid, 5, 0)
+        model = lasso_mod.fit_lasso(training, alpha_best)
         curve = lasso_mod.drop_experiment(design, model, holdout)
         ranking = lasso_mod.select_features(curve)
         if ranking.selected_count == 0:
@@ -361,7 +361,7 @@ class TestPartB:
         r2 = 1.0 - ss_res / ss_tot
 
         # log the fit at the paper's alpha too; convention-dependent, not asserted
-        paper_model = lasso_mod.fit_lasso(design, 0.22, rows=train)
+        paper_model = lasso_mod.fit_lasso(design.take(train), 0.22)
         psup = paper_model.support()
         if psup:
             pi, pc, _ = lasso_mod.ols_refit(design.x[train][:, psup],

@@ -13,7 +13,8 @@ from shoplens.ingest import (CleaningRules, InvoiceLines, PurchaseMatrix,
                              parse_invoice_csv, read_matrix,
                              segment_customers, write_matrix)
 
-from conftest import make_line, make_txn, purchase_matrix
+from conftest import purchase_matrix
+from oracles import from_records, make_line, make_txn, records
 
 HEADER = "InvoiceNo,StockCode,Description,Quantity,InvoiceDate,UnitPrice,CustomerID,Country\n"
 
@@ -49,7 +50,7 @@ class TestParse:
         body = "1,A,X,2,1/2/2011 10:00,1.5,,UK\n"
         lines, rejects = parse_invoice_csv(write(tmp_path, body))
         assert rejects == []
-        assert lines[0].customer_id is None
+        assert records(lines)[0].customer_id is None
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -68,7 +69,7 @@ class TestParse:
         with pytest.raises(ValueError, match="cannot decode"):
             parse_invoice_csv(path)
         lines, _ = parse_invoice_csv(path, encoding="latin-1")
-        assert lines[0].description == "café"
+        assert records(lines)[0].description == "café"
 
     @pytest.mark.parametrize("row, column", [
         ('1,"PEN,04",X,2,1/2/2011 10:00,1.5,C1,UK\n', "StockCode"),
@@ -83,7 +84,7 @@ class TestParse:
     def test_delimiter_in_id_rejected(self, tmp_path, row, column):
         body = row + "2,B,X,2,1/2/2011 10:00,1.5,C1,UK\n"
         lines, rejects = parse_invoice_csv(write(tmp_path, body))
-        assert [line.invoice_id for line in lines] == ["2"]
+        assert [line.invoice_id for line in records(lines)] == ["2"]
         assert len(rejects) == 1
         assert rejects[0].column == column
         assert "delimiter or newline" in rejects[0].reason
@@ -96,7 +97,7 @@ class TestParse:
         lines, rejects = parse_invoice_csv(write(tmp_path, body))
         assert [r.line_number for r in rejects] == [2, 4]
         assert {r.reason for r in rejects} == {"unparseable date 'not-a-date'"}
-        assert lines[0].invoice_date == lines[1].invoice_date
+        assert records(lines)[0].invoice_date == records(lines)[1].invoice_date
 
     def test_blank_lines_skipped_and_not_numbered(self, tmp_path):
         body = ("1,A,X,2,1/2/2011 10:00,1.5,C1,UK\n"
@@ -104,7 +105,7 @@ class TestParse:
                 "\r\n"
                 "2,A,X,bad,1/2/2011 10:00,1.5,C1,UK\n")
         lines, rejects = parse_invoice_csv(write(tmp_path, body))
-        assert [line.invoice_id for line in lines] == ["1"]
+        assert [line.invoice_id for line in records(lines)] == ["1"]
         assert [r.line_number for r in rejects] == [3]
 
     def test_short_row_reads_missing_fields_as_empty(self, tmp_path):
@@ -117,13 +118,13 @@ class TestParse:
             "InvoiceNo": "1", "StockCode": "A", "Description": "X",
             "Quantity": "2", "InvoiceDate": "1/2/2011 10:00", "UnitPrice": "",
             "CustomerID": "", "Country": ""}
-        assert lines[0].customer_id is None and lines[0].country == ""
+        assert records(lines)[0].customer_id is None and records(lines)[0].country == ""
 
     def test_long_row_keeps_extra_fields_under_none(self, tmp_path):
         body = ("1,A,X,2,1/2/2011 10:00,1.5,C1,UK,extra\n"
                 "2,A,X,q,1/2/2011 10:00,1.5,C1,UK,e1,e2\n")
         lines, rejects = parse_invoice_csv(write(tmp_path, body))
-        assert [line.country for line in lines] == ["UK"]
+        assert [line.country for line in records(lines)] == ["UK"]
         assert len(rejects) == 1
         assert rejects[0].raw[None] == ["e1", "e2"]
         assert list(rejects[0].raw)[:8] == HEADER.strip().split(",")
@@ -149,11 +150,11 @@ class TestParse:
 class TestClean:
     def test_missing_customer_excluded(self):
         assert len(clean_transactions(
-            InvoiceLines.from_records([make_line(customer_id=None)]))) == 0
+            from_records(InvoiceLines, [make_line(customer_id=None)]))) == 0
 
     def test_cancellation_prefix_excluded(self):
         assert len(clean_transactions(
-            InvoiceLines.from_records([make_line(invoice_id="C536379")]))) == 0
+            from_records(InvoiceLines, [make_line(invoice_id="C536379")]))) == 0
 
     def test_six_line_fixture(self):
         lines = [
@@ -164,21 +165,21 @@ class TestClean:
             make_line(invoice_id="5", customer_id="C2"),
             make_line(invoice_id="6", customer_id="C3"),
         ]
-        txns = clean_transactions(InvoiceLines.from_records(lines))
+        txns = clean_transactions(from_records(InvoiceLines, lines))
         assert len(txns) == 3
 
     def test_spend_is_quantity_times_price(self):
-        txns = clean_transactions(InvoiceLines.from_records(
+        txns = clean_transactions(from_records(InvoiceLines, 
             [make_line(quantity=3, unit_price=2.5)]))
-        assert txns[0].spend == pytest.approx(7.5)
+        assert records(txns)[0].spend == pytest.approx(7.5)
 
     def test_nonpositive_price_excluded(self):
         assert len(clean_transactions(
-            InvoiceLines.from_records([make_line(unit_price=0.0)]))) == 0
+            from_records(InvoiceLines, [make_line(unit_price=0.0)]))) == 0
 
     def test_custom_prefix(self):
         rules = CleaningRules(cancellation_prefix="X")
-        kept = clean_transactions(InvoiceLines.from_records([make_line(invoice_id="C1")]),
+        kept = clean_transactions(from_records(InvoiceLines, [make_line(invoice_id="C1")]),
                                   rules)
         assert len(kept) == 1
 
@@ -187,52 +188,52 @@ class TestClean:
                            customer_id=c)
                  for i, (q, p, c) in enumerate(
                      [(2, 1.5, "C1"), (5, 0.8, "C2"), (1, 9.0, "C1")])]
-        once = clean_transactions(InvoiceLines.from_records(lines))
+        once = clean_transactions(from_records(InvoiceLines, lines))
         relines = [make_line(invoice_id=t.invoice_id, stock_code=t.stock_code,
                              quantity=1, unit_price=t.spend,
                              customer_id=t.customer_id,
                              date=t.invoice_date.isoformat())
-                   for t in once]
-        twice = clean_transactions(InvoiceLines.from_records(relines))
-        assert [(t.customer_id, t.invoice_id, t.spend) for t in twice] == \
-               [(t.customer_id, t.invoice_id, t.spend) for t in once]
+                   for t in records(once)]
+        twice = clean_transactions(from_records(InvoiceLines, relines))
+        assert [(t.customer_id, t.invoice_id, t.spend) for t in records(twice)] == \
+               [(t.customer_id, t.invoice_id, t.spend) for t in records(once)]
 
 
 class TestSegment:
     def test_five_invoices_is_frequent(self):
         txns = [make_txn(invoice_id=str(i)) for i in range(5)]
-        (seg,) = segment_customers(Transactions.from_records(txns))
+        (seg,) = segment_customers(from_records(Transactions, txns))
         assert seg.segment is Segment.FREQUENT
         assert seg.n_purchases == 5
 
     def test_four_invoices_is_infrequent(self):
         txns = [make_txn(invoice_id=str(i)) for i in range(4)]
-        (seg,) = segment_customers(Transactions.from_records(txns))
+        (seg,) = segment_customers(from_records(Transactions, txns))
         assert seg.segment is Segment.INFREQUENT
 
     def test_duplicate_invoice_lines_count_once(self):
         txns = [make_txn(invoice_id="1", stock_code=f"S{i}") for i in range(9)]
-        (seg,) = segment_customers(Transactions.from_records(txns))
+        (seg,) = segment_customers(from_records(Transactions, txns))
         assert seg.n_purchases == 1
 
     def test_wholesale_flagged_before_frequency(self):
         txns = [make_txn(invoice_id=str(i)) for i in range(6)]
         txns.append(make_txn(invoice_id="big", quantity=5000))
-        (seg,) = segment_customers(Transactions.from_records(txns))
+        (seg,) = segment_customers(from_records(Transactions, txns))
         assert seg.segment is Segment.WHOLESALE
 
     def test_wholesale_threshold_is_strict(self):
         txns = [make_txn(invoice_id=str(i)) for i in range(5)]
         txns.append(make_txn(invoice_id="edge", quantity=1000))
         cfg = SegmentationConfig(wholesale_quantity_threshold=1000)
-        (seg,) = segment_customers(Transactions.from_records(txns), cfg)
+        (seg,) = segment_customers(from_records(Transactions, txns), cfg)
         assert seg.segment is Segment.FREQUENT  # equal to threshold stays retail
 
     def test_partition_is_exhaustive_and_exclusive(self, fixture_csv):
         lines, _ = parse_invoice_csv(fixture_csv)
         txns = clean_transactions(lines)
         segments = segment_customers(txns)
-        customers = {t.customer_id for t in txns}
+        customers = {t.customer_id for t in records(txns)}
         assert {s.customer_id for s in segments} == customers
         assert len(segments) == len(customers)
 
@@ -241,17 +242,17 @@ class TestIncidenceMatrix:
     def test_two_purchases_sum(self):
         txns = [make_txn(invoice_id="1", spend=2.0),
                 make_txn(invoice_id="2", spend=3.0)]
-        m = build_incidence_matrix(Transactions.from_records(txns), {"C1"})
+        m = build_incidence_matrix(from_records(Transactions, txns), {"C1"})
         assert m.shape == (1, 1)
         assert m.to_dense().tolist() == [[5.0]]
 
     def test_empty_member_set(self):
         with pytest.raises(ValueError, match="empty member set"):
-            build_incidence_matrix(Transactions.from_records([make_txn()]), set())
+            build_incidence_matrix(from_records(Transactions, [make_txn()]), set())
 
     def test_member_not_in_transactions(self):
         with pytest.raises(ValueError, match="no transactions"):
-            build_incidence_matrix(Transactions.from_records([make_txn()]),
+            build_incidence_matrix(from_records(Transactions, [make_txn()]),
                                    {"C1", "ghost"})
 
     def test_matches_groupby_oracle(self):
@@ -267,7 +268,7 @@ class TestIncidenceMatrix:
             txns.append(make_txn(customer_id=c, stock_code=s,
                                  invoice_id=str(i), spend=spend))
             expected[(c, s)] = expected.get((c, s), 0.0) + spend
-        m = build_incidence_matrix(Transactions.from_records(txns), set(customers))
+        m = build_incidence_matrix(from_records(Transactions, txns), set(customers))
         for (c, s), total in expected.items():
             i, j = m.row_ids.index(c), m.col_ids.index(s)
             assert m.to_dense()[i, j] == pytest.approx(total, abs=1e-12)
@@ -281,7 +282,7 @@ class TestIncidenceMatrix:
         m = build_incidence_matrix(txns, members)
         assert all(v > 0 for *_, v in m.triplets())
         brute = {}
-        for t in txns:
+        for t in records(txns):
             if t.customer_id in members:
                 key = (t.customer_id, t.stock_code)
                 brute[key] = brute.get(key, 0.0) + t.spend
@@ -426,6 +427,6 @@ class TestSerialization:
 
     def test_transactions_round_trip(self, tmp_path):
         txns = [make_txn(invoice_id="7", spend=1.23, quantity=3)]
-        ingest.write_transactions(Transactions.from_records(txns), tmp_path / "t.csv")
+        ingest.write_transactions(from_records(Transactions, txns), tmp_path / "t.csv")
         back = ingest.read_transactions(tmp_path / "t.csv")
-        assert list(back) == txns
+        assert records(back) == txns

@@ -7,11 +7,10 @@ import pytest
 from shoplens import nmf as nmf_mod
 from shoplens.nmf import (Factorization, HoldoutMask, NmfConfig, fit_nmf,
                           grid_search, imputation_mse, make_holdout_mask,
-                          normalize_dictionary, objective_value,
-                          top_items_per_element)
+                          normalize_dictionary, top_items_per_element)
 
 from conftest import purchase_matrix
-from oracles import (reference_fit_nmf, reference_grid_search,
+from oracles import (objective_value, reference_fit_nmf, reference_grid_search,
                      reference_holdout_mask, reference_imputation_mse)
 
 

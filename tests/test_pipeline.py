@@ -132,6 +132,26 @@ class TestStageInputs:
         assert rc == 2
         assert f"run the '{named}' stage first" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stage, relpath", [
+        ("rfm", "ingest/segments.csv"),
+        ("select-features", "rfm/scores.csv"),
+        ("cluster", "factorize/W.csv"),
+        ("export-graph", "cluster/labels.csv"),
+    ])
+    def test_short_row_in_an_input_names_the_file(self, full_run, fixture_config_path,
+                                                  tmp_path, capsys, stage, relpath):
+        _, out, _ = full_run
+        run_dir = tmp_path / "run"
+        shutil.copytree(out, run_dir)
+        path = run_dir / relpath
+        header, first, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join([header, first.rsplit(",", 1)[0] + "\n", *rest]),
+                        encoding="utf-8")
+        rc = cli_main(["--config", str(fixture_config_path), stage, "--out", str(run_dir)])
+        width = header.count(",") + 1
+        assert (rc, capsys.readouterr().err) == (
+            1, f"error: {path}: a row does not have {width} cells\n")
+
 
 class TestFullRun:
     def test_manifest_has_seven_stage_entries(self, full_run):
@@ -281,6 +301,11 @@ class TestCli:
         lines = capsys.readouterr().out.strip().splitlines()
         assert 1 <= len(lines) <= 3
         assert "\t" in lines[0]
+
+    def test_query_similar_without_graph_names_export_graph(self, tmp_path, capsys):
+        rc = cli_main(["query-similar", "--out", str(tmp_path / "run"), "--node", "C1"])
+        assert rc == 2
+        assert "run the 'export-graph' stage first" in capsys.readouterr().err
 
     def test_plot_data_subcommand(self, fixture_csv, fixture_config_path,
                                   tmp_path, capsys):

@@ -13,8 +13,7 @@ from shoplens.rfm import (LOG_BRANCH_TOL, BoxCoxParams, RfmAttributes, RfmWeight
                           boxcox_lambda_mle, boxcox_transform,
                           compute_rfm_attributes, weighted_rfm_score)
 
-from conftest import make_txn
-from oracles import boxcox_grid_lambda
+from oracles import boxcox_grid_lambda, from_records, make_txn
 
 AS_OF = datetime(2011, 12, 31)
 
@@ -45,7 +44,7 @@ def rounding_bound(value: float, lam: float) -> float:
 class TestAttributes:
     def test_single_customer_degenerates_to_ones(self):
         txns = [make_txn(date="2011-06-01 00:00")]
-        (a,) = compute_rfm_attributes(Transactions.from_records(txns), AS_OF)
+        (a,) = compute_rfm_attributes(from_records(Transactions, txns), AS_OF)
         assert (a.recency, a.frequency, a.monetary) == (1.0, 1.0, 1.0)
 
     def test_dominating_customer_hits_the_endpoints(self):
@@ -54,7 +53,7 @@ class TestAttributes:
             make_txn(customer_id="top", invoice_id="t2", date="2011-12-01 00:00", spend=50.0),
             make_txn(customer_id="low", invoice_id="l1", date="2011-06-01 00:00", spend=10.0),
         ]
-        low, top = compute_rfm_attributes(Transactions.from_records(txns), AS_OF)
+        low, top = compute_rfm_attributes(from_records(Transactions, txns), AS_OF)
         assert (top.recency, top.frequency, top.monetary) == (1.0, 1.0, 1.0)
         assert (low.recency, low.frequency, low.monetary) == (0.0, 0.0, 0.0)
 
@@ -84,7 +83,7 @@ class TestAttributes:
             "C4": (1.0, 1.0, 1.0),
             "C5": (15 / 35, 0.5, 0.75),
         }
-        for a in compute_rfm_attributes(Transactions.from_records(txns), AS_OF):
+        for a in compute_rfm_attributes(from_records(Transactions, txns), AS_OF):
             r, f, m = expected[a.customer_id]
             assert a.recency == pytest.approx(r, abs=1e-12)
             assert a.frequency == pytest.approx(f, abs=1e-12)
@@ -92,12 +91,12 @@ class TestAttributes:
 
     def test_empty_input(self):
         with pytest.raises(ValueError):
-            compute_rfm_attributes(Transactions.from_records([]), AS_OF)
+            compute_rfm_attributes(from_records(Transactions, []), AS_OF)
 
     def test_transaction_after_as_of(self):
         with pytest.raises(ValueError, match="after as_of"):
             compute_rfm_attributes(
-                Transactions.from_records([make_txn(date="2012-01-05 00:00")]), AS_OF)
+                from_records(Transactions, [make_txn(date="2012-01-05 00:00")]), AS_OF)
 
 
 class TestWeightedScore:

@@ -30,6 +30,16 @@ def test_cli_import_leaves_heavy_modules_unloaded():
     assert json.loads(proc.stdout) == []
 
 
+def test_nmf_import_loads_no_other_package_module():
+    # Every spawned grid-search worker imports shoplens.nmf in a fresh
+    # interpreter; the package itself imports none of its modules.
+    proc = run_python("-c", "import json, sys, shoplens.nmf; "
+                      "print(json.dumps(sorted(m for m in sys.modules "
+                      "if m.split('.')[0] == 'shoplens')))")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["shoplens", "shoplens.nmf"]
+
+
 def test_ingest_and_rfm_stages_leave_scipy_optimize_unloaded(
         fixture_csv, fixture_config_path, tmp_path):
     # The Box-Cox fit runs an in-package bounded Brent, so scoring does not

@@ -17,8 +17,8 @@ from shoplens.ingest import (DEFAULT_DATE_FORMATS, DEFAULT_SCHEMA, CleaningRules
                              parse_invoice_csv, read_transactions, segment_customers,
                              write_transactions)
 
-from conftest import make_txn
-from oracles import (reference_build_incidence_matrix, reference_clean_transactions,
+from oracles import (cell, from_records, make_txn, records,
+                     reference_build_incidence_matrix, reference_clean_transactions,
                      reference_compute_rfm_attributes, reference_parse_date,
                      reference_parse_rows, reference_segment_customers)
 
@@ -45,26 +45,26 @@ def as_bytes(values) -> list[str]:
     return [float(v).hex() for v in values]
 
 
-def reference_parse(path, schema=None, encoding="utf-8", date_formats=DEFAULT_DATE_FORMATS):
+def reference_parse(path, schema=None, encoding="utf-8"):
     """``parse_invoice_csv``'s file and header handling around the oracle."""
     schema = dict(DEFAULT_SCHEMA, **(schema or {}))
     with open(path, "r", encoding=encoding, newline="") as f:
         reader = csv.reader(f)
         header = [name.lstrip("\ufeff") for name in next(reader)]
-        return reference_parse_rows(reader, header, schema, date_formats)
+        return reference_parse_rows(reader, header, schema, DEFAULT_DATE_FORMATS)
 
 
 def assert_same_as_reference(path, schema=None, rules=CleaningRules(),
-                             cfg=SegmentationConfig(), date_formats=DEFAULT_DATE_FORMATS):
-    lines, rejects = parse_invoice_csv(path, schema=schema, date_formats=date_formats)
-    ref_lines, ref_rejects = reference_parse(path, schema=schema, date_formats=date_formats)
-    assert list(lines) == ref_lines
+                             cfg=SegmentationConfig()):
+    lines, rejects = parse_invoice_csv(path, schema=schema)
+    ref_lines, ref_rejects = reference_parse(path, schema=schema)
+    assert records(lines) == ref_lines
     assert rejects == ref_rejects
 
     txns = clean_transactions(lines, rules)
     ref_txns = reference_clean_transactions(ref_lines, rules)
-    assert list(txns) == ref_txns
-    assert as_bytes(t.spend for t in txns) == as_bytes(t.spend for t in ref_txns)
+    assert records(txns) == ref_txns
+    assert as_bytes(txns.spend) == as_bytes(t.spend for t in ref_txns)
 
     segments = segment_customers(txns, cfg)
     assert segments == reference_segment_customers(ref_txns, cfg)
@@ -140,12 +140,10 @@ class TestAgainstReference:
         rows += [["2", "B", "Y", "1", stamp, "2.5", "C2", "UK"] for stamp in STAMPS]
         assert_same_as_reference(write_rows(tmp_path / "in.csv", rows))
 
-    @pytest.mark.parametrize("formats", [
-        DEFAULT_DATE_FORMATS, DEFAULT_DATE_FORMATS[1:], DEFAULT_DATE_FORMATS[::-1],
-        ("%d/%m/%Y %H:%M",), ("%m/%d/%Y %H:%M",), ("%m/%d/%Y %H:%M", "%d/%m/%Y %H:%M"), ()])
-    def test_every_stamp_parses_as_the_reference(self, formats):
+    def test_every_stamp_parses_as_the_reference(self):
         for stamp in STAMPS:
-            assert _parse_stamp(stamp, formats) == reference_parse_date(stamp, formats), stamp
+            assert _parse_stamp(stamp) == reference_parse_date(stamp, DEFAULT_DATE_FORMATS), \
+                stamp
 
     def test_empty_cancellation_prefix_and_custom_rules(self, tmp_path):
         path = write_rows(tmp_path / "in.csv", random_rows(11, 600))
@@ -178,7 +176,7 @@ class TestAgainstReference:
     def test_empty_file_and_tables(self, tmp_path):
         path = write_rows(tmp_path / "in.csv", [])
         lines, rejects = parse_invoice_csv(path)
-        assert (list(lines), rejects) == reference_parse(path)
+        assert (records(lines), rejects) == reference_parse(path)
         txns = clean_transactions(lines)
         assert len(txns) == 0 and segment_customers(txns) == []
 
@@ -188,33 +186,33 @@ class TestTables:
         col = Coded.encode(["b", None, "a", "c", "a"])
         assert col.values == ["a", "b", "c"]
         assert col.codes.tolist() == [1, -1, 0, 2, 0]
-        assert [col[i] for i in range(5)] == ["b", None, "a", "c", "a"]
+        assert [cell(col, i) for i in range(5)] == ["b", None, "a", "c", "a"]
         assert col.used() == ["a", "b", "c"]
         assert col.take([0, 2]).used() == ["a", "b"]
         assert col.isin({"a", "zz"}).tolist() == [False, False, True, False, True]
 
     def test_records_round_trip(self):
-        records = [make_txn(customer_id=c, invoice_id=i, spend=s, quantity=q)
-                   for c, i, s, q in [("C2", "9", 0.1, 3), ("C1", "10", 2.5, 1),
-                                      ("C2", "9", 0.1, 3)]]
-        table = Transactions.from_records(records)
-        assert len(table) == 3 and list(table) == records and table[1] == records[1]
-        assert list(table.take(np.array([2, 0]))) == [records[2], records[0]]
-        assert list(table.for_customers(["C1"])) == [records[1]]
+        txns = [make_txn(customer_id=c, invoice_id=i, spend=s, quantity=q)
+                for c, i, s, q in [("C2", "9", 0.1, 3), ("C1", "10", 2.5, 1),
+                                   ("C2", "9", 0.1, 3)]]
+        table = from_records(Transactions, txns)
+        assert len(table) == 3 and records(table) == txns
+        assert records(table.take(np.array([2, 0]))) == [txns[2], txns[0]]
+        assert records(table.for_customers(["C1"])) == [txns[1]]
 
     def test_transactions_file_round_trip(self, fixture_csv, tmp_path):
         lines, _ = parse_invoice_csv(fixture_csv)
         txns = clean_transactions(lines)
         write_transactions(txns, tmp_path / "t.csv")
         back = read_transactions(tmp_path / "t.csv")
-        assert list(back) == list(txns)
+        assert records(back) == records(txns)
         assert as_bytes(back.spend) == as_bytes(txns.spend)
 
     def test_line_table_from_records(self, fixture_csv):
         lines, _ = parse_invoice_csv(fixture_csv)
-        again = InvoiceLines.from_records(lines)
-        assert list(again) == list(lines)
-        assert any(line.customer_id is None for line in again)
+        again = from_records(InvoiceLines, records(lines))
+        assert records(again) == records(lines)
+        assert any(line.customer_id is None for line in records(again))
 
 
 # ------------------------------------------------------------ box-cox ----
@@ -276,5 +274,5 @@ def test_score_customers_on_parsed_fixture(fixture_csv):
     as_of = max(txns.invoice_date.used())
     scores, params = rfm.score_customers(txns, as_of, rfm.RfmWeights())
     assert len(scores) == len(txns.customer_id.used())
-    assert as_of == max(t.invoice_date for t in txns)
+    assert as_of == max(t.invoice_date for t in records(txns))
     assert params.lam == scipy_lambda(np.array([s.gamma for s in scores]), (-5.0, 5.0))
