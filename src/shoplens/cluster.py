@@ -23,20 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
-class DensityParams:
-    min_cluster_size: int = 5
-    min_samples: int = 5
-
-    def validate(self) -> None:
-        if self.min_cluster_size < 2:
-            raise ValueError(f"min_cluster_size must be >= 2, got {self.min_cluster_size}")
-        if self.min_samples < 1:
-            raise ValueError(f"min_samples must be >= 1, got {self.min_samples}")
-        if self.min_samples > self.min_cluster_size:
-            raise ValueError("min_samples must not exceed min_cluster_size")
-
-
 @dataclass
 class ClusterLabeling:
     labels: np.ndarray           # per-row cluster id, -1 = noise
@@ -184,7 +170,7 @@ def _leaves_under(node: int, children: dict[int, list[int]], n: int) -> list[int
 
 
 def extract_clusters(mst: list[tuple[int, int, float]],
-                     params: DensityParams = DensityParams()) -> ClusterLabeling:
+                     min_cluster_size: int = 5) -> ClusterLabeling:
     """Condensed-tree extraction with excess-of-mass cluster selection.
 
     Walking the merge tree from the root with lambda = 1/distance: a
@@ -194,8 +180,8 @@ def extract_clusters(mst: list[tuple[int, int, float]],
     accumulated (departure lambda - birth lambda) mass; a parent beats its
     children when its stability is at least the children's combined, and
     the tree root competes like any other cluster. Points whose departure
-    chain never meets a selected cluster are noise. ``params`` must be valid
-    (``cluster_rows`` checks them).
+    chain never meets a selected cluster are noise. min_cluster_size must be
+    at least 2 (``cluster_rows`` checks it).
     """
     n = len(mst) + 1
     if n < 2:
@@ -209,7 +195,6 @@ def extract_clusters(mst: list[tuple[int, int, float]],
         uf_check.union(a, b)
 
     root, children, weight, size, min_point = _merge_tree(mst, n)
-    mcs = params.min_cluster_size
 
     root_cid = n
     next_cid = n + 1
@@ -224,13 +209,13 @@ def extract_clusters(mst: list[tuple[int, int, float]],
     while stack:
         node, cid = stack.pop()
         if node < n:
-            # a bare point can only carry a cluster id if mcs were 1, which
-            # DensityParams.validate rules out
+            # a bare point can only carry a cluster id if min_cluster_size
+            # were 1, which cluster_rows rules out
             raise AssertionError("leaf reached with a cluster identity")
         lam = math.inf if weight[node] == 0.0 else 1.0 / weight[node]
         kids = children[node]
-        big = [c for c in kids if size[c] >= mcs]
-        small = [c for c in kids if size[c] < mcs]
+        big = [c for c in kids if size[c] >= min_cluster_size]
+        small = [c for c in kids if size[c] < min_cluster_size]
         if len(big) >= 2:
             for c in big:
                 new_cid = next_cid
@@ -260,7 +245,7 @@ def extract_clusters(mst: list[tuple[int, int, float]],
         stability[parent_cid] += sz * (lam - birth[parent_cid])
 
     selected = {cid: True for cid in birth}
-    if n < mcs:
+    if n < min_cluster_size:
         selected[root_cid] = False
     adjusted = dict(stability)
     for cid in sorted(birth, reverse=True):
@@ -296,13 +281,18 @@ def extract_clusters(mst: list[tuple[int, int, float]],
     return ClusterLabeling(labels=labels, n_clusters=len(chosen), sizes=sizes)
 
 
-def cluster_rows(points: np.ndarray,
-                 params: DensityParams = DensityParams()) -> ClusterLabeling:
+def cluster_rows(points: np.ndarray, min_cluster_size: int = 5,
+                 min_samples: int = 5) -> ClusterLabeling:
     """Full pass: core distances, reachability MST, cluster extraction."""
-    params.validate()
-    core = core_distances(points, params.min_samples)
+    if min_cluster_size < 2:
+        raise ValueError(f"min_cluster_size must be >= 2, got {min_cluster_size}")
+    if min_samples < 1:
+        raise ValueError(f"min_samples must be >= 1, got {min_samples}")
+    if min_samples > min_cluster_size:
+        raise ValueError("min_samples must not exceed min_cluster_size")
+    core = core_distances(points, min_samples)
     mst = mutual_reachability_mst(np.asarray(points, dtype=float), core)
-    return extract_clusters(mst, params)
+    return extract_clusters(mst, min_cluster_size)
 
 
 def profile_clusters(labeling: ClusterLabeling, w: np.ndarray) -> list[ClusterProfile]:

@@ -18,7 +18,6 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from ._fmt import dump_jsonl, fmt_float, write_text
-from .cluster import ClusterLabeling
 from .ingest import PurchaseMatrix
 from .nmf import Factorization
 
@@ -77,12 +76,13 @@ def build_affinity_graph(f: Factorization, threshold: float = 0.0) -> BipartiteG
 
 
 def attach_embeddings(g: BipartiteGraph, f: Factorization,
-                      labels: ClusterLabeling | None = None) -> GraphDocument:
-    """Node/edge documents with embeddings (and cluster ids) attached.
+                      labels: np.ndarray) -> GraphDocument:
+    """Node/edge documents with embeddings and cluster ids attached.
 
-    Customer nodes get their affinity-matrix row, item nodes their
-    dictionary column; dictionary-element nodes carry no embedding. Ids in
-    the graph must exist in the factorization.
+    Customer nodes get their affinity-matrix row and the cluster id that
+    ``labels`` holds for that row; item nodes get their dictionary column;
+    dictionary-element nodes carry no embedding. Ids in the graph must exist
+    in the factorization.
     """
     rows, cols = _factor_ids(f)
     row_index = {r: i for i, r in enumerate(rows)}
@@ -93,16 +93,12 @@ def attach_embeddings(g: BipartiteGraph, f: Factorization,
         offenders += [c for c in g.right_ids if c not in col_index]
     if offenders:
         raise ValueError(f"graph ids missing from the factorization: {offenders}")
-    if labels is not None and len(labels.labels) != len(rows):
+    if len(labels) != len(rows):
         raise ValueError("cluster labeling does not cover the factorization rows")
 
-    nodes = []
-    for cid in g.left_ids:
-        node = {"id": cid, "kind": g.left_kind,
-                "embedding": [float(v) for v in f.w[row_index[cid]]]}
-        if labels is not None:
-            node["cluster"] = int(labels.labels[row_index[cid]])
-        nodes.append(node)
+    nodes = [{"id": cid, "kind": g.left_kind,
+              "embedding": [float(v) for v in f.w[row_index[cid]]],
+              "cluster": int(labels[row_index[cid]])} for cid in g.left_ids]
     for rid in g.right_ids:
         node = {"id": rid, "kind": g.right_kind}
         if g.right_kind == ITEM:

@@ -70,20 +70,6 @@ class RejectedRow:
 
 
 @dataclass(frozen=True)
-class CleaningRules:
-    cancellation_prefix: str = "C"
-
-
-@dataclass(frozen=True)
-class SegmentationConfig:
-    frequent_min_purchases: int = 5
-    # A customer is wholesale if any single invoice totals more than this
-    # many units. The source data never labels wholesalers, so this is a
-    # documented operational default, not a derived constant.
-    wholesale_quantity_threshold: int = 1000
-
-
-@dataclass(frozen=True)
 class Coded:
     """A column of repeated values held as integer codes.
 
@@ -441,7 +427,7 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def clean_transactions(lines: InvoiceLines,
-                       rules: CleaningRules = CleaningRules()) -> Transactions:
+                       cancellation_prefix: str = "C") -> Transactions:
     """Filter raw lines down to usable transactions.
 
     Drops anonymous lines, cancellation invoices, and non-positive
@@ -450,10 +436,9 @@ def clean_transactions(lines: InvoiceLines,
     # "not (q <= 0 or p <= 0)" rather than "q > 0 and p > 0": a NaN price
     # (possible in a table built by hand) is kept, as it always was.
     keep = (lines.customer_id.codes >= 0) & ~((lines.quantity <= 0) | (lines.unit_price <= 0))
-    prefix = rules.cancellation_prefix
-    if prefix:
-        cancelled = np.array([i.startswith(prefix) for i in lines.invoice_id.values],
-                             dtype=bool)
+    if cancellation_prefix:
+        cancelled = np.array([i.startswith(cancellation_prefix)
+                              for i in lines.invoice_id.values], dtype=bool)
         keep &= ~cancelled[lines.invoice_id.codes]
     rows = np.flatnonzero(keep)
     quantity = lines.quantity[rows]
@@ -467,8 +452,8 @@ def clean_transactions(lines: InvoiceLines,
     )
 
 
-def segment_customers(txns: Transactions,
-                      cfg: SegmentationConfig = SegmentationConfig()) -> list[CustomerSegment]:
+def segment_customers(txns: Transactions, frequent_min_purchases: int = 5,
+                      wholesale_quantity_threshold: int = 1000) -> list[CustomerSegment]:
     """Partition registered customers into Wholesale / Frequent / Infrequent.
 
     Wholesale is flagged first: any single invoice totaling more than
@@ -490,9 +475,9 @@ def segment_customers(txns: Transactions,
 
     out = []
     for code, n, big in zip(owner[starts].tolist(), n_purchases.tolist(), biggest.tolist()):
-        if big > cfg.wholesale_quantity_threshold:
+        if big > wholesale_quantity_threshold:
             segment = Segment.WHOLESALE
-        elif n >= cfg.frequent_min_purchases:
+        elif n >= frequent_min_purchases:
             segment = Segment.FREQUENT
         else:
             segment = Segment.INFREQUENT

@@ -39,12 +39,6 @@ class DesignMatrix:
                        row_ids=[self.row_ids[i] for i in rows.tolist()])
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    tol: float = 1e-7
-    max_iter: int = 10000
-
-
 @dataclass
 class LassoModel:
     alpha: float
@@ -61,11 +55,6 @@ class LassoModel:
 
     def support(self) -> list[int]:
         return [int(j) for j in np.flatnonzero(self.beta)]
-
-
-@dataclass(frozen=True)
-class SelectionRule:
-    slack: float = 0.05
 
 
 @dataclass
@@ -147,14 +136,14 @@ def _soft_threshold(z: float, a: float) -> float:
     return 0.0
 
 
-def fit_lasso(design: DesignMatrix, alpha: float,
-              cfg: SolverConfig = SolverConfig(),
+def fit_lasso(design: DesignMatrix, alpha: float, tol: float = 1e-7,
+              max_iter: int = 10000,
               warm_start: np.ndarray | None = None) -> LassoModel:
     """Cyclic coordinate descent with exact soft-threshold updates.
 
     Sweeps alternate between the full coordinate set and the current active
     set; convergence is a full sweep whose largest coefficient change falls
-    below cfg.tol. Hitting max_iter is reported via ``converged``, not
+    below tol. Hitting max_iter is reported via ``converged``, not
     raised. ``warm_start`` seeds the coefficients.
 
     A full sweep screens each run of zero coefficients with one blocked
@@ -245,19 +234,19 @@ def fit_lasso(design: DesignMatrix, alpha: float,
     n_iter = 0
     converged = False
     last_full_delta = np.inf
-    while n_iter < cfg.max_iter:
+    while n_iter < max_iter:
         last_full_delta = full_sweep()
         n_iter += 1
-        if last_full_delta < cfg.tol:
+        if last_full_delta < tol:
             converged = True
             break
         active = np.flatnonzero(beta).tolist()
         if not active:
             continue
-        while n_iter < cfg.max_iter:
+        while n_iter < max_iter:
             delta = active_sweep(active)
             n_iter += 1
-            if delta < cfg.tol:
+            if delta < tol:
                 break
 
     return LassoModel(
@@ -324,7 +313,7 @@ def default_alpha_grid(design: DesignMatrix, num: int = 100,
 
 
 def cross_validate_alpha(design: DesignMatrix, grid, k: int, seed: int,
-                         cfg: SolverConfig = SolverConfig(),
+                         tol: float = 1e-7, max_iter: int = 10000,
                          ) -> tuple[float, list[tuple[float, float]],
                                     list[tuple[int, bool]]]:
     """Pick alpha by k-fold cross-validation MSE.
@@ -357,7 +346,7 @@ def cross_validate_alpha(design: DesignMatrix, grid, k: int, seed: int,
         test = design.take(test_idx)
         warm = None
         for gi in range(grid.size - 1, -1, -1):  # descending alpha, warm-started
-            model = fit_lasso(train, grid[gi], cfg, warm_start=warm)
+            model = fit_lasso(train, grid[gi], tol, max_iter, warm_start=warm)
             warm = model.beta
             fits.append((model.n_iter, model.converged))
             fold_mse[fi, gi] = np.mean((test.y - model.predict(test.x)) ** 2)
@@ -381,49 +370,45 @@ def ols_refit(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray, bool]:
     return float(sol[0]), sol[1:], fallback
 
 
-def drop_experiment(design: DesignMatrix, model: LassoModel,
-                    holdout_rows) -> DropExperimentCurve:
+def drop_experiment(training: DesignMatrix, holdout: DesignMatrix,
+                    model: LassoModel) -> DropExperimentCurve:
     """Holdout error as features leave the model one at a time.
 
     Starting from the model support, refit ordinary least squares on the
-    training rows, record holdout MSE, drop the feature with the smallest
-    absolute coefficient (ties drop the lexicographically larger stock
-    code), and repeat down to the intercept-only model.
+    training design, record MSE on the holdout design, drop the feature with
+    the smallest absolute coefficient (ties drop the lexicographically larger
+    stock code), and repeat down to the intercept-only model. Both designs
+    share the model's columns.
     """
-    holdout = np.asarray(sorted(set(int(i) for i in holdout_rows)))
-    if holdout.size == 0:
+    if len(holdout.y) == 0:
         raise ValueError("empty holdout")
-    n = len(design.y)
-    train = np.setdiff1d(np.arange(n), holdout)
-    if train.size == 0:
+    if len(training.y) == 0:
         raise ValueError("holdout covers every row; nothing to train on")
 
     support = model.support()
     if not support:
         raise ValueError("model has no nonzero coefficients")
+    col_ids = training.col_ids
     survivors = list(support)
-    support_codes = [design.col_ids[j] for j in support]
-    betas = {design.col_ids[j]: float(model.beta[j]) for j in support}
-
-    x_train, y_train = design.x[train], design.y[train]
-    x_hold, y_hold = design.x[holdout], design.y[holdout]
+    support_codes = [col_ids[j] for j in support]
+    betas = {col_ids[j]: float(model.beta[j]) for j in support}
 
     points: list[tuple[int, float]] = []
     dropped: list[str] = []
     fallback_steps: list[int] = []
     step = 0
     while True:
-        intercept, coefs, fellback = ols_refit(x_train[:, survivors], y_train)
+        intercept, coefs, fellback = ols_refit(training.x[:, survivors], training.y)
         if fellback:
             fallback_steps.append(step)
-        pred = intercept + x_hold[:, survivors] @ coefs
-        points.append((len(survivors), float(np.mean((y_hold - pred) ** 2))))
+        pred = intercept + holdout.x[:, survivors] @ coefs
+        points.append((len(survivors), float(np.mean((holdout.y - pred) ** 2))))
         if not survivors:
             break
         min_abs = np.abs(coefs).min()
         tied = [j for j, c in zip(survivors, coefs) if abs(c) == min_abs]
-        victim = max(tied, key=lambda j: design.col_ids[j])
-        dropped.append(design.col_ids[victim])
+        victim = max(tied, key=lambda j: col_ids[j])
+        dropped.append(col_ids[victim])
         survivors.remove(victim)
         step += 1
 
@@ -432,13 +417,12 @@ def drop_experiment(design: DesignMatrix, model: LassoModel,
                                ridge_fallback_steps=fallback_steps)
 
 
-def select_features(curve: DropExperimentCurve,
-                    rule: SelectionRule = SelectionRule()) -> FeatureRanking:
+def select_features(curve: DropExperimentCurve, slack: float = 0.05) -> FeatureRanking:
     """Sparsest point whose holdout MSE is within slack of the curve minimum."""
     if not curve.points:
         raise ValueError("empty drop-experiment curve")
     min_mse = min(m for _, m in curve.points)
-    threshold = (1.0 + rule.slack) * min_mse
+    threshold = (1.0 + slack) * min_mse
     n_star = min(n for n, m in curve.points if m <= threshold)
     removed = set(curve.dropped[:len(curve.support) - n_star])
     survivors = [c for c in curve.support if c not in removed]

@@ -306,7 +306,8 @@ def grid_search(p_prime, k_range, alpha_grid, l1_grid,
             best_mse = mse
             best_cfg = cfg
     if best_cfg is None:
-        raise ValueError("every grid cell failed")
+        raise ValueError(f"every grid cell failed ({len(failures)} of {len(cfgs)}); "
+                         f"first: {failures[0][3]}")
     return GridSearchResult(table=table, best=best_cfg, failures=failures, fits=fits)
 
 

@@ -9,11 +9,12 @@ files byte for byte.
 
 import json
 import time
+import types
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, get_args, get_origin
 
 import numpy as np
 
@@ -41,6 +42,9 @@ class IngestSettings:
     schema: dict = field(default_factory=dict)
     cancellation_prefix: str = "C"
     frequent_min_purchases: int = 5
+    # A customer is wholesale if any single invoice totals more than this
+    # many units. The source data never labels wholesalers, so this is a
+    # documented operational default, not a derived constant.
     wholesale_quantity_threshold: int = 1000
 
 
@@ -95,6 +99,25 @@ class GraphSettings:
     affinity_threshold: float = 0.0
 
 
+def _fits(value, tp) -> bool:
+    """Whether a JSON value fits a field's declared type. A bool is not an
+    int, an int is a float, and a list is a tuple whose elements fit."""
+    if isinstance(tp, types.UnionType):
+        return any(_fits(value, t) for t in get_args(tp))
+    if get_origin(tp) is tuple:
+        args = get_args(tp)
+        if not isinstance(value, (list, tuple)):
+            return False
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        return len(value) == len(args) and all(map(_fits, value, args))
+    if isinstance(value, bool):
+        return tp is bool
+    if tp is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, tp)
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     input_path: str = ""
@@ -124,10 +147,11 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
-        """Build a config; a missing key takes its default. A key that names
-        no section or field, or a config or section that is not an object,
-        raises a ValueError, so a misspelling is never silently replaced by a
-        default."""
+        """Build a config; a missing key, or a section given as null, takes
+        its default. A key that names no section or field, a config or
+        section that is not an object, or a value that does not fit its
+        field's type raises a ValueError, so a misspelling is never silently
+        replaced by a default and a wrong type never reaches a stage."""
         def check_keys(given, known_cls, where):
             known = [f.name for f in fields(known_cls)]
             unknown = sorted(set(given) - set(known))
@@ -135,22 +159,27 @@ class PipelineConfig:
                 raise ValueError(f"unknown {where} {', '.join(map(repr, unknown))}; "
                                  f"valid: {', '.join(known)}")
 
+        def value(given, tp, where):
+            if not _fits(given, tp):
+                name = tp.__name__ if isinstance(tp, type) else str(tp)
+                raise ValueError(f"config field {where!r} must be {name}, "
+                                 f"got {type(given).__name__}")
+            return tuple(given) if isinstance(given, list) else given
+
         def build(sub_cls, key):
-            sub = data[key] or {}
+            sub = {} if data[key] is None else data[key]
             if not isinstance(sub, dict):
                 raise ValueError(f"config section {key!r} must be an object, "
                                  f"got {type(sub).__name__}")
-            sub = dict(sub)
             check_keys(sub, sub_cls, f"field in config section {key!r}:")
-            for name in ("alpha_grid", "l1_grid", "boxcox_search"):
-                if isinstance(sub.get(name), list):
-                    sub[name] = tuple(sub[name])
-            return sub_cls(**sub)
+            return sub_cls(**{f.name: value(sub[f.name], f.type, f"{key}.{f.name}")
+                              for f in fields(sub_cls) if f.name in sub})
 
         if not isinstance(data, dict):
             raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
         check_keys(data, cls, "config key")
-        return cls(**{f.name: build(f.type, f.name) if is_dataclass(f.type) else data[f.name]
+        return cls(**{f.name: build(f.type, f.name) if is_dataclass(f.type)
+                      else value(data[f.name], f.type, f.name)
                       for f in fields(cls) if f.name in data})
 
     @classmethod
@@ -211,12 +240,11 @@ def _stage_ingest(cfg: PipelineConfig, run_dir: Path, inputs: _Inputs):
     out = run_dir / "ingest"
     out.mkdir(parents=True, exist_ok=True)
 
-    rules = ingest_mod.CleaningRules(cancellation_prefix=cfg.ingest.cancellation_prefix)
-    txns = ingest_mod.clean_transactions(lines, rules)
-    seg_cfg = ingest_mod.SegmentationConfig(
-        frequent_min_purchases=cfg.ingest.frequent_min_purchases,
+    txns = ingest_mod.clean_transactions(
+        lines, cancellation_prefix=cfg.ingest.cancellation_prefix)
+    segments = ingest_mod.segment_customers(
+        txns, frequent_min_purchases=cfg.ingest.frequent_min_purchases,
         wholesale_quantity_threshold=cfg.ingest.wholesale_quantity_threshold)
-    segments = ingest_mod.segment_customers(txns, seg_cfg)
     frequent = [s.customer_id for s in segments
                 if s.segment is ingest_mod.Segment.FREQUENT]
     if not frequent:
@@ -282,7 +310,6 @@ def _stage_select_features(cfg: PipelineConfig, run_dir: Path, inputs: _Inputs):
     out.mkdir(parents=True, exist_ok=True)
 
     design = lasso_mod.standardize(matrix, responses)
-    solver = lasso_mod.SolverConfig(tol=cfg.lasso.tol, max_iter=cfg.lasso.max_iter)
 
     n = len(design.y)
     rng = np.random.default_rng(cfg.lasso.seed)
@@ -298,10 +325,13 @@ def _stage_select_features(cfg: PipelineConfig, run_dir: Path, inputs: _Inputs):
         grid = lasso_mod.default_alpha_grid(training, cfg.lasso.grid_size,
                                             cfg.lasso.grid_lo_ratio)
     alpha_best, cv_curve, cv_fits = lasso_mod.cross_validate_alpha(
-        training, grid, cfg.lasso.folds, cfg.lasso.seed, solver)
-    model = lasso_mod.fit_lasso(training, alpha_best, solver)
-    curve = lasso_mod.drop_experiment(design, model, holdout)
-    ranking = lasso_mod.select_features(curve, lasso_mod.SelectionRule(cfg.lasso.slack))
+        training, grid, cfg.lasso.folds, cfg.lasso.seed,
+        tol=cfg.lasso.tol, max_iter=cfg.lasso.max_iter)
+    model = lasso_mod.fit_lasso(training, alpha_best, tol=cfg.lasso.tol,
+                                max_iter=cfg.lasso.max_iter)
+    held = design.take(holdout)
+    curve = lasso_mod.drop_experiment(training, held, model)
+    ranking = lasso_mod.select_features(curve, slack=cfg.lasso.slack)
     if ranking.selected_count == 0:
         raise ValueError("feature selection kept 0 features; "
                          "the value signal is not explained by any item")
@@ -310,7 +340,6 @@ def _stage_select_features(cfg: PipelineConfig, run_dir: Path, inputs: _Inputs):
     col_pos = {c: j for j, c in enumerate(design.col_ids)}
     sel_idx = [col_pos[c] for c in selected_codes]
     intercept, coefs, _ = lasso_mod.ols_refit(training.x[:, sel_idx], training.y)
-    held = design.take(holdout)
     predicted = intercept + held.x[:, sel_idx] @ coefs
     report = lasso_mod.residual_diagnostics(held.y, predicted)
     train_pred = intercept + training.x[:, sel_idx] @ coefs
@@ -448,9 +477,9 @@ def _stage_cluster(cfg: PipelineConfig, run_dir: Path, inputs: _Inputs):
     if cfg.cluster.row_normalize:
         norms = np.linalg.norm(points, axis=1, keepdims=True)
         points = np.where(norms > 0, points / np.where(norms > 0, norms, 1.0), points)
-    params = cluster_mod.DensityParams(min_cluster_size=cfg.cluster.min_cluster_size,
-                                       min_samples=cfg.cluster.min_samples)
-    labeling = cluster_mod.cluster_rows(points, params)
+    labeling = cluster_mod.cluster_rows(
+        points, min_cluster_size=cfg.cluster.min_cluster_size,
+        min_samples=cfg.cluster.min_samples)
     profiles = cluster_mod.profile_clusters(labeling, w)
 
     write_csv(out / "labels.csv", ["customer_id", "cluster_id"],
@@ -482,10 +511,7 @@ def _stage_export_graph(cfg: PipelineConfig, run_dir: Path, inputs: _Inputs):
     f = nmf_mod.Factorization(w=w, h=h, objective_trace=[], converged=True,
                               n_iter=0, row_ids=row_ids, col_ids=col_ids)
     label_by_id = {r[0]: int(r[1]) for r in label_rows}
-    labels = cluster_mod.ClusterLabeling(
-        labels=np.array([label_by_id[r] for r in row_ids]),
-        n_clusters=len({v for v in label_by_id.values() if v >= 0}),
-        sizes={})
+    labels = np.array([label_by_id[r] for r in row_ids])
 
     builders = {
         "purchase": lambda: graph_mod.build_purchase_graph(p_prime),

@@ -12,11 +12,12 @@ round does the same work.
 import numpy as np
 import pytest
 
-from shoplens.lasso import SolverConfig, fit_lasso, max_alpha, standardize
+from shoplens.lasso import fit_lasso, max_alpha, standardize
 
 pytest.importorskip("pytest_benchmark")
 
 N_ROWS, N_ITEMS, DENSITY = 240, 2700, 0.02
+MAX_ITER = 100
 
 
 @pytest.fixture(scope="module")
@@ -29,14 +30,12 @@ def design():
 
 @pytest.mark.parametrize("frac", [0.3, 0.05])
 def test_fit_lasso_cold(benchmark, design, frac):
-    cfg = SolverConfig(max_iter=100)
-    model = benchmark(fit_lasso, design, frac * max_alpha(design), cfg)
-    assert model.n_iter <= cfg.max_iter
+    model = benchmark(fit_lasso, design, frac * max_alpha(design), max_iter=MAX_ITER)
+    assert model.n_iter <= MAX_ITER
 
 
 def test_fit_lasso_warm_started(benchmark, design):
     hi = max_alpha(design)
-    warm = fit_lasso(design, 0.1 * hi, SolverConfig(max_iter=100)).beta
-    cfg = SolverConfig(max_iter=100)
-    model = benchmark(fit_lasso, design, 0.07 * hi, cfg, warm_start=warm)
-    assert model.n_iter <= cfg.max_iter
+    warm = fit_lasso(design, 0.1 * hi, max_iter=MAX_ITER).beta
+    model = benchmark(fit_lasso, design, 0.07 * hi, max_iter=MAX_ITER, warm_start=warm)
+    assert model.n_iter <= MAX_ITER

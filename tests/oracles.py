@@ -33,10 +33,9 @@ from datetime import datetime
 import numpy as np
 
 from shoplens._fmt import unsafe_cell
-from shoplens.ingest import (CleaningRules, Coded, CustomerSegment, InvoiceLines,
-                             PurchaseMatrix, RejectedRow, Segment, SegmentationConfig,
-                             Transactions)
-from shoplens.lasso import DesignMatrix, LassoModel, SolverConfig
+from shoplens.ingest import (Coded, CustomerSegment, InvoiceLines, PurchaseMatrix,
+                             RejectedRow, Segment, Transactions)
+from shoplens.lasso import DesignMatrix, LassoModel
 from shoplens.nmf import Factorization, HoldoutMask, NmfConfig, _init_factors
 from shoplens.rfm import RfmAttributes, _minmax
 
@@ -80,16 +79,15 @@ def _reference_soft_threshold(z: float, a: float) -> float:
     return 0.0
 
 
-def reference_fit_lasso(design: DesignMatrix, alpha: float,
-                          cfg: SolverConfig = SolverConfig(),
-                          rows: np.ndarray | None = None,
+def reference_fit_lasso(design: DesignMatrix, alpha: float, tol: float = 1e-7,
+                          max_iter: int = 10000, rows: np.ndarray | None = None,
                           warm_start: np.ndarray | None = None) -> LassoModel:
     """Cyclic coordinate descent with exact soft-threshold updates, visiting
     every coordinate of every sweep; ``fit_lasso`` must match it bit for bit.
 
     Sweeps alternate between the full coordinate set and the current active
     set; convergence is a full sweep whose largest coefficient change falls
-    below cfg.tol. Hitting max_iter is reported via ``converged``, not
+    below tol. Hitting max_iter is reported via ``converged``, not
     raised. ``rows`` restricts the fit to a row subset (used by
     cross-validation); ``warm_start`` seeds the coefficients.
     """
@@ -131,19 +129,19 @@ def reference_fit_lasso(design: DesignMatrix, alpha: float,
     n_iter = 0
     converged = False
     last_full_delta = np.inf
-    while n_iter < cfg.max_iter:
+    while n_iter < max_iter:
         last_full_delta = sweep(all_idx)
         n_iter += 1
-        if last_full_delta < cfg.tol:
+        if last_full_delta < tol:
             converged = True
             break
         active = np.flatnonzero(beta)
         if active.size == 0:
             continue
-        while n_iter < cfg.max_iter:
+        while n_iter < max_iter:
             delta = sweep(active)
             n_iter += 1
-            if delta < cfg.tol:
+            if delta < tol:
                 break
 
     return LassoModel(
@@ -521,7 +519,8 @@ def reference_parse_rows(reader, header: list[str], schema: dict[str, str],
     return lines, rejects
 
 
-def reference_clean_transactions(lines, rules: CleaningRules = CleaningRules()) -> list[CleanedTransaction]:
+def reference_clean_transactions(lines, cancellation_prefix: str = "C",
+                                 ) -> list[CleanedTransaction]:
     """Filter raw lines down to usable transactions.
 
     Drops anonymous lines, cancellation invoices, and non-positive
@@ -531,7 +530,7 @@ def reference_clean_transactions(lines, rules: CleaningRules = CleaningRules()) 
     for line in lines:
         if line.customer_id is None:
             continue
-        if rules.cancellation_prefix and line.invoice_id.startswith(rules.cancellation_prefix):
+        if cancellation_prefix and line.invoice_id.startswith(cancellation_prefix):
             continue
         if line.quantity <= 0 or line.unit_price <= 0:
             continue
@@ -546,7 +545,9 @@ def reference_clean_transactions(lines, rules: CleaningRules = CleaningRules()) 
     return out
 
 
-def reference_segment_customers(txns, cfg: SegmentationConfig = SegmentationConfig()) -> list[CustomerSegment]:
+def reference_segment_customers(txns, frequent_min_purchases: int = 5,
+                                wholesale_quantity_threshold: int = 1000,
+                                ) -> list[CustomerSegment]:
     """Partition registered customers into Wholesale / Frequent / Infrequent.
 
     Wholesale is flagged first: any single invoice totaling more than
@@ -565,9 +566,9 @@ def reference_segment_customers(txns, cfg: SegmentationConfig = SegmentationConf
     for customer_id in sorted(invoices):
         n_purchases = len(invoices[customer_id])
         biggest = max(invoice_units[(customer_id, inv)] for inv in invoices[customer_id])
-        if biggest > cfg.wholesale_quantity_threshold:
+        if biggest > wholesale_quantity_threshold:
             segment = Segment.WHOLESALE
-        elif n_purchases >= cfg.frequent_min_purchases:
+        elif n_purchases >= frequent_min_purchases:
             segment = Segment.FREQUENT
         else:
             segment = Segment.INFREQUENT

@@ -69,8 +69,7 @@ class TestPartA:
             y = rng.standard_normal(6)
             design = lasso_mod.standardize(x, y)
             alpha = 0.05 * lasso_mod.max_alpha(design) + 0.02
-            model = lasso_mod.fit_lasso(
-                design, alpha, lasso_mod.SolverConfig(tol=1e-13, max_iter=200000))
+            model = lasso_mod.fit_lasso(design, alpha, tol=1e-13, max_iter=200000)
             _, ref = projected_gradient_lasso(design.x, design.y, alpha, tol=1e-10)
             worst = max(worst, float(np.abs(model.beta - ref).max()))
         report("A2 lasso-oracle", worst < 1e-5,
@@ -93,8 +92,7 @@ class TestPartA:
                 column_means=np.zeros(p), column_scales=np.ones(p),
                 dropped_cols=[])
             alpha = float(rng.uniform(0.05, 0.3))
-            model = lasso_mod.fit_lasso(design, alpha,
-                                        lasso_mod.SolverConfig(tol=1e-12))
+            model = lasso_mod.fit_lasso(design, alpha, tol=1e-12)
             rho = x.T @ y / n
             analytic = np.sign(rho) * np.maximum(np.abs(rho) - alpha, 0.0)
             worst = max(worst, float(np.abs(model.beta - analytic).max()))
@@ -113,7 +111,8 @@ class TestPartA:
             design = lasso_mod.standardize(x, y)
             model = lasso_mod.fit_lasso(design, 0.02 * lasso_mod.max_alpha(design))
             holdout = np.arange(0, 60, 5)
-            curve = lasso_mod.drop_experiment(design, model, holdout)
+            training = design.take(np.setdiff1d(np.arange(60), holdout))
+            curve = lasso_mod.drop_experiment(training, design.take(holdout), model)
             mse = dict(curve.points)
             ratios.append(mse[2] / mse[3])
         ok = all(r >= 2.0 for r in ratios)
@@ -194,8 +193,7 @@ class TestPartA:
         details = []
         for seed in range(5):
             points, truth = blobs_with_noise(seed)
-            labeling = cluster_mod.cluster_rows(points,
-                                                cluster_mod.DensityParams(5, 5))
+            labeling = cluster_mod.cluster_rows(points, 5, 5)
             purity = 1.0
             for blob in (0, 1):
                 got = labeling.labels[truth == blob]
@@ -214,8 +212,7 @@ class TestPartA:
                 rng = np.random.default_rng(7000 + 10 * n + seed)
                 pts = rng.standard_normal((n, 2))
                 for mcs in (2, 3):
-                    got = cluster_mod.cluster_rows(
-                        pts, cluster_mod.DensityParams(mcs, 1))
+                    got = cluster_mod.cluster_rows(pts, mcs, 1)
                     ref = reference_density_partition(pts, 1, mcs)
                     if partition_of(got.labels) != ref:
                         mismatches += 1
@@ -254,7 +251,8 @@ class TestPartA:
         h = rng.uniform(0.1, 2.0, size=(4, 3))
         f = nmf_mod.Factorization(w=w, h=h, objective_trace=[], converged=True,
                                   n_iter=0, row_ids=ids, col_ids=["x", "y", "z"])
-        doc = graph_mod.attach_embeddings(graph_mod.build_affinity_graph(f), f)
+        doc = graph_mod.attach_embeddings(graph_mod.build_affinity_graph(f), f,
+                                          np.zeros(10, dtype=int))
         n1, e1 = graph_mod.export_jsonl(doc, tmp_path, "g")
         doc2 = graph_mod.import_jsonl(n1, e1)
         n2, e2 = graph_mod.export_jsonl(doc2, tmp_path / "again", "g")
@@ -331,7 +329,7 @@ class TestPartB:
         grid = hi * np.logspace(-4, 0, 100)
         alpha_best, _, _ = lasso_mod.cross_validate_alpha(training, grid, 5, 0)
         model = lasso_mod.fit_lasso(training, alpha_best)
-        curve = lasso_mod.drop_experiment(design, model, holdout)
+        curve = lasso_mod.drop_experiment(training, design.take(holdout), model)
         ranking = lasso_mod.select_features(curve)
         if ranking.selected_count == 0:
             pytest.fail("feature selection kept nothing on this dataset; "
@@ -398,7 +396,7 @@ class TestPartB:
                                      (0.0, 0.1, 0.5, 1.0, 2.0),
                                      (0.0, 0.1, 0.5, 0.9, 1.0), seed=0)
         f = nmf_mod.fit_nmf(p_prime.to_dense(), result.best)
-        labeling = cluster_mod.cluster_rows(f.w, cluster_mod.DensityParams(5, 5))
+        labeling = cluster_mod.cluster_rows(f.w, 5, 5)
         noise = labeling.sizes.get(-1, 0)
         ok = labeling.n_clusters >= 3 and noise > f.w.shape[0] / 2
         report("B15 clustering", ok,

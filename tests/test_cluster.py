@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from shoplens import cluster
-from shoplens.cluster import (ClusterLabeling, DensityParams, cluster_rows,
-                              core_distances, extract_clusters,
+from shoplens.cluster import (ClusterLabeling, cluster_rows, core_distances, extract_clusters,
                               mutual_reachability_mst, profile_clusters)
 
 from conftest import blobs_with_noise
@@ -130,7 +129,7 @@ class TestBlockedDistances:
         points = np.random.default_rng(12).standard_normal((1000, 5))
         tracemalloc.start()
         try:
-            cluster_rows(points, DensityParams(5, 5))
+            cluster_rows(points, 5, 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -142,7 +141,7 @@ class TestExtract:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_two_blobs_plus_noise(self, seed):
         points, truth = blobs_with_noise(seed)
-        labeling = cluster_rows(points, DensityParams(5, 5))
+        labeling = cluster_rows(points, 5, 5)
         assert labeling.n_clusters == 2
         for blob in (0, 1):
             got = labeling.labels[truth == blob]
@@ -154,51 +153,49 @@ class TestExtract:
     def test_single_tight_blob_is_one_cluster(self):
         rng = np.random.default_rng(4)
         points = rng.normal(0.0, 0.2, size=(40, 2))
-        labeling = cluster_rows(points, DensityParams(5, 5))
+        labeling = cluster_rows(points, 5, 5)
         assert labeling.n_clusters == 1
 
     def test_equal_distances_single_cluster(self):
         # vertices of a regular simplex: every pairwise distance equal
         n = 8
         points = np.eye(n)
-        labeling = cluster_rows(points, DensityParams(5, 5))
+        labeling = cluster_rows(points, 5, 5)
         assert labeling.n_clusters == 1
         assert labeling.sizes == {0: n}
 
     def test_duplicate_only_dataset(self):
         points = np.ones((7, 2))
-        labeling = cluster_rows(points, DensityParams(5, 5))
+        labeling = cluster_rows(points, 5, 5)
         assert labeling.n_clusters == 1
         assert labeling.sizes == {0: 7}
 
     def test_fewer_points_than_min_cluster_size_is_all_noise(self):
         rng = np.random.default_rng(5)
         points = rng.standard_normal((4, 2))
-        labeling = cluster_rows(points, DensityParams(min_cluster_size=5,
-                                                      min_samples=3))
+        labeling = cluster_rows(points, min_cluster_size=5, min_samples=3)
         assert labeling.n_clusters == 0
         assert labeling.sizes == {-1: 4}
 
     def test_every_cluster_at_least_min_cluster_size(self):
         points, _ = blobs_with_noise(7, n_blob=30, n_noise=30)
-        labeling = cluster_rows(points, DensityParams(5, 5))
+        labeling = cluster_rows(points, 5, 5)
         for cid, size in labeling.sizes.items():
             if cid >= 0:
                 assert size >= 5
 
     def test_labels_partition_rows(self):
         points, _ = blobs_with_noise(8)
-        labeling = cluster_rows(points, DensityParams(5, 5))
+        labeling = cluster_rows(points, 5, 5)
         assert len(labeling.labels) == len(points)
         assert sum(labeling.sizes.values()) == len(points)
 
     def test_permutation_invariance(self):
         points, _ = blobs_with_noise(9, n_blob=25, n_noise=10)
-        params = DensityParams(5, 5)
-        base = cluster_rows(points, params)
+        base = cluster_rows(points, 5, 5)
         rng = np.random.default_rng(10)
         perm = rng.permutation(len(points))
-        permuted = cluster_rows(points[perm], params)
+        permuted = cluster_rows(points[perm], 5, 5)
         base_parts = partition_of(base.labels)
         got_clusters, got_noise = partition_of(permuted.labels)
         # map permuted indices back to the original frame
@@ -208,15 +205,17 @@ class TestExtract:
         assert remapped_noise == base_parts[1]
 
     def test_invalid_params(self):
+        points = np.zeros((10, 2))
         with pytest.raises(ValueError, match="min_cluster_size"):
-            DensityParams(min_cluster_size=1, min_samples=1).validate()
+            cluster_rows(points, min_cluster_size=1, min_samples=1)
+        with pytest.raises(ValueError, match="min_samples must be >= 1"):
+            cluster_rows(points, min_cluster_size=3, min_samples=0)
         with pytest.raises(ValueError, match="exceed"):
-            DensityParams(min_cluster_size=3, min_samples=4).validate()
+            cluster_rows(points, min_cluster_size=3, min_samples=4)
 
     def test_cycle_rejected(self):
         with pytest.raises(ValueError, match="cycle"):
-            extract_clusters([(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0), (2, 3, 1.0)],
-                             DensityParams(2, 1))
+            extract_clusters([(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0), (2, 3, 1.0)], 2)
 
 
 class TestAgainstReference:
@@ -226,8 +225,7 @@ class TestAgainstReference:
         rng = np.random.default_rng(1000 * n + seed)
         points = rng.standard_normal((n, 2))
         for mcs in (2, 3):
-            params = DensityParams(min_cluster_size=mcs, min_samples=1)
-            got = cluster_rows(points, params)
+            got = cluster_rows(points, min_cluster_size=mcs, min_samples=1)
             ref = reference_density_partition(points, 1, mcs)
             assert partition_of(got.labels) == ref, (n, seed, mcs)
 
@@ -238,20 +236,19 @@ class TestAgainstReference:
         b = rng.normal(4.0, 0.1, size=(5, 2))
         points = np.vstack([a, b])
         for mcs, ms in [(2, 1), (3, 2), (4, 3)]:
-            params = DensityParams(min_cluster_size=mcs, min_samples=ms)
-            got = cluster_rows(points, params)
+            got = cluster_rows(points, min_cluster_size=mcs, min_samples=ms)
             ref = reference_density_partition(points, ms, mcs)
             assert partition_of(got.labels) == ref
 
     def test_equal_distance_instance(self):
         points = np.eye(6)
-        got = cluster_rows(points, DensityParams(3, 2))
+        got = cluster_rows(points, 3, 2)
         ref = reference_density_partition(points, 2, 3)
         assert partition_of(got.labels) == ref
 
     def test_duplicates_instance(self):
         points = np.vstack([np.zeros((4, 2)), np.ones((4, 2)) * 3.0])
-        got = cluster_rows(points, DensityParams(3, 2))
+        got = cluster_rows(points, 3, 2)
         ref = reference_density_partition(points, 2, 3)
         assert partition_of(got.labels) == ref
 

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from shoplens.cluster import ClusterLabeling
 from shoplens.graph import (BipartiteGraph, GraphDocument, attach_embeddings,
                             build_affinity_graph, build_purchase_graph,
                             export_graphml, export_jsonl, import_jsonl,
@@ -71,15 +70,19 @@ class TestAffinityGraph:
 
 
 class TestAttachEmbeddings:
-    def test_cluster_property_only_with_labels(self):
+    def test_cluster_property_on_customer_nodes_only(self):
         m = purchase_matrix(["a"], ["x"], {(0, 0): 2.0})
         f = factorization([[1.0, 2.0]], [[3.0], [4.0]], ["a"], ["x"])
-        doc = attach_embeddings(build_purchase_graph(m), f)
-        assert all("cluster" not in nd for nd in doc.nodes)
-        labels = ClusterLabeling(np.array([0]), 1, {0: 1})
-        doc2 = attach_embeddings(build_purchase_graph(m), f, labels)
-        (customer,) = [nd for nd in doc2.nodes if nd["kind"] == "customer"]
+        doc = attach_embeddings(build_purchase_graph(m), f, np.array([0]))
+        (customer,) = [nd for nd in doc.nodes if nd["kind"] == "customer"]
         assert customer["cluster"] == 0
+        assert all("cluster" not in nd for nd in doc.nodes if nd["kind"] == "item")
+
+    def test_labels_must_cover_the_rows(self):
+        m = purchase_matrix(["a"], ["x"], {(0, 0): 2.0})
+        f = factorization([[1.0, 2.0]], [[3.0], [4.0]], ["a"], ["x"])
+        with pytest.raises(ValueError, match="does not cover"):
+            attach_embeddings(build_purchase_graph(m), f, np.array([0, 1]))
 
     def test_embedding_lengths_match_k(self):
         rng = np.random.default_rng(2)
@@ -87,7 +90,7 @@ class TestAttachEmbeddings:
         m = purchase_matrix([f"c{i}" for i in range(4)], ["x", "y", "z"],
                             {(0, 0): 1.0})
         f = factorization(w, h, [f"c{i}" for i in range(4)], ["x", "y", "z"])
-        doc = attach_embeddings(build_purchase_graph(m), f)
+        doc = attach_embeddings(build_purchase_graph(m), f, np.zeros(4, dtype=int))
         for nd in doc.nodes:
             assert len(nd["embedding"]) == 5
 
@@ -95,7 +98,7 @@ class TestAttachEmbeddings:
         m = purchase_matrix(["ghost"], ["x"], {(0, 0): 1.0})
         f = factorization([[1.0]], [[1.0]], ["a"], ["x"])
         with pytest.raises(ValueError, match="ghost"):
-            attach_embeddings(build_purchase_graph(m), f)
+            attach_embeddings(build_purchase_graph(m), f, np.array([0]))
 
 
 class TestRoundTrip:
@@ -106,9 +109,7 @@ class TestRoundTrip:
         w = rng.uniform(0.1, 3.0, size=(n, 3))
         h = rng.uniform(0.1, 3.0, size=(3, 2))
         f = factorization(w, h, ids, ["x", "y"])
-        labels = ClusterLabeling(np.array([0, 0, 1, 1, -1, -1]), 2,
-                                 {0: 2, 1: 2, -1: 2})
-        return attach_embeddings(build_affinity_graph(f), f, labels)
+        return attach_embeddings(build_affinity_graph(f), f, np.array([0, 0, 1, 1, -1, -1]))
 
     def test_jsonl_round_trip_is_byte_stable(self, tmp_path):
         doc = self.make_doc()

@@ -7,8 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from shoplens import ingest
-from shoplens.ingest import (CleaningRules, InvoiceLines, PurchaseMatrix,
-                             Segment, SegmentationConfig, Transactions,
+from shoplens.ingest import (InvoiceLines, PurchaseMatrix, Segment, Transactions,
                              build_incidence_matrix, clean_transactions,
                              parse_invoice_csv, read_matrix,
                              segment_customers, write_matrix)
@@ -178,9 +177,8 @@ class TestClean:
             from_records(InvoiceLines, [make_line(unit_price=0.0)]))) == 0
 
     def test_custom_prefix(self):
-        rules = CleaningRules(cancellation_prefix="X")
         kept = clean_transactions(from_records(InvoiceLines, [make_line(invoice_id="C1")]),
-                                  rules)
+                                  cancellation_prefix="X")
         assert len(kept) == 1
 
     def test_idempotent_on_clean_output(self):
@@ -225,8 +223,8 @@ class TestSegment:
     def test_wholesale_threshold_is_strict(self):
         txns = [make_txn(invoice_id=str(i)) for i in range(5)]
         txns.append(make_txn(invoice_id="edge", quantity=1000))
-        cfg = SegmentationConfig(wholesale_quantity_threshold=1000)
-        (seg,) = segment_customers(from_records(Transactions, txns), cfg)
+        (seg,) = segment_customers(from_records(Transactions, txns),
+                                   wholesale_quantity_threshold=1000)
         assert seg.segment is Segment.FREQUENT  # equal to threshold stays retail
 
     def test_partition_is_exhaustive_and_exclusive(self, fixture_csv):

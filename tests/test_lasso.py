@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from shoplens import lasso as lasso_mod
-from shoplens.lasso import (DesignMatrix, DropExperimentCurve, SelectionRule,
-                            SolverConfig, cross_validate_alpha,
+from shoplens.lasso import (DesignMatrix, DropExperimentCurve, cross_validate_alpha,
                             default_alpha_grid, drop_experiment, duality_gap,
                             fit_lasso, kkt_violations, max_alpha, normal_cdf,
                             ols_refit,
@@ -98,7 +97,7 @@ class TestFitLasso:
                          column_means=np.zeros(p), column_scales=np.ones(p),
                          dropped_cols=[])
         alpha = 0.15
-        model = fit_lasso(d, alpha, SolverConfig(tol=1e-12))
+        model = fit_lasso(d, alpha, tol=1e-12)
         rho = x.T @ y / n
         expected = np.sign(rho) * np.maximum(np.abs(rho) - alpha, 0.0)
         assert np.abs(model.beta - expected).max() < 1e-8
@@ -110,7 +109,7 @@ class TestFitLasso:
         y = rng.standard_normal(6)
         d = standardize(x, y)
         alpha = 0.1 * max_alpha(d) + 0.01
-        model = fit_lasso(d, alpha, SolverConfig(tol=1e-13, max_iter=100000))
+        model = fit_lasso(d, alpha, tol=1e-13, max_iter=100000)
         _, ref = projected_gradient_lasso(d.x, d.y, alpha, tol=1e-10)
         assert np.abs(model.beta - ref).max() < 1e-5
 
@@ -168,12 +167,12 @@ def raw_design(x, y):
                         dropped_cols=[])
 
 
-def assert_same_fit(design, alpha, cfg=SolverConfig(), rows=None, warm_start=None):
+def assert_same_fit(design, alpha, rows=None, warm_start=None, **solver):
     """fit_lasso on the design of ``rows`` must reproduce the plain cyclic
     solver on those rows bit for bit."""
     taken = design if rows is None else design.take(rows)
-    got = fit_lasso(taken, alpha, cfg, warm_start=warm_start)
-    ref = reference_fit_lasso(design, alpha, cfg, rows=rows, warm_start=warm_start)
+    got = fit_lasso(taken, alpha, warm_start=warm_start, **solver)
+    ref = reference_fit_lasso(design, alpha, rows=rows, warm_start=warm_start, **solver)
     assert got.beta.tobytes() == ref.beta.tobytes()
     assert got.n_iter == ref.n_iter
     assert got.converged == ref.converged
@@ -207,14 +206,14 @@ class TestReferenceEquality:
     @pytest.mark.parametrize("frac", [0.5, 0.1, 0.02])
     def test_p_greater_than_n(self, seed, frac):
         d = random_design(seed, n=25, p=150)  # several screening blocks
-        assert_same_fit(d, frac * max_alpha(d), SolverConfig(max_iter=400))
+        assert_same_fit(d, frac * max_alpha(d), max_iter=400)
 
     @pytest.mark.parametrize("block", [1, 5, 64, 10_000])
     def test_block_size_changes_nothing(self, monkeypatch, block):
         monkeypatch.setattr(lasso_mod, "_SCREEN_BLOCK", block)
         d = random_design(3, n=30, p=90)
         for frac in (0.3, 0.05):
-            assert_same_fit(d, frac * max_alpha(d), SolverConfig(max_iter=300))
+            assert_same_fit(d, frac * max_alpha(d), max_iter=300)
 
     def test_row_subset_that_zeroes_a_column(self):
         rng = np.random.default_rng(5)
@@ -229,7 +228,7 @@ class TestReferenceEquality:
         assert_same_fit(d, alpha, rows=rows)
         warm = rng.standard_normal(p) * (rng.random(p) < 0.2)
         warm[3] = 0.7       # a coefficient on the zero column is never touched
-        model = assert_same_fit(d, alpha, SolverConfig(max_iter=200), rows=rows,
+        model = assert_same_fit(d, alpha, max_iter=200, rows=rows,
                                 warm_start=warm)
         assert model.beta[3] == 0.7
 
@@ -244,14 +243,14 @@ class TestReferenceEquality:
         y = 2.0 * x[:, 2] - x[:, 20] + 0.1 * rng.standard_normal(n)
         d = raw_design(x, y)
         for frac in (0.5, 0.1, 0.01):
-            assert_same_fit(d, frac * max_alpha(d), SolverConfig(max_iter=300))
+            assert_same_fit(d, frac * max_alpha(d), max_iter=300)
 
     def test_warm_started_path(self):
         d = random_design(9, n=30, p=120)
         hi = max_alpha(d)
         warm = None
         for a in hi * np.logspace(0, -2, 8):
-            warm = assert_same_fit(d, a, SolverConfig(max_iter=300),
+            warm = assert_same_fit(d, a, max_iter=300,
                                    warm_start=warm).beta
 
     def test_arbitrary_warm_starts(self):
@@ -259,14 +258,14 @@ class TestReferenceEquality:
         d = random_design(10, n=20, p=60)
         warm = rng.standard_normal(60) * (rng.random(60) < 0.3)
         warm[rng.random(60) < 0.2] = -0.0
-        assert_same_fit(d, 0.2 * max_alpha(d), SolverConfig(max_iter=500),
+        assert_same_fit(d, 0.2 * max_alpha(d), max_iter=500,
                         warm_start=warm)
         assert_same_fit(d, 0.2 * max_alpha(d), warm_start=np.full(60, -0.0))
 
     @pytest.mark.parametrize("max_iter", [1, 2, 3, 4, 7, 25])
     def test_max_iter_cap_mid_path(self, max_iter):
         d = random_design(12, n=30, p=100)
-        model = assert_same_fit(d, 0.01 * max_alpha(d), SolverConfig(max_iter=max_iter))
+        model = assert_same_fit(d, 0.01 * max_alpha(d), max_iter=max_iter)
         assert model.n_iter == max_iter and not model.converged
 
     def test_rho_exactly_at_alpha(self):
@@ -280,7 +279,7 @@ class TestReferenceEquality:
         rho = np.array([x[:, j] @ r0 / n for j in range(p)])
         j = int(np.argsort(np.abs(rho))[p // 2])
         alpha = float(abs(rho[j]))   # the first sweep meets |rho_j| == alpha
-        model = assert_same_fit(d, alpha, SolverConfig(tol=1e-12))
+        model = assert_same_fit(d, alpha, tol=1e-12)
         assert model.beta[j] == 0.0
         assert np.count_nonzero(model.beta) > 0
 
@@ -300,7 +299,7 @@ class TestReferenceEquality:
                 break
         else:
             pytest.skip("blocked and per-column dot products agree on this BLAS")
-        model = assert_same_fit(raw_design(x, y), alpha, SolverConfig(max_iter=1))
+        model = assert_same_fit(raw_design(x, y), alpha, max_iter=1)
         assert model.beta[j] != 0.0
 
     def test_randomized_designs(self):
@@ -322,7 +321,7 @@ class TestReferenceEquality:
             if rng.random() < 0.3:
                 warm = rng.standard_normal(p) * (rng.random(p) < 0.3)
             assert_same_fit(d, float(rng.uniform(0.001, 1.2)) * hi,
-                            SolverConfig(max_iter=int(rng.integers(1, 200))),
+                            max_iter=int(rng.integers(1, 200)),
                             rows=rows, warm_start=warm)
 
 
@@ -330,7 +329,7 @@ class TestDualityGap:
     @pytest.mark.parametrize("seed", range(4))
     def test_vanishes_at_tight_tolerance(self, seed):
         d = random_design(seed, n=30, p=12 + 30 * seed)
-        model = fit_lasso(d, 0.1 * max_alpha(d), SolverConfig(tol=1e-12, max_iter=100_000))
+        model = fit_lasso(d, 0.1 * max_alpha(d), tol=1e-12, max_iter=100_000)
         assert model.converged
         assert abs(duality_gap(d, model)) < 1e-10 * model.objective_trace[-1]
 
@@ -341,7 +340,7 @@ class TestDualityGap:
 
     def test_positive_after_one_sweep(self):
         d = random_design(22, n=30, p=60)
-        model = fit_lasso(d, 0.01 * max_alpha(d), SolverConfig(max_iter=1))
+        model = fit_lasso(d, 0.01 * max_alpha(d), max_iter=1)
         assert not model.converged
         assert duality_gap(d, model) > 1e-3
 
@@ -351,14 +350,14 @@ class TestDualityGap:
             d = random_design(int(rng.integers(1000)), n=int(rng.integers(5, 40)),
                               p=int(rng.integers(2, 60)))
             model = fit_lasso(d, float(rng.uniform(0.01, 1.0)) * max_alpha(d),
-                              SolverConfig(max_iter=int(rng.integers(1, 50))))
+                              max_iter=int(rng.integers(1, 50)))
             assert duality_gap(d, model) >= -1e-12
 
     def test_rows_restrict_the_problem(self):
         d = random_design(24, n=30, p=20)
         rows = np.arange(0, 30, 3)
         taken = d.take(rows)
-        model = fit_lasso(taken, 0.2 * max_alpha(taken), SolverConfig(max_iter=2))
+        model = fit_lasso(taken, 0.2 * max_alpha(taken), max_iter=2)
         sub = raw_design(d.x[rows], d.y[rows])
         assert duality_gap(taken, model) == duality_gap(sub, model)
 
@@ -394,15 +393,15 @@ class TestCrossValidation:
     def test_fit_stats_match_reference_recount(self):
         d = random_design(27, n=40, p=15)
         grid = max_alpha(d) * np.logspace(-3, 0, 6)
-        cfg = SolverConfig(max_iter=8)
-        best, curve, stats = cross_validate_alpha(d, grid, k=4, seed=5, cfg=cfg)
-        assert (best, curve, stats) == cross_validate_alpha(d, grid, k=4, seed=5, cfg=cfg)
+        best, curve, stats = cross_validate_alpha(d, grid, k=4, seed=5, max_iter=8)
+        assert (best, curve, stats) == cross_validate_alpha(d, grid, k=4, seed=5, max_iter=8)
         pool = np.arange(len(d.y))
         want = []
         for test_idx in np.array_split(np.random.default_rng(5).permutation(pool), 4):
             warm = None
             for alpha in sorted(grid, reverse=True):
-                model = reference_fit_lasso(d, alpha, cfg, rows=np.setdiff1d(pool, test_idx),
+                model = reference_fit_lasso(d, alpha, max_iter=8,
+                                            rows=np.setdiff1d(pool, test_idx),
                                             warm_start=warm)
                 warm = model.beta
                 want.append((model.n_iter, model.converged))
@@ -423,18 +422,24 @@ class TestCrossValidation:
             cross_validate_alpha(random_design(26), [], k=2, seed=0)
 
 
+def split(design, holdout):
+    """The (training, holdout) designs of ``design`` for sorted holdout rows."""
+    train = np.setdiff1d(np.arange(len(design.y)), holdout)
+    return design.take(train), design.take(holdout)
+
+
 class TestDropExperiment:
     def test_single_feature_support_gives_two_points(self):
         d, _ = planted_design(30, n=30, p=5, support=(2,), coefs=(4.0,))
         model = fit_lasso(d, 0.5 * max_alpha(d))
         assert len(model.support()) == 1
-        curve = drop_experiment(d, model, holdout_rows=[0, 1, 2])
+        curve = drop_experiment(*split(d, [0, 1, 2]), model)
         assert [n for n, _ in curve.points] == [1, 0]
 
     def test_n_features_strictly_decreasing(self):
         d, _ = planted_design(31)
         model = fit_lasso(d, 0.05 * max_alpha(d))
-        curve = drop_experiment(d, model, holdout_rows=np.arange(10))
+        curve = drop_experiment(*split(d, np.arange(10)), model)
         ns = [n for n, _ in curve.points]
         assert ns == sorted(ns, reverse=True)
         assert len(set(ns)) == len(ns)
@@ -444,7 +449,7 @@ class TestDropExperiment:
         d, _ = planted_design(40 + seed)
         model = fit_lasso(d, 0.02 * max_alpha(d))
         holdout = np.arange(0, 60, 5)
-        curve = drop_experiment(d, model, holdout)
+        curve = drop_experiment(*split(d, holdout), model)
         mse = dict(curve.points)
         assert 3 in mse and 2 in mse
         assert mse[2] >= 2.0 * mse[3]
@@ -454,7 +459,7 @@ class TestDropExperiment:
         model = fit_lasso(d, 0.05 * max_alpha(d))
         holdout = np.arange(0, 60, 6)
         train = np.setdiff1d(np.arange(60), holdout)
-        curve = drop_experiment(d, model, holdout)
+        curve = drop_experiment(*split(d, holdout), model)
         col_pos = {c: j for j, c in enumerate(d.col_ids)}
         removed = []
         for (n_feat, recorded), next_drop in zip(
@@ -470,7 +475,7 @@ class TestDropExperiment:
         d = random_design(34)
         model = fit_lasso(d, max_alpha(d) * 1.01)
         with pytest.raises(ValueError, match="no nonzero"):
-            drop_experiment(d, model, [0, 1])
+            drop_experiment(*split(d, [0, 1]), model)
 
     def test_ridge_fallback_on_singular_refit(self):
         # more support features than training rows forces rank deficiency
@@ -480,7 +485,7 @@ class TestDropExperiment:
         d = standardize(x, y)
         model = fit_lasso(d, 1e-4 * max_alpha(d))
         assert len(model.support()) == 6
-        curve = drop_experiment(d, model, holdout_rows=[0, 1, 2])  # 5 train rows
+        curve = drop_experiment(*split(d, [0, 1, 2]), model)  # 5 train rows
         assert curve.ridge_fallback_steps  # at least the first refits fell back
         assert all(np.isfinite(m) for _, m in curve.points)
 
@@ -509,8 +514,7 @@ class TestSelectFeatures:
     def test_slack_prefers_sparser_model(self):
         points = [(4, 0.100), (3, 0.101), (2, 0.102), (1, 0.5), (0, 0.9)]
         ranking = select_features(
-            self.curve(points, ["a", "b", "c", "d"], ["d", "c", "b", "a"]),
-            SelectionRule(slack=0.05))
+            self.curve(points, ["a", "b", "c", "d"], ["d", "c", "b", "a"]), slack=0.05)
         assert ranking.selected_count == 2
 
     def test_ranking_sorted_by_abs_beta(self):

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import shutil
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from shoplens import cluster, ingest, lasso
 from shoplens._fmt import file_digest, read_csv
 from shoplens.cli import _apply_overrides, _base_config, build_parser
 from shoplens.cli import main as cli_main
@@ -457,7 +459,12 @@ class TestCli:
     @pytest.mark.parametrize("data, message", [
         ({"lasso": 3}, "config section 'lasso' must be an object, got int"),
         ([1], "config must be a JSON object, got list"),
-    ], ids=["section", "top-level"])
+        # Falsy non-objects used to be read as {}, i.e. as the defaults.
+        ({"lasso": 0}, "config section 'lasso' must be an object, got int"),
+        ({"lasso": []}, "config section 'lasso' must be an object, got list"),
+        ({"lasso": ""}, "config section 'lasso' must be an object, got str"),
+        ({"lasso": False}, "config section 'lasso' must be an object, got bool"),
+    ], ids=["section", "top-level", "zero", "empty-list", "empty-string", "false"])
     def test_config_that_is_not_an_object_is_a_clean_error(
             self, fixture_csv, tmp_path, capsys, data, message):
         config = tmp_path / "config.json"
@@ -466,6 +473,54 @@ class TestCli:
                        "--out", str(tmp_path / "run")])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"seed": "x"}, "'seed' must be int, got str"),
+        ({"seed": None}, "'seed' must be int, got NoneType"),
+        ({"lasso": {"folds": "3"}}, "'lasso.folds' must be int, got str"),
+        ({"lasso": {"folds": True}}, "'lasso.folds' must be int, got bool"),
+        ({"lasso": {"alpha_grid": [0.5, "x"]}},
+         "'lasso.alpha_grid' must be tuple[float, ...] | None, got list"),
+        ({"nmf": {"use_grid_best": 1}}, "'nmf.use_grid_best' must be bool, got int"),
+        ({"cluster": {"min_cluster_size": "5"}},
+         "'cluster.min_cluster_size' must be int, got str"),
+    ], ids=["seed-str", "seed-null", "folds-str", "folds-bool", "grid-element",
+            "bool-int", "min-cluster-size-str"])
+    def test_config_value_of_the_wrong_type_is_a_clean_error(
+            self, fixture_csv, fixture_config_path, tmp_path, capsys, edit, message):
+        # These used to fail mid-run with a traceback, after earlier stages
+        # had written their artifacts, or to run with a value nobody meant.
+        data = json.loads(fixture_config_path.read_text())
+        for key, value in edit.items():
+            data[key] = {**data[key], **value} if isinstance(value, dict) else value
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data))
+        rc = cli_main(["--config", str(config), "run-all", "--input", str(fixture_csv),
+                       "--out", str(tmp_path / "run")])
+        assert (rc, capsys.readouterr().err) == (1, f"error: config field {message}\n")
+        assert not (tmp_path / "run").exists()
+
+    def test_config_values_that_fit_their_fields(self):
+        # An int is a float, a list is a tuple, and null is a default
+        # section or a field that allows it.
+        cfg = PipelineConfig.from_dict({"rfm": {"w_recency": 1, "boxcox_search": [-2, 2]},
+                                        "lasso": {"seed": None, "alpha_grid": None},
+                                        "nmf": None})
+        assert cfg.rfm.w_recency == 1 and cfg.rfm.boxcox_search == (-2, 2)
+        assert (cfg.lasso, cfg.nmf) == (PipelineConfig().lasso, PipelineConfig().nmf)
+
+    def test_every_grid_cell_failing_says_why(self, full_run, fixture_config_path,
+                                              tmp_path, capsys):
+        # k = 50 exceeds m' = 3 in every cell; the error used to be only
+        # "every grid cell failed".
+        _, out, _ = full_run
+        run_dir = tmp_path / "run"
+        shutil.copytree(out, run_dir)
+        rc = cli_main(["--config", str(fixture_config_path), "grid-search",
+                       "--out", str(run_dir), "--k-min", "50", "--k-max", "50"])
+        assert (rc, capsys.readouterr().err) == (
+            1, "error: every grid cell failed (4 of 4); "
+               "first: k=50 exceeds min(n, m) = 3\n")
 
     @pytest.mark.parametrize("given", ["none", "directory"])
     def test_ingest_input_that_is_not_a_file_is_a_clean_error(self, tmp_path, capsys,
@@ -583,3 +638,31 @@ class TestCliOverrides:
         assert cfg.nmf == replace(base.nmf, k_min=3, k_max=6)
         assert cfg.cluster == replace(base.cluster, min_cluster_size=4,
                                       row_normalize=True)
+
+
+# Every layer function whose keywords are named after fields of a stage's
+# settings section, with that section.
+LAYER_KEYWORDS = [
+    (ingest.clean_transactions, "ingest"),
+    (ingest.segment_customers, "ingest"),
+    (lasso.fit_lasso, "lasso"),
+    (lasso.cross_validate_alpha, "lasso"),
+    (lasso.select_features, "lasso"),
+    (cluster.cluster_rows, "cluster"),
+    (cluster.extract_clusters, "cluster"),
+]
+
+
+class TestLayerDefaults:
+    @pytest.mark.parametrize("fn, section", LAYER_KEYWORDS,
+                             ids=[fn.__name__ for fn, _ in LAYER_KEYWORDS])
+    def test_keyword_defaults_match_the_settings(self, fn, section):
+        # A tunable has a keyword default and a settings default; editing
+        # one without the other would make a direct call and a pipeline run
+        # disagree. min_samples is compared with its resolved value.
+        settings = getattr(PipelineConfig().resolved(), section)
+        shared = {name: param.default
+                  for name, param in inspect.signature(fn).parameters.items()
+                  if hasattr(settings, name) and param.default is not param.empty}
+        assert shared
+        assert shared == {name: getattr(settings, name) for name in shared}

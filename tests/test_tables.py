@@ -11,9 +11,8 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from shoplens import rfm
-from shoplens.ingest import (DEFAULT_DATE_FORMATS, DEFAULT_SCHEMA, CleaningRules,
-                             Coded, InvoiceLines, SegmentationConfig, Transactions,
-                             _parse_stamp, build_incidence_matrix, clean_transactions,
+from shoplens.ingest import (DEFAULT_DATE_FORMATS, DEFAULT_SCHEMA, Coded, InvoiceLines,
+                             Transactions, _parse_stamp, build_incidence_matrix, clean_transactions,
                              parse_invoice_csv, read_transactions, segment_customers,
                              write_transactions)
 
@@ -54,20 +53,19 @@ def reference_parse(path, schema=None, encoding="utf-8"):
         return reference_parse_rows(reader, header, schema, DEFAULT_DATE_FORMATS)
 
 
-def assert_same_as_reference(path, schema=None, rules=CleaningRules(),
-                             cfg=SegmentationConfig()):
+def assert_same_as_reference(path, schema=None, cancellation_prefix="C", **segmentation):
     lines, rejects = parse_invoice_csv(path, schema=schema)
     ref_lines, ref_rejects = reference_parse(path, schema=schema)
     assert records(lines) == ref_lines
     assert rejects == ref_rejects
 
-    txns = clean_transactions(lines, rules)
-    ref_txns = reference_clean_transactions(ref_lines, rules)
+    txns = clean_transactions(lines, cancellation_prefix)
+    ref_txns = reference_clean_transactions(ref_lines, cancellation_prefix)
     assert records(txns) == ref_txns
     assert as_bytes(txns.spend) == as_bytes(t.spend for t in ref_txns)
 
-    segments = segment_customers(txns, cfg)
-    assert segments == reference_segment_customers(ref_txns, cfg)
+    segments = segment_customers(txns, **segmentation)
+    assert segments == reference_segment_customers(ref_txns, **segmentation)
 
     members = [s.customer_id for s in segments if s.n_purchases >= 2]
     if members:
@@ -147,10 +145,9 @@ class TestAgainstReference:
 
     def test_empty_cancellation_prefix_and_custom_rules(self, tmp_path):
         path = write_rows(tmp_path / "in.csv", random_rows(11, 600))
-        assert_same_as_reference(path, rules=CleaningRules(cancellation_prefix=""))
-        assert_same_as_reference(path, rules=CleaningRules(cancellation_prefix="53"),
-                                 cfg=SegmentationConfig(frequent_min_purchases=2,
-                                                        wholesale_quantity_threshold=10))
+        assert_same_as_reference(path, cancellation_prefix="")
+        assert_same_as_reference(path, cancellation_prefix="53", frequent_min_purchases=2,
+                                 wholesale_quantity_threshold=10)
 
     def test_custom_schema(self, tmp_path):
         header = ["Country", "Price", "Customer", "Date", "Qty", "Description",
