@@ -13,7 +13,6 @@ export -> import -> export is byte-stable.
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -164,6 +163,14 @@ def import_jsonl(nodes_path: str | Path, edges_path: str | Path) -> GraphDocumen
     return GraphDocument(nodes=load(nodes_path), edges=load(edges_path))
 
 
+def _escape(text: str, quote: bool = False) -> str:
+    """XML character data (and, with ``quote``, a double-quoted attribute
+    value); the same bytes as ``xml.sax.saxutils.escape``, which would pull
+    ``urllib`` and ``http`` into every CLI start."""
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return text.replace('"', "&quot;") if quote else text
+
+
 def export_graphml(doc: GraphDocument, path: str | Path) -> Path:
     """GraphML with embeddings as comma-joined attribute strings."""
     path = Path(path)
@@ -177,9 +184,9 @@ def export_graphml(doc: GraphDocument, path: str | Path) -> Path:
         '  <graph id="G" edgedefault="undirected">',
     ]
     for nd in sorted(doc.nodes, key=lambda d: (d["kind"], d["id"])):
-        node_ref = escape(f"{nd['kind']}/{nd['id']}", {'"': "&quot;"})
+        node_ref = _escape(f"{nd['kind']}/{nd['id']}", quote=True)
         lines.append(f'    <node id="{node_ref}">')
-        lines.append(f'      <data key="kind">{escape(nd["kind"])}</data>')
+        lines.append(f'      <data key="kind">{_escape(nd["kind"])}</data>')
         if "embedding" in nd:
             emb = ",".join(fmt_float(v) for v in nd["embedding"])
             lines.append(f'      <data key="embedding">{emb}</data>')
@@ -187,8 +194,8 @@ def export_graphml(doc: GraphDocument, path: str | Path) -> Path:
             lines.append(f'      <data key="cluster">{nd["cluster"]}</data>')
         lines.append('    </node>')
     for ed in sorted(doc.edges, key=lambda d: (d["_from"], d["_to"])):
-        src = escape(ed["_from"], {'"': "&quot;"})
-        dst = escape(ed["_to"], {'"': "&quot;"})
+        src = _escape(ed["_from"], quote=True)
+        dst = _escape(ed["_to"], quote=True)
         lines.append(f'    <edge source="{src}" target="{dst}">')
         lines.append(f'      <data key="weight">{fmt_float(ed["weight"])}</data>')
         lines.append('    </edge>')

@@ -19,7 +19,6 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
 
 import numpy as np
 
@@ -106,15 +105,18 @@ def _weight_matrix(shape: tuple[int, int], mask: HoldoutMask | None) -> np.ndarr
 
 
 def _objective(data: np.ndarray, w: np.ndarray, h: np.ndarray,
-               weights: np.ndarray | None, l1_reg: float,
-               l2_reg: float) -> tuple[np.ndarray, float]:
-    """The (weighted) residual data - W.H and the regularized objective."""
-    resid = data - w @ h
+               weights: np.ndarray | None, l1_reg: float, l2_reg: float,
+               buf: np.ndarray) -> float:
+    """The regularized objective, scored from a fresh (weighted) residual
+    data - W.H written into ``buf``, an n x m array the fit allocates once."""
+    np.matmul(w, h, out=buf)
+    np.subtract(data, buf, out=buf)
     if weights is not None:
-        resid *= weights
+        buf *= weights
+    np.square(buf, out=buf)
     reg = (l1_reg * (np.abs(w).sum() + np.abs(h).sum())
            + 0.5 * l2_reg * ((w ** 2).sum() + (h ** 2).sum()))
-    return resid, float(0.5 * (resid ** 2).sum() + reg)
+    return float(0.5 * buf.sum() + reg)
 
 
 def _init_factors(p: np.ndarray, cfg: NmfConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -147,30 +149,33 @@ def _init_factors(p: np.ndarray, cfg: NmfConfig) -> tuple[np.ndarray, np.ndarray
     return w, h
 
 
-def _sweep(a: np.ndarray, b: np.ndarray, resid: np.ndarray,
+def _sweep(a: np.ndarray, b: np.ndarray, data: np.ndarray,
            weights: np.ndarray | None, l1_reg: float, l2_reg: float) -> None:
-    """Exact update of every column of ``a`` in ``resid ~ a.b``, in place.
+    """Exact update of every column of ``a`` in ``data ~ a.b``, in place.
 
-    Column t is separable by row: each entry is the clipped minimizer of
-    its (weighted) quadratic plus the penalties, and ``resid`` follows the
-    change by a rank-1 correction written in its own memory layout. Called
+    Column t is separable by row, and row i minimizes its (weighted)
+    quadratic plus the penalties in Gram form: with ``lin = data.b^T`` and
+    ``B_i = sum_j weights[i, j] * b_j b_j^T`` (``b.b^T`` for every row when
+    there are no weights), the clipped minimizer is
+
+        a[i, t] = max(lin[i, t] - sum_{s != t} a[i, s] B_i[s, t] - l1, 0)
+                  / (B_i[t, t] + l2),
+
+    and 0 where that denominator is 0. With weights, column t of every
+    ``B_i`` is one n x k product, so a sweep reads k + 1 matrix products
+    instead of making five passes over an n x m residual per column. Called
     on the transposed problem, the same code updates the rows of H.
     """
-    tmp = np.empty_like(resid)
+    lin = data @ b.T
+    gram = b @ b.T if weights is None else None
     for t in range(a.shape[1]):
-        bt = b[t]
-        diag = bt @ bt if weights is None else weights @ (bt * bt)
-        denom = diag + l2_reg
-        numer = resid @ bt + a[:, t] * diag - l1_reg
-        new = np.zeros(a.shape[0])
-        np.divide(np.maximum(numer, 0.0), denom, out=new, where=denom > 0)
-        delta = new - a[:, t]
-        if delta.any():
-            np.multiply(delta[:, None], bt, out=tmp)
-            if weights is not None:
-                tmp *= weights
-            resid -= tmp
-            a[:, t] = new
+        # row i of cross is column t of B_i
+        cross = (np.broadcast_to(gram[t], a.shape) if weights is None
+                 else weights @ (b * b[t]).T)
+        denom = cross[:, t] + l2_reg
+        a[:, t] = 0.0
+        numer = lin[:, t] - np.einsum("ij,ij->i", a, cross) - l1_reg
+        np.divide(np.maximum(numer, 0.0), denom, out=a[:, t], where=denom > 0)
 
 
 def fit_nmf(p_prime, cfg: NmfConfig,
@@ -196,18 +201,18 @@ def fit_nmf(p_prime, cfg: NmfConfig,
     l1_reg = cfg.alpha_m * cfg.l1_ratio
     l2_reg = cfg.alpha_m * (1.0 - cfg.l1_ratio)
 
-    resid, objective = _objective(data, w, h, weights, l1_reg, l2_reg)
-    trace = [objective]
+    # every iteration is scored from a fresh residual, so no rounding
+    # accumulates in the trace
+    buf = np.empty_like(data)
+    trace = [_objective(data, w, h, weights, l1_reg, l2_reg, buf)]
+    scale = max(abs(trace[0]), np.finfo(float).tiny)
     converged = False
     n_iter = 0
     for n_iter in range(1, cfg.max_iter + 1):
-        _sweep(w, h, resid, weights, l1_reg, l2_reg)
-        _sweep(h.T, w.T, resid.T, None if weights is None else weights.T,
+        _sweep(w, h, data, weights, l1_reg, l2_reg)
+        _sweep(h.T, w.T, data.T, None if weights is None else weights.T,
                l1_reg, l2_reg)
-        # a fresh residual drops accumulated rounding before scoring
-        resid, objective = _objective(data, w, h, weights, l1_reg, l2_reg)
-        trace.append(objective)
-        scale = max(abs(trace[0]), np.finfo(float).tiny)
+        trace.append(_objective(data, w, h, weights, l1_reg, l2_reg, buf))
         if (trace[-2] - trace[-1]) / scale < cfg.tol:
             converged = True
             break
@@ -226,10 +231,16 @@ def imputation_mse(p_prime, f: Factorization, mask: HoldoutMask) -> float:
 
 
 # Upper-bound HALS work of a grid, summed over its cells as
-# max_iter * k * n * m, from which the cells run in worker processes. HALS
-# ran at about 1.25e8 of these units per second, so this is about 1.6 s of
-# serial work: several times what starting a worker costs.
-_POOL_MIN_WORK = 2e8
+# max_iter * k * n * m, from which the cells run in worker processes. On a
+# 447 x 75 spend matrix with k = 2..5 (one BLAS thread), HALS ran at about
+# 4e8 of these units per second, so this is about 0.75 s of serial work.
+# There, two workers tied with the serial loop at 2.1e8 units and saved
+# about a quarter of the time at 3.8e8.
+_POOL_MIN_WORK = 3e8
+
+# The grid's matrix and holdout mask inside a pool worker, set once per
+# worker by ``_init_worker``.
+_worker_inputs: tuple[np.ndarray, HoldoutMask] | None = None
 
 
 def _grid_cell(dense: np.ndarray, mask: HoldoutMask, cfg: NmfConfig,
@@ -242,14 +253,25 @@ def _grid_cell(dense: np.ndarray, mask: HoldoutMask, cfg: NmfConfig,
         return float("nan"), 0, False, str(exc)
 
 
+def _init_worker(dense: np.ndarray, mask: HoldoutMask) -> None:
+    global _worker_inputs
+    _worker_inputs = dense, mask
+
+
+def _worker_cell(cfg: NmfConfig) -> tuple[float, int, bool, str | None]:
+    return _grid_cell(*_worker_inputs, cfg)
+
+
 def _run_cells(dense: np.ndarray, mask: HoldoutMask, cfgs: list[NmfConfig],
                ) -> list[tuple[float, int, bool, str | None]]:
     """``_grid_cell`` over every config, results in config order.
 
     The cells are independent, so a large grid spreads them over one spawned
-    worker per allowed CPU (never more workers than cells). Workers inherit
-    the environment, BLAS thread settings included, and run the same
-    arithmetic, so the results equal the in-process ones bit for bit.
+    worker per allowed CPU (never more workers than cells). Each worker
+    receives the matrix and the mask once, when it starts, and then the
+    configs in chunks. Workers inherit the environment, BLAS thread settings
+    included, and run the same arithmetic, so the results equal the
+    in-process ones bit for bit.
     """
     n, m = dense.shape
     work = sum(cfg.max_iter * cfg.k * n * m for cfg in cfgs)
@@ -264,8 +286,11 @@ def _run_cells(dense: np.ndarray, mask: HoldoutMask, cfgs: list[NmfConfig],
     from concurrent.futures import ProcessPoolExecutor
 
     spawn = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(workers, mp_context=spawn) as pool:
-        return list(pool.map(_grid_cell, repeat(dense), repeat(mask), cfgs))
+    with ProcessPoolExecutor(workers, mp_context=spawn, initializer=_init_worker,
+                             initargs=(dense, mask)) as pool:
+        # a few chunks per worker, so that uneven cells still balance
+        return list(pool.map(_worker_cell, cfgs,
+                             chunksize=max(1, len(cfgs) // (4 * workers))))
 
 
 def grid_search(p_prime, k_range, alpha_grid, l1_grid,

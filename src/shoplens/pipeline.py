@@ -551,7 +551,6 @@ def run_stage(name: str, config: PipelineConfig) -> dict:
     cfg = config.resolved()
     run_dir = Path(cfg.output_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    dump_json(run_dir / "config.json", cfg.to_dict())
 
     inputs = _Inputs(run_dir)
     started = time.perf_counter()
@@ -580,6 +579,9 @@ def run_stage(name: str, config: PipelineConfig) -> dict:
     manifest["stages"].append(entry)
     order = {n: i for i, n in enumerate(STAGES)}
     manifest["stages"].sort(key=lambda s: order.get(s["name"], 99))
+    # only a stage that ran records its config: a failed one leaves the
+    # previous run's config beside the artifacts it left too
+    dump_json(run_dir / "config.json", cfg.to_dict())
     dump_json(manifest_path, manifest)
     return entry
 

@@ -6,12 +6,13 @@ gradient instead of coordinate descent, a threshold-sweep over the complete
 reachability graph instead of an MST walk, a brute-force likelihood grid
 instead of bracketed optimization). Nothing imports the code paths it
 checks. Four references are exceptions by design, because the library must
-match them bit for bit: the full-matrix distance layer (``full_*``), the
-n x n reference for the library's row-block core distances and row-by-row
-Prim tree; ``reference_fit_lasso``, the plain cyclic coordinate descent
-that the library's screened solver reproduces; the NMF layer
-(``reference_fit_nmf`` and its mask and imputation helpers), the separate
-W and H updates that the library's single column sweep reproduces, with
+match them bit for bit or, for NMF, up to a documented rounding drift: the
+full-matrix distance layer (``full_*``), the n x n reference for the
+library's row-block core distances and row-by-row Prim tree;
+``reference_fit_lasso``, the plain cyclic coordinate descent that the
+library's screened solver reproduces; the NMF layer (``reference_fit_nmf``
+and its mask and imputation helpers), the residual-form W and H updates
+that the library's Gram-form sweep reproduces within rounding, with
 ``reference_grid_search``, the serial cell loop that the library may run in
 worker processes. It shares only the factor initialization with the
 library. And the per-record ingest and RFM loops (``reference_parse_rows``

@@ -1,3 +1,5 @@
+from xml.sax.saxutils import escape as sax_escape
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from shoplens.graph import (BipartiteGraph, GraphDocument, attach_embeddings,
                             build_affinity_graph, build_purchase_graph,
                             export_graphml, export_jsonl, import_jsonl,
                             similar_nodes)
+from shoplens.graph import _escape
 from shoplens.nmf import Factorization
 
 from conftest import purchase_matrix
@@ -99,6 +102,14 @@ class TestAttachEmbeddings:
         f = factorization([[1.0]], [[1.0]], ["a"], ["x"])
         with pytest.raises(ValueError, match="ghost"):
             attach_embeddings(build_purchase_graph(m), f, np.array([0]))
+
+
+class TestEscape:
+    @pytest.mark.parametrize("text", ["", "plain", 'a&b<c>d"e', '&amp;"<<>>"&',
+                                      "Café & Crème <» \"ß\" ☕", "'single' & \t tab"])
+    def test_matches_saxutils(self, text):
+        assert _escape(text) == sax_escape(text)
+        assert _escape(text, quote=True) == sax_escape(text, {'"': "&quot;"})
 
 
 class TestRoundTrip:

@@ -268,21 +268,44 @@ def as_bytes(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
 
 
+# The Gram-form sweep makes the same updates as the residual-form reference
+# in exact arithmetic; only rounding differs. Factors, traces and imputation
+# errors agree to this fraction of their largest magnitude.
+DRIFT = 1e-12
+
+
+def assert_drift(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= DRIFT * np.abs(want).max(initial=0.0)
+
+
+def assert_table_drift(table, want):
+    """Grid tables: the same cells and failures, MSEs within ``DRIFT``."""
+    got, want = np.asarray(table, dtype=float), np.asarray(want, dtype=float)
+    assert np.array_equal(got[:, :3], want[:, :3])
+    assert np.array_equal(np.isnan(got[:, 3]), np.isnan(want[:, 3]))
+    assert_drift(np.nan_to_num(got[:, 3]), np.nan_to_num(want[:, 3]))
+
+
 class TestReferenceEquality:
-    """The single-sweep fit reproduces the separate W and H updates it
-    replaced (``oracles.reference_fit_nmf``) bit for bit."""
+    """The Gram-form fit reproduces the residual-form W and H updates
+    (``oracles.reference_fit_nmf``) up to rounding: the same iterations,
+    stopping decision and zero pattern, and values within ``DRIFT``."""
 
     @staticmethod
     def assert_same_fit(p, cfg, mask=None):
         got = fit_nmf(p, cfg, mask=mask)
         want = reference_fit_nmf(p, cfg, mask=mask)
-        assert got.w.tobytes() == want.w.tobytes()
-        assert got.h.tobytes() == want.h.tobytes()
-        assert as_bytes(got.objective_trace) == as_bytes(want.objective_trace)
+        assert_drift(got.w, want.w)
+        assert_drift(got.h, want.h)
+        assert np.array_equal(got.w == 0, want.w == 0)
+        assert np.array_equal(got.h == 0, want.h == 0)
+        assert_drift(got.objective_trace, want.objective_trace)
         assert (got.n_iter, got.converged) == (want.n_iter, want.converged)
         if mask is not None:
-            assert (as_bytes(imputation_mse(p, got, mask))
-                    == as_bytes(reference_imputation_mse(p, want, mask)))
+            assert_drift(imputation_mse(p, got, mask),
+                         reference_imputation_mse(p, want, mask))
         return got
 
     @pytest.mark.parametrize("masked", [False, True])
@@ -372,9 +395,7 @@ class TestReferenceEquality:
         result = grid_search(matrix.to_dense(), ks, alphas, l1s, seed=7, max_iter=30)
         want, want_fits = reference_grid_search(p, ks, alphas, l1s, seed=7,
                                                 max_iter=30)
-        assert [row[:3] for row in result.table] == [row[:3] for row in want]
-        assert as_bytes([row[3] for row in result.table]) == as_bytes(
-            [row[3] for row in want])
+        assert_table_drift(result.table, want)
         assert len(result.failures) == len(l1s) * len(alphas)
         assert result.fits == want_fits
         assert {converged for _, converged in want_fits} == {False, True}
@@ -420,6 +441,9 @@ class TestPooledGrid:
         args, kwargs = created[0]
         assert args == (2,)
         assert kwargs["mp_context"].get_start_method() == "spawn"
+        # the matrix and the mask go to each worker once, not with every cell
+        assert kwargs["initializer"] is nmf_mod._init_worker
+        assert kwargs["initargs"][0].tobytes() == p.tobytes()
 
         assert self.table_bytes(pooled.table) == self.table_bytes(serial.table)
         assert pooled.best == serial.best
@@ -430,7 +454,7 @@ class TestPooledGrid:
         assert mse[2, 0.0, 1.0] == mse[2, 0.0, 0.5] == mse[2, 0.0, 0.0]
 
         want, want_fits = reference_grid_search(p, **self.GRID)
-        assert self.table_bytes(pooled.table) == self.table_bytes(want)
+        assert_table_drift(pooled.table, want)
         assert pooled.fits == serial.fits == want_fits
 
     def test_one_cpu_starts_no_process(self, monkeypatch):
@@ -439,7 +463,7 @@ class TestPooledGrid:
         result = grid_search(p, **self.GRID)
         assert created == []
         want, _ = reference_grid_search(p, **self.GRID)
-        assert self.table_bytes(result.table) == self.table_bytes(want)
+        assert_table_drift(result.table, want)
 
     def test_small_grid_stays_in_process(self, monkeypatch):
         created = self.executors(monkeypatch, cpus=2,

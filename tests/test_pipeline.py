@@ -522,6 +522,20 @@ class TestCli:
             1, "error: every grid cell failed (4 of 4); "
                "first: k=50 exceeds min(n, m) = 3\n")
 
+    def test_failed_stage_keeps_the_config_of_its_artifacts(
+            self, full_run, fixture_config_path, tmp_path):
+        # config.json used to be written before the stage ran, so it said
+        # k_min 50 beside the grid.csv of the earlier, successful run.
+        _, out, _ = full_run
+        run_dir = tmp_path / "run"
+        shutil.copytree(out, run_dir)
+        before = {name: (run_dir / name).read_bytes()
+                  for name in ("config.json", "manifest.json", "grid-search/grid.csv")}
+        rc = cli_main(["--config", str(fixture_config_path), "grid-search",
+                       "--out", str(run_dir), "--k-min", "50", "--k-max", "50"])
+        assert rc == 1
+        assert {name: (run_dir / name).read_bytes() for name in before} == before
+
     @pytest.mark.parametrize("given", ["none", "directory"])
     def test_ingest_input_that_is_not_a_file_is_a_clean_error(self, tmp_path, capsys,
                                                               monkeypatch, given):

@@ -21,9 +21,10 @@ def run_python(*args) -> subprocess.CompletedProcess:
 
 def test_cli_import_leaves_heavy_modules_unloaded():
     # scipy.optimize alone was most of the CLI's start-up time; the process
-    # pool modules are loaded only when a large grid search runs.
+    # pool modules are loaded only when a large grid search runs; the GraphML
+    # escape is in-package because xml.sax.saxutils imports urllib.request.
     heavy = ["scipy.optimize", "scipy.stats", "multiprocessing",
-             "concurrent.futures"]
+             "concurrent.futures", "xml.sax.saxutils", "urllib.request"]
     proc = run_python("-c", "import json, sys, shoplens.cli; "
                       f"print(json.dumps([m for m in {heavy!r} if m in sys.modules]))")
     assert proc.returncode == 0, proc.stderr
