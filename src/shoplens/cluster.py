@@ -38,8 +38,8 @@ class ClusterProfile:
     zero_centroid: bool
 
 
-# Elements (rows x n x k) in one block of the difference tensor: ~4 MB of
-# float64, so the distance layer never holds an n x n matrix.
+# Elements (rows x n x k) in one distance block: its squared distances are
+# 2^19 / k float64 values, so the distance layer never holds an n x n matrix.
 _BLOCK_ELEMENTS = 1 << 19
 
 
@@ -48,23 +48,63 @@ def _block_rows(n: int, k: int) -> int:
     return max(1, _BLOCK_ELEMENTS // max(1, n * k))
 
 
+def _squared_distances(x, cols: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sum_j (x[j] - cols[j])**2, written into out and returned.
+
+    cols holds one contiguous row per coordinate (points.T); x[j] is a
+    scalar or a column that broadcasts against cols[j]. The k terms are
+    added in the order numpy sums a last axis of length k: left to right
+    below 8 terms, in eight running sums combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) up to 128, and as two halves (the
+    first a multiple of 8 long) above that. So np.sqrt(out) equals
+    np.sqrt(((x - points) ** 2).sum(-1)) bit for bit.
+    """
+    k = len(cols)
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        _squared_distances(x[:half], cols[:half], out)
+        out += _squared_distances(x[half:], cols[half:], np.empty_like(out))
+        return out
+
+    def square(j, dest):
+        np.subtract(x[j], cols[j], out=dest)
+        return np.multiply(dest, dest, out=dest)
+
+    lanes = 1 if k < 8 else 8
+    sums = [square(0, out)] + [square(j, np.empty_like(out)) for j in range(1, lanes)]
+    term = np.empty_like(out)
+    body = k - k % lanes
+    for j in range(lanes, body):
+        sums[j % lanes] += square(j, term)
+    if lanes == 8:
+        for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+            sums[a] += sums[b]
+    for j in range(body, k):
+        out += square(j, term)
+    return out
+
+
 def core_distances(points: np.ndarray, min_samples: int) -> np.ndarray:
     """Distance to each point's min_samples-th nearest neighbor (excluding
     itself).
 
-    Distances are computed one block of rows at a time, so memory is
-    O(block x n x k) rather than O(n^2 k).
+    Squared distances are computed one block of rows at a time, so memory is
+    O(block x n) rather than O(n^2). The selected value is the same whether
+    the block is partitioned before or after np.sqrt, which is monotone, so
+    only the selected column is square-rooted.
     """
     points = np.asarray(points, dtype=float)
     n = len(points)
     if n <= min_samples:
         raise ValueError(f"need more than min_samples={min_samples} points, got {n}")
+    cols = np.ascontiguousarray(points.T)
     core = np.empty(n)
     step = _block_rows(n, points.shape[1])
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        dist = np.sqrt(((points[lo:hi, None, :] - points[None, :, :]) ** 2).sum(axis=-1))
-        core[lo:hi] = np.partition(dist, min_samples, axis=1)[:, min_samples]
+        block = _squared_distances(cols[:, lo:hi, None], cols, np.empty((hi - lo, n)))
+        block.partition(min_samples, axis=1)
+        np.sqrt(block[:, min_samples], out=core[lo:hi])
     return core
 
 
@@ -73,29 +113,36 @@ def mutual_reachability_mst(points: np.ndarray, core: np.ndarray) -> list[tuple[
 
     Prim's algorithm over the complete graph; on ties the lowest-index
     vertex joins first, so the tree is deterministic. The reachability row
-    of a vertex is computed when it joins the tree, so memory is O(n).
+    of a vertex is computed when it joins the tree, so memory is O(n). A
+    vertex in the tree keeps best = +inf, so argmin over best sees only the
+    vertices still outside.
     """
     points = np.asarray(points, dtype=float)
     n = len(points)
     if n < 2:
         raise ValueError(f"need at least 2 points, got {n}")
 
-    in_tree = np.zeros(n, dtype=bool)
+    cols = np.ascontiguousarray(points.T)
+    outside = np.ones(n, dtype=bool)
     best = np.full(n, np.inf)
     parent = np.full(n, -1)
+    row = np.empty(n)
+    improve = np.empty(n, dtype=bool)
     best[0] = 0.0
     edges: list[tuple[int, int, float]] = []
     for _ in range(n):
-        candidates = np.where(in_tree, np.inf, best)
-        v = int(np.argmin(candidates))  # argmin takes the first minimum: index tie-break
-        in_tree[v] = True
+        v = int(np.argmin(best))  # argmin takes the first minimum: index tie-break
         if parent[v] >= 0:
             edges.append((int(parent[v]), v, float(best[v])))
-        row = np.sqrt(((points[v] - points) ** 2).sum(axis=-1))
-        row = np.maximum(row, np.maximum(core[v], core))
-        improve = ~in_tree & (row < best)
-        parent[improve] = v
-        best[improve] = row[improve]
+        best[v] = np.inf
+        outside[v] = False
+        np.sqrt(_squared_distances(cols[:, v], cols, row), out=row)
+        np.maximum(row, core, out=row)
+        np.maximum(row, core[v], out=row)
+        np.less(row, best, out=improve)
+        improve &= outside
+        np.copyto(parent, v, where=improve)
+        np.copyto(best, row, where=improve)
     return edges
 
 
@@ -290,8 +337,12 @@ def cluster_rows(points: np.ndarray, min_cluster_size: int = 5,
         raise ValueError(f"min_samples must be >= 1, got {min_samples}")
     if min_samples > min_cluster_size:
         raise ValueError("min_samples must not exceed min_cluster_size")
+    points = np.asarray(points, dtype=float)
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"row {int(np.argmin(finite))} holds a NaN or infinite value")
     core = core_distances(points, min_samples)
-    mst = mutual_reachability_mst(np.asarray(points, dtype=float), core)
+    mst = mutual_reachability_mst(points, core)
     return extract_clusters(mst, min_cluster_size)
 
 

@@ -8,7 +8,9 @@ instead of bracketed optimization). Nothing imports the code paths it
 checks. Four references are exceptions by design, because the library must
 match them bit for bit or, for NMF, up to a documented rounding drift: the
 full-matrix distance layer (``full_*``), the n x n reference for the
-library's row-block core distances and row-by-row Prim tree;
+library's row-block core distances and row-by-row Prim tree, whose
+``full_pairwise_distances`` keeps the reference distance expression that
+the library's column-wise kernel reproduces;
 ``reference_fit_lasso``, the plain cyclic coordinate descent that the
 library's screened solver reproduces; the NMF layer (``reference_fit_nmf``
 and its mask and imputation helpers), the residual-form W and H updates

@@ -8,7 +8,7 @@ from shoplens.cluster import (ClusterLabeling, cluster_rows, core_distances, ext
                               mutual_reachability_mst, profile_clusters)
 
 from conftest import blobs_with_noise
-from oracles import (full_core_distances, full_prim_mst,
+from oracles import (full_core_distances, full_pairwise_distances, full_prim_mst,
                      minimum_spanning_weight_bruteforce, partition_of,
                      reference_density_partition)
 
@@ -99,10 +99,29 @@ def assert_matches_full_matrix(points, min_samples):
     assert mutual_reachability_mst(points, core) == full_prim_mst(points, expected_core)
 
 
+class TestSquaredDistanceKernel:
+    """The column-wise kernel adds the k squared differences in numpy's order
+    for summing a last axis of length k, so its square root is bit-equal to
+    the reference distance expressions."""
+
+    @pytest.mark.parametrize("k", list(range(1, 21)) + [130])
+    def test_bit_equal_to_reference_expression(self, k):
+        rng = np.random.default_rng(k)
+        points = rng.standard_normal((40, k)) * 10.0 ** rng.uniform(-3, 3, (40, k))
+        cols = np.ascontiguousarray(points.T)
+        block = cluster._squared_distances(cols[:, 5:17, None], cols, np.empty((12, 40)))
+        assert np.array_equal(np.sqrt(block), full_pairwise_distances(points)[5:17])
+        for v in (0, 23):
+            row = cluster._squared_distances(cols[:, v], cols, np.empty(40))
+            assert np.array_equal(np.sqrt(row), np.sqrt(((points[v] - points) ** 2).sum(axis=-1)))
+
+
 class TestBlockedDistances:
     """Row blocks and row-by-row Prim reproduce the full-matrix layer exactly."""
 
-    @pytest.mark.parametrize("k", [1, 4, 9])
+    # 8 is where numpy's sum switches to eight running sums, 20 is the
+    # default nmf.k_max, and above 128 the sum splits into halves
+    @pytest.mark.parametrize("k", [1, 4, 8, 9, 20, 130])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_around_one_block(self, k, offset):
         n = _one_block_n(k) + offset
@@ -125,15 +144,17 @@ class TestBlockedDistances:
         assert cluster._block_rows(40, 40) == 1
         assert_matches_full_matrix(points, 3)
 
-    def test_cluster_rows_memory_is_bounded(self):
-        points = np.random.default_rng(12).standard_normal((1000, 5))
+    # k = 20, the default nmf.k_max, holds eight running sums per block
+    @pytest.mark.parametrize("k", [5, 20])
+    def test_cluster_rows_memory_is_bounded(self, k):
+        points = np.random.default_rng(12).standard_normal((1000, k))
         tracemalloc.start()
         try:
             cluster_rows(points, 5, 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the full n x n x k difference tensor alone would be 40 MB
+        # the full n x n x k difference tensor alone would be 8k MB (40 MB at k = 5)
         assert peak < 24 * 2 ** 20
 
 
@@ -212,6 +233,18 @@ class TestExtract:
             cluster_rows(points, min_cluster_size=3, min_samples=0)
         with pytest.raises(ValueError, match="exceed"):
             cluster_rows(points, min_cluster_size=3, min_samples=4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_rejected_before_distances(self, bad, monkeypatch):
+        points = np.random.default_rng(4).standard_normal((30, 3))
+        points[4, 1] = bad
+        points[9, 0] = bad
+
+        def no_distances(*args):
+            raise AssertionError("distance work started")
+        monkeypatch.setattr(cluster, "core_distances", no_distances)
+        with pytest.raises(ValueError, match=r"^row 4 holds a NaN or infinite value$"):
+            cluster_rows(points, 5, 5)
 
     def test_cycle_rejected(self):
         with pytest.raises(ValueError, match="cycle"):
