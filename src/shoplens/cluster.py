@@ -341,6 +341,13 @@ def cluster_rows(points: np.ndarray, min_cluster_size: int = 5,
     finite = np.isfinite(points).all(axis=1)
     if not finite.all():
         raise ValueError(f"row {int(np.argmin(finite))} holds a NaN or infinite value")
+    # Below this magnitude no squared distance of two rows, k * (2 * |x|)^2
+    # at most, can overflow.
+    limit = math.sqrt(np.finfo(float).max / max(points.shape[1], 1)) / 2
+    large = (np.abs(points) >= limit).any(axis=1)
+    if large.any():
+        raise ValueError(f"row {int(np.argmax(large))} holds a value of magnitude "
+                         f">= {limit:.3g}; squared distances would overflow")
     core = core_distances(points, min_samples)
     mst = mutual_reachability_mst(points, core)
     return extract_clusters(mst, min_cluster_size)

@@ -10,6 +10,7 @@ meaningful under this convention and with standardized predictor columns
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,6 +128,130 @@ def standardize(p_matrix, responses) -> DesignMatrix:
 # a coordinate that enters the model wastes at most one block of it.
 _SCREEN_BLOCK = 64
 
+# Active sweeps between Newton steps on the support. On the pinned paper
+# workload's select-features (seeds 1-3, 6, 8, 9, 11), every 2, 3 or 5 sweeps
+# took the same time within 2%, every sweep took 7% longer and every 10 or
+# 20 sweeps 12% and 35% longer; 3 needs 27% fewer sweeps than 5.
+_NEWTON_EVERY = 3
+
+# Width of the tiles that every Gram product and Cholesky factor is built
+# from. OpenBLAS splits a larger product or factorization between its
+# threads, and the bits of the result then depend on the thread count; on
+# tiles of this width they are the same at 1 and at 2 threads.
+_TILE = 64
+
+# A Cholesky pivot at or below this fraction of its diagonal entry means the
+# column lies within 1e-4 rad of the span of the columns before it, and the
+# system is treated as singular. Rounding left an exactly dependent column
+# of a 359-column refit with a pivot of 1.2e-9 of its diagonal entry, so the
+# bound sits ten times above that.
+_PIVOT_RTOL = 1e-8
+
+
+def _padded(k: int) -> int:
+    return -(-k // _TILE) * _TILE
+
+
+def _gram(a: np.ndarray) -> np.ndarray:
+    """``a.T @ a`` from tile products on a zero-padded copy of ``a``, so
+    its bits do not depend on the BLAS thread count."""
+    n, k = a.shape
+    m = _padded(k)
+    ap = np.zeros((n, m), order="F")
+    ap[:, :k] = a
+    g = np.empty((m, m))
+    for i in range(0, m, _TILE):
+        ti = ap[:, i:i + _TILE]
+        for j in range(0, i + _TILE, _TILE):
+            g[i:i + _TILE, j:j + _TILE] = ti.T @ ap[:, j:j + _TILE]
+            g[j:j + _TILE, i:i + _TILE] = g[i:i + _TILE, j:j + _TILE].T
+    return g[:k, :k]
+
+
+def _factor_tile(s: np.ndarray, diag: np.ndarray):
+    """Cholesky factor of the tile ``s``, or the position of its first pivot
+    that is not above ``_PIVOT_RTOL`` times its diagonal entry in ``diag``."""
+    def factor(t: int):
+        try:
+            f = np.linalg.cholesky(s[:t, :t])
+        except np.linalg.LinAlgError:
+            return None
+        return f if (np.diag(f) ** 2 > _PIVOT_RTOL * diag[:t]).all() else None
+
+    tile = factor(len(s))
+    if tile is not None:
+        return tile
+    lo, hi = 0, len(s)  # the leading lo x lo block factors, the hi x hi one does not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if factor(mid) is None:
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
+def _cholesky(g: np.ndarray):
+    """Tiled lower Cholesky factor of the symmetric matrix ``g``, as
+    ``(low, inverses, held)``: the factor, the inverses of its diagonal
+    tiles, and the columns it held out.
+
+    A column whose pivot is at most ``_PIVOT_RTOL`` times its diagonal entry
+    depends on the columns before it. Its row and column are replaced by
+    those of the identity, so ``_cho_solve`` returns 0 there and solves the
+    remaining columns' system exactly when the right-hand side is 0 there.
+    Built from tile products and tile factorizations, so its bits do not
+    depend on the BLAS thread count.
+    """
+    k = len(g)
+    m = _padded(k)
+    a = np.eye(m)
+    a[:k, :k] = g
+    diag = np.diag(a).copy()
+    low = np.zeros((m, m))
+    inverses: list[np.ndarray] = []
+    held: list[int] = []
+    for j in range(0, m, _TILE):
+        cj = slice(j, j + _TILE)
+        for i in range(j, m, _TILE):
+            ci = slice(i, i + _TILE)
+            s = a[ci, cj].copy()
+            for q in range(0, j, _TILE):
+                s -= low[ci, q:q + _TILE] @ low[cj, q:q + _TILE].T
+            if i > j:
+                low[ci, cj] = s @ inverses[-1].T
+                continue
+            while not isinstance(tile := _factor_tile(s, diag[cj]), np.ndarray):
+                c = j + tile
+                held.append(c)
+                a[c, :] = a[:, c] = low[c, :] = 0.0
+                a[c, c] = 1.0
+                s[tile, :] = s[:, tile] = 0.0
+                s[tile, tile] = 1.0
+            low[cj, cj] = tile
+            inverses.append(np.linalg.inv(tile))
+    return low, inverses, held
+
+
+def _cho_solve(low: np.ndarray, inverses: list[np.ndarray], b: np.ndarray) -> np.ndarray:
+    """Solve ``g @ v = b`` for the ``g`` that ``_cholesky`` factored, by
+    forward and back substitution one tile at a time (``einsum`` products,
+    which do not use BLAS threads)."""
+    k = len(b)
+    v = np.zeros(low.shape[0])
+    v[:k] = b
+    for t, j in enumerate(range(0, len(v), _TILE)):
+        cj = slice(j, j + _TILE)
+        v[cj] = np.einsum("ij,j->i", inverses[t],
+                          v[cj] - np.einsum("ij,j->i", low[cj, :j], v[:j]))
+    for t in range(len(inverses) - 1, -1, -1):
+        j = t * _TILE
+        cj = slice(j, j + _TILE)
+        v[cj] = np.einsum("ij,i->j", inverses[t],
+                          v[cj] - np.einsum("ij,i->j", low[j + _TILE:, cj],
+                                            v[j + _TILE:]))
+    return v[:k]
+
 
 def _soft_threshold(z: float, a: float) -> float:
     if z > a:
@@ -136,15 +261,30 @@ def _soft_threshold(z: float, a: float) -> float:
     return 0.0
 
 
+def _to_first_sign_change(now: np.ndarray, target: np.ndarray):
+    """The point of the segment from ``now`` to ``target`` where the first
+    coordinate changes sign, with that coordinate exactly 0, and its
+    position; ``target`` and None when no coordinate changes sign."""
+    flips = np.flatnonzero(np.sign(target) != np.sign(now))
+    if not flips.size:
+        return target, None
+    ratios = now[flips] / (now[flips] - target[flips])
+    first = int(flips[np.argmin(ratios)])
+    point = now + ratios.min() * (target - now)
+    point[first] = 0.0
+    return point, first
+
+
 def fit_lasso(design: DesignMatrix, alpha: float, tol: float = 1e-7,
               max_iter: int = 10000,
               warm_start: np.ndarray | None = None) -> LassoModel:
-    """Cyclic coordinate descent with exact soft-threshold updates.
+    """Cyclic coordinate descent with exact soft-threshold updates, and a
+    Newton step on the support every ``_NEWTON_EVERY`` active sweeps.
 
     Sweeps alternate between the full coordinate set and the current active
     set; convergence is a full sweep whose largest coefficient change falls
     below tol. Hitting max_iter is reported via ``converged``, not
-    raised. ``warm_start`` seeds the coefficients.
+    raised; ``n_iter`` counts sweeps. ``warm_start`` seeds the coefficients.
 
     A full sweep screens each run of zero coefficients with one blocked
     gradient x[:, lo:hi]'r / n: a zero coordinate stays zero, and leaves the
@@ -154,6 +294,17 @@ def fit_lasso(design: DesignMatrix, alpha: float, tol: float = 1e-7,
     is visited gets the same floating-point operations in the same order as
     a plain cyclic sweep, so coefficients, sweep counts and the objective
     trace do not depend on the screening.
+
+    With the signs s of the support S held fixed, the objective is a
+    quadratic whose minimizer solves (X_S'X_S / n) b = X_S'z / n - alpha.s
+    with z = y - b0 (the feature-sign step of Lee, Battle, Raina & Ng,
+    2007). The Newton step moves the support's coefficients to that
+    minimizer or, if a sign would change, as far as the first sign change,
+    where that coefficient becomes exactly zero, and then steps again on the
+    smaller support. A step is kept only if it does not raise the objective,
+    so the objective trace never increases. A support of at least n columns
+    is left to the sweeps, and a support column that depends on the others
+    (such as a repeated column) is held at its value during the step.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -165,9 +316,10 @@ def fit_lasso(design: DesignMatrix, alpha: float, tol: float = 1e-7,
     n, p = x.shape
 
     intercept = float(y.mean())
+    z = y - intercept
     col_sq = np.einsum("ij,ij->j", x, x) / n
     beta = np.zeros(p) if warm_start is None else np.array(warm_start, dtype=float)
-    r = y - intercept - x @ beta
+    r = z - x @ beta
 
     cols = [x[:, j] for j in range(p)]
     sq = col_sq.tolist()
@@ -197,8 +349,63 @@ def fit_lasso(design: DesignMatrix, alpha: float, tol: float = 1e-7,
             beta[j] = new
         return abs(new - old)
 
-    def objective() -> float:
-        return float(r @ r / (2 * n) + alpha * np.abs(beta).sum())
+    def objective(res: np.ndarray, coefs: np.ndarray) -> float:
+        return float(res @ res / (2 * n) + alpha * np.abs(coefs).sum())
+
+    def newton() -> bool:
+        """Feature-sign steps on the support, repeated after a sign change.
+
+        The support's Gram matrix is factored once. After a sign change the
+        step solves the smaller system by bordering: with W = G^-1 E for
+        the unit columns E of the zeroed coordinates Z, the solution
+        u + W.mu with (E'W) mu = -E'u is zero on Z and solves the system of
+        the other coordinates. A support column that depends on the others
+        is held at its value. Returns whether a step was kept; a support of
+        at least n columns is singular and gets none.
+        """
+        support = np.flatnonzero(beta)
+        if support.size >= n:
+            return False
+        xs = x[:, support]
+        gram = _gram(xs) / n
+        low, inverses, held = _cholesky(gram)
+        now = beta[support]
+        rhs = np.einsum("ij,i->j", xs, z) / n - alpha * np.sign(now)
+        if held:
+            rhs -= np.einsum("ij,j->i", gram[:, held], now[held])
+            rhs[held] = 0.0
+        base = _cho_solve(low, inverses, rhs)
+        base[held] = now[held]
+        zeroed: list[int] = []
+        bordering: list[np.ndarray] = []
+        current = trace[-1]
+        kept = False
+        while True:
+            target = base.copy()
+            if zeroed:  # at most one tile: np.linalg.solve is thread-stable there
+                w = np.column_stack(bordering)
+                target += np.einsum("ij,j->i", w, np.linalg.solve(w[zeroed], -base[zeroed]))
+                target[zeroed] = 0.0
+            target, first = _to_first_sign_change(now, target)
+            trial = beta.copy()
+            trial[support] = target
+            res = z - np.einsum("ij,j->i", xs, target)
+            value = objective(res, trial)
+            if value > current:
+                return kept
+            beta[:] = trial
+            for j, v in zip(support.tolist(), target.tolist()):
+                b[j] = v
+            r[:] = res
+            current = value
+            kept = True
+            if first is None or len(zeroed) == _TILE:
+                return True
+            now = target
+            zeroed.append(first)
+            unit = np.zeros(support.size)
+            unit[first] = 1.0
+            bordering.append(_cho_solve(low, inverses, unit))
 
     def full_sweep() -> float:
         max_delta = 0.0
@@ -219,7 +426,7 @@ def fit_lasso(design: DesignMatrix, alpha: float, tol: float = 1e-7,
             if a < p:
                 max_delta = max(max_delta, update(a))
                 lo = a + 1
-        trace.append(objective())
+        trace.append(objective(r, beta))
         return max_delta
 
     def active_sweep(active: list[int]) -> float:
@@ -228,18 +435,25 @@ def fit_lasso(design: DesignMatrix, alpha: float, tol: float = 1e-7,
             delta = update(j)
             if delta > max_delta:
                 max_delta = delta
-        trace.append(objective())
+        trace.append(objective(r, beta))
         return max_delta
 
     n_iter = 0
+    active_sweeps = 0
     converged = False
+    polished = False
     last_full_delta = np.inf
     while n_iter < max_iter:
         last_full_delta = full_sweep()
         n_iter += 1
         if last_full_delta < tol:
-            converged = True
-            break
+            # One Newton step before stopping, confirmed by one more sweep.
+            if polished or n_iter == max_iter or not newton():
+                converged = True
+                break
+            polished = True
+            continue
+        polished = False
         active = np.flatnonzero(beta).tolist()
         if not active:
             continue
@@ -248,6 +462,9 @@ def fit_lasso(design: DesignMatrix, alpha: float, tol: float = 1e-7,
             n_iter += 1
             if delta < tol:
                 break
+            active_sweeps += 1
+            if active_sweeps % _NEWTON_EVERY == 0 and n_iter < max_iter:
+                newton()
 
     return LassoModel(
         alpha=float(alpha),
@@ -284,14 +501,18 @@ def duality_gap(design: DesignMatrix, model: LassoModel) -> float:
     s = min(1, n.alpha / ||X'r||_inf) is feasible, so the gap
     P - D = ||r||^2/2n + alpha.||b||_1 - (||z||^2 - ||z - s.r||^2)/2n is
     non-negative and bounds how far the objective is from its optimum;
-    it is zero exactly at an optimum.
+    it is zero exactly at an optimum. Its bits do not depend on the BLAS
+    thread count.
     """
     x, y = design.x, design.y
-    n = x.shape[0]
+    n, p = x.shape
     z = y - model.intercept
     r = z - x @ model.beta
     primal = r @ r / (2 * n) + model.alpha * np.abs(model.beta).sum()
-    corr = np.abs(x.T @ r).max(initial=0.0)
+    # X'r one tile of columns at a time: a single product over all columns
+    # changes bits with the BLAS thread count.
+    corr = max((float(np.abs(x[:, j:j + _TILE].T @ r).max()) for j in range(0, p, _TILE)),
+               default=0.0)
     s = min(1.0, n * model.alpha / corr) if corr > 0 else 1.0
     zs = z - s * r
     dual = (z @ z - zs @ zs) / (2 * n)
@@ -312,17 +533,25 @@ def default_alpha_grid(design: DesignMatrix, num: int = 100,
     return hi * np.logspace(np.log10(lo_ratio), 0.0, num)
 
 
+class CvFit(NamedTuple):
+    """The certificate of one cross-validation fit."""
+    fold: int
+    alpha: float
+    n_iter: int
+    converged: bool
+    duality_gap: float
+
+
 def cross_validate_alpha(design: DesignMatrix, grid, k: int, seed: int,
                          tol: float = 1e-7, max_iter: int = 10000,
-                         ) -> tuple[float, list[tuple[float, float]],
-                                    list[tuple[int, bool]]]:
+                         ) -> tuple[float, list[tuple[float, float]], list[CvFit]]:
     """Pick alpha by k-fold cross-validation MSE.
 
     Fold assignment is a seeded permutation of the row positions, so
     identical seeds give identical folds. Ties on mean MSE break toward the
     larger alpha (the sparser model). Returns the chosen alpha, the
-    (alpha, mean MSE) curve, and the (n_iter, converged) of every fit, fold
-    by fold.
+    (alpha, mean MSE) curve, and a ``CvFit`` for every fit, fold by fold
+    and in descending alpha within a fold.
     """
     grid = np.asarray(sorted(set(float(a) for a in grid)))
     if grid.size == 0:
@@ -337,7 +566,7 @@ def cross_validate_alpha(design: DesignMatrix, grid, k: int, seed: int,
             raise ValueError(f"fold with {len(f)} rows; need at least 2 per fold")
 
     fold_mse = np.zeros((k, grid.size))
-    fits: list[tuple[int, bool]] = []
+    fits: list[CvFit] = []
     for fi, test_idx in enumerate(folds):
         train = design.take(np.setdiff1d(pool, test_idx))
         # fit_lasso solves on a Fortran copy of x; made once per fold instead
@@ -348,7 +577,8 @@ def cross_validate_alpha(design: DesignMatrix, grid, k: int, seed: int,
         for gi in range(grid.size - 1, -1, -1):  # descending alpha, warm-started
             model = fit_lasso(train, grid[gi], tol, max_iter, warm_start=warm)
             warm = model.beta
-            fits.append((model.n_iter, model.converged))
+            fits.append(CvFit(fi, float(grid[gi]), model.n_iter, model.converged,
+                              duality_gap(train, model)))
             fold_mse[fi, gi] = np.mean((test.y - model.predict(test.x)) ** 2)
 
     mean_mse = fold_mse.mean(axis=0)
@@ -379,6 +609,13 @@ def drop_experiment(training: DesignMatrix, holdout: DesignMatrix,
     the smallest absolute coefficient (ties drop the lexicographically larger
     stock code), and repeat down to the intercept-only model. Both designs
     share the model's columns.
+
+    Every refit solves the normal equations of its columns by a Cholesky
+    factor of the matching block of one Gram matrix, formed once for the
+    intercept and the whole support. A refit with more columns than training
+    rows, or whose block holds a column (see ``_cholesky``), is solved by
+    ``ols_refit`` instead; the steps where that falls back to its ridge
+    penalty are recorded in ``ridge_fallback_steps``.
     """
     if len(holdout.y) == 0:
         raise ValueError("empty holdout")
@@ -389,28 +626,41 @@ def drop_experiment(training: DesignMatrix, holdout: DesignMatrix,
     if not support:
         raise ValueError("model has no nonzero coefficients")
     col_ids = training.col_ids
-    survivors = list(support)
     support_codes = [col_ids[j] for j in support]
     betas = {col_ids[j]: float(model.beta[j]) for j in support}
+
+    # Column 0 of the refit design is the intercept, column i + 1 is support[i].
+    a = np.column_stack([np.ones(len(training.y)), training.x[:, support]])
+    gram = _gram(a)
+    moments = np.einsum("ij,i->j", a, training.y)
+    alive = list(range(len(support)))
 
     points: list[tuple[int, float]] = []
     dropped: list[str] = []
     fallback_steps: list[int] = []
-    step = 0
     while True:
-        intercept, coefs, fellback = ols_refit(training.x[:, survivors], training.y)
-        if fellback:
-            fallback_steps.append(step)
+        survivors = [support[i] for i in alive]
+        cols = [0] + [i + 1 for i in alive]
+        # More columns than rows cannot factor; rounding can hide that.
+        held = len(cols) > len(training.y)
+        if not held:
+            low, inverses, held = _cholesky(gram[np.ix_(cols, cols)])
+        if held:
+            intercept, coefs, fellback = ols_refit(training.x[:, survivors], training.y)
+            if fellback:
+                fallback_steps.append(len(dropped))
+        else:
+            sol = _cho_solve(low, inverses, moments[cols])
+            intercept, coefs = float(sol[0]), sol[1:]
         pred = intercept + holdout.x[:, survivors] @ coefs
         points.append((len(survivors), float(np.mean((holdout.y - pred) ** 2))))
-        if not survivors:
+        if not alive:
             break
         min_abs = np.abs(coefs).min()
-        tied = [j for j, c in zip(survivors, coefs) if abs(c) == min_abs]
-        victim = max(tied, key=lambda j: col_ids[j])
-        dropped.append(col_ids[victim])
-        survivors.remove(victim)
-        step += 1
+        tied = [i for i, c in zip(alive, coefs) if abs(c) == min_abs]
+        victim = max(tied, key=lambda i: col_ids[support[i]])
+        dropped.append(col_ids[support[victim]])
+        alive.remove(victim)
 
     return DropExperimentCurve(points=points, support=support_codes,
                                dropped=dropped, betas=betas,

@@ -351,6 +351,9 @@ def _stage_select_features(cfg: PipelineConfig, run_dir: Path, inputs: _Inputs):
 
     write_csv(out / "cv_curve.csv", ["alpha", "mean_mse"],
               ([fmt_float(a), fmt_float(m)] for a, m in cv_curve))
+    write_csv(out / "cv_fits.csv", ["fold", "alpha", "n_iter", "converged", "duality_gap"],
+              ([str(f.fold), fmt_float(f.alpha), str(f.n_iter), str(f.converged).lower(),
+                fmt_float(f.duality_gap)] for f in cv_fits))
     write_csv(out / "drop_curve.csv", ["n_features", "holdout_mse"],
               ([str(nf), fmt_float(m)] for nf, m in curve.points))
     write_csv(out / "ranking.csv", ["stock_code", "beta", "rank"],
@@ -373,8 +376,8 @@ def _stage_select_features(cfg: PipelineConfig, run_dir: Path, inputs: _Inputs):
     write_csv(out / "diagnostics_pp.csv", ["theoretical", "empirical"],
               ([fmt_float(t), fmt_float(e)]
                for t, e in zip(report.pp_theoretical, report.pp_empirical)))
-    outputs = [out / "cv_curve.csv", out / "drop_curve.csv", out / "ranking.csv",
-               out / "model.json", out / "diagnostics_pred.csv",
+    outputs = [out / "cv_curve.csv", out / "cv_fits.csv", out / "drop_curve.csv",
+               out / "ranking.csv", out / "model.json", out / "diagnostics_pred.csv",
                out / "diagnostics_pp.csv"]
     outputs += ingest_mod.write_matrix(p_prime, out, "p_prime")
 
@@ -387,7 +390,8 @@ def _stage_select_features(cfg: PipelineConfig, run_dir: Path, inputs: _Inputs):
         "holdout_mse_selected": holdout_mse,
         "diagnostics_degenerate": report.degenerate,
         "cv_fits": len(cv_fits),
-        "cv_unconverged_fits": sum(1 for _, converged in cv_fits if not converged),
+        "cv_unconverged_fits": sum(1 for f in cv_fits if not f.converged),
+        "cv_max_duality_gap": max(f.duality_gap for f in cv_fits),
     }
     return outputs, metrics
 

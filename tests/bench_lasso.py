@@ -6,13 +6,15 @@ this file (it is not named ``test_*.py``). Run it explicitly:
 The design has the shape select-features meets at the paper's scale: a
 sparse non-negative spend matrix of 240 shoppers x ~2.7k items,
 standardized, so p is about 11 x n. Sweep caps are pinned so that every
-round does the same work.
+round does the same work. The drop experiment refits a 240-item support on
+288 training shoppers and scores 72 held-out ones, as select-features does
+on the paper's ~360 training rows.
 """
 
 import numpy as np
 import pytest
 
-from shoplens.lasso import fit_lasso, max_alpha, standardize
+from shoplens.lasso import LassoModel, drop_experiment, fit_lasso, max_alpha, standardize
 
 pytest.importorskip("pytest_benchmark")
 
@@ -20,15 +22,21 @@ N_ROWS, N_ITEMS, DENSITY = 240, 2700, 0.02
 MAX_ITER = 100
 
 
-@pytest.fixture(scope="module")
-def design():
-    rng = np.random.default_rng(0)
-    spend = rng.exponential(20.0, (N_ROWS, N_ITEMS)) * (rng.random((N_ROWS, N_ITEMS)) < DENSITY)
-    value = np.log1p(spend[:, :30].sum(axis=1)) + 0.3 * rng.standard_normal(N_ROWS)
+def spend_design(rows, seed=0):
+    rng = np.random.default_rng(seed)
+    spend = rng.exponential(20.0, (rows, N_ITEMS)) * (rng.random((rows, N_ITEMS)) < DENSITY)
+    value = np.log1p(spend[:, :30].sum(axis=1)) + 0.3 * rng.standard_normal(rows)
     return standardize(spend, value)
 
 
-@pytest.mark.parametrize("frac", [0.3, 0.05])
+@pytest.fixture(scope="module")
+def design():
+    return spend_design(N_ROWS)
+
+
+# 0.03 x alpha_max is the small end of the pinned paper grid: the support
+# nears the row count, and the Newton steps on it do most of the work.
+@pytest.mark.parametrize("frac", [0.3, 0.05, 0.03])
 def test_fit_lasso_cold(benchmark, design, frac):
     model = benchmark(fit_lasso, design, frac * max_alpha(design), max_iter=MAX_ITER)
     assert model.n_iter <= MAX_ITER
@@ -39,3 +47,14 @@ def test_fit_lasso_warm_started(benchmark, design):
     warm = fit_lasso(design, 0.1 * hi, max_iter=MAX_ITER).beta
     model = benchmark(fit_lasso, design, 0.07 * hi, max_iter=MAX_ITER, warm_start=warm)
     assert model.n_iter <= MAX_ITER
+
+
+def test_drop_experiment(benchmark):
+    d = spend_design(360, seed=1)
+    training, holdout = d.take(np.arange(72, 360)), d.take(np.arange(72))
+    beta = np.zeros(len(d.col_ids))
+    beta[:240] = np.random.default_rng(2).standard_normal(240)
+    model = LassoModel(alpha=0.01, intercept=float(training.y.mean()), beta=beta,
+                       col_ids=d.col_ids, n_iter=0, max_coord_delta=0.0, converged=False)
+    curve = benchmark(drop_experiment, training, holdout, model)
+    assert len(curve.points) == 241

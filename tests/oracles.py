@@ -5,15 +5,17 @@ statements as the library, deliberately using different algorithms (proximal
 gradient instead of coordinate descent, a threshold-sweep over the complete
 reachability graph instead of an MST walk, a brute-force likelihood grid
 instead of bracketed optimization). Nothing imports the code paths it
-checks. Four references are exceptions by design, because the library must
-match them bit for bit or, for NMF, up to a documented rounding drift: the
-full-matrix distance layer (``full_*``), the n x n reference for the
-library's row-block core distances and row-by-row Prim tree, whose
+checks. Some references are exceptions by design, because the library must
+match them bit for bit, within a documented rounding drift, or at least as
+well: the full-matrix distance layer (``full_*``), the n x n reference for
+the library's row-block core distances and row-by-row Prim tree, whose
 ``full_pairwise_distances`` keeps the reference distance expression that
-the library's column-wise kernel reproduces;
-``reference_fit_lasso``, the plain cyclic coordinate descent that the
-library's screened solver reproduces; the NMF layer (``reference_fit_nmf``
-and its mask and imputation helpers), the residual-form W and H updates
+the library's column-wise kernel reproduces; ``reference_fit_lasso``, the
+plain cyclic coordinate descent whose objective the library's
+Newton-accelerated solver must match or beat under the same sweep cap;
+``reference_drop_experiment``, the per-step lstsq refits whose drop order,
+fallback steps and holdout MSEs the library's one-Gram-matrix refits
+reproduce within rounding; the NMF layer (``reference_fit_nmf`` and its mask and imputation helpers), the residual-form W and H updates
 that the library's Gram-form sweep reproduces within rounding, with
 ``reference_grid_search``, the serial cell loop that the library may run in
 worker processes. It shares only the factor initialization with the
@@ -38,7 +40,7 @@ import numpy as np
 from shoplens._fmt import unsafe_cell
 from shoplens.ingest import (Coded, CustomerSegment, InvoiceLines, PurchaseMatrix,
                              RejectedRow, Segment, Transactions)
-from shoplens.lasso import DesignMatrix, LassoModel
+from shoplens.lasso import DesignMatrix, DropExperimentCurve, LassoModel
 from shoplens.nmf import Factorization, HoldoutMask, NmfConfig, _init_factors
 from shoplens.rfm import RfmAttributes, _minmax
 
@@ -86,7 +88,8 @@ def reference_fit_lasso(design: DesignMatrix, alpha: float, tol: float = 1e-7,
                           max_iter: int = 10000, rows: np.ndarray | None = None,
                           warm_start: np.ndarray | None = None) -> LassoModel:
     """Cyclic coordinate descent with exact soft-threshold updates, visiting
-    every coordinate of every sweep; ``fit_lasso`` must match it bit for bit.
+    every coordinate of every sweep; ``fit_lasso`` must end at an objective
+    no higher than this under the same sweep cap.
 
     Sweeps alternate between the full coordinate set and the current active
     set; convergence is a full sweep whose largest coefficient change falls
@@ -157,6 +160,42 @@ def reference_fit_lasso(design: DesignMatrix, alpha: float, tol: float = 1e-7,
         converged=converged,
         objective_trace=trace,
     )
+
+
+def reference_drop_experiment(training: DesignMatrix, holdout: DesignMatrix,
+                              model: LassoModel) -> DropExperimentCurve:
+    """The drop experiment with every refit solved from its own columns by
+    ``np.linalg.lstsq``, and by a 1e-8 ridge on the slopes when lstsq finds
+    the refit rank-deficient; ``drop_experiment`` must give the same drop
+    order and fallback steps, and the same holdout MSEs within rounding."""
+    support = model.support()
+    col_ids = training.col_ids
+    survivors = list(support)
+    points, dropped, fallback_steps = [], [], []
+    step = 0
+    while True:
+        x = training.x[:, survivors]
+        a = np.column_stack([np.ones(len(training.y)), x])
+        sol, _, rank, _ = np.linalg.lstsq(a, training.y, rcond=None)
+        if rank < a.shape[1]:
+            fallback_steps.append(step)
+            g = a.T @ a + 1e-8 * np.diag([0.0] + [1.0] * len(survivors))
+            sol = np.linalg.solve(g, a.T @ training.y)
+        intercept, coefs = float(sol[0]), sol[1:]
+        pred = intercept + holdout.x[:, survivors] @ coefs
+        points.append((len(survivors), float(np.mean((holdout.y - pred) ** 2))))
+        if not survivors:
+            break
+        min_abs = np.abs(coefs).min()
+        tied = [j for j, c in zip(survivors, coefs) if abs(c) == min_abs]
+        victim = max(tied, key=lambda j: col_ids[j])
+        dropped.append(col_ids[victim])
+        survivors.remove(victim)
+        step += 1
+    return DropExperimentCurve(points=points, support=[col_ids[j] for j in support],
+                               dropped=dropped,
+                               betas={col_ids[j]: float(model.beta[j]) for j in support},
+                               ridge_fallback_steps=fallback_steps)
 
 
 def ols_holdout_mse(x_train, y_train, x_hold, y_hold):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -245,6 +246,25 @@ class TestExtract:
         monkeypatch.setattr(cluster, "core_distances", no_distances)
         with pytest.raises(ValueError, match=r"^row 4 holds a NaN or infinite value$"):
             cluster_rows(points, 5, 5)
+
+    @pytest.mark.parametrize("rows", [[4], list(range(4, 30))])
+    def test_overflowing_rows_rejected_before_distances(self, rows, monkeypatch):
+        points = np.random.default_rng(4).standard_normal((30, 3))
+        points[rows] *= 1e200   # finite, but their squared differences overflow
+
+        def no_distances(*args):
+            raise AssertionError("distance work started")
+        monkeypatch.setattr(cluster, "core_distances", no_distances)
+        with pytest.raises(ValueError, match=r"^row 4 holds a value of magnitude >= "):
+            cluster_rows(points, 5, 5)
+
+    def test_large_rows_below_the_bound_cluster_as_scaled(self):
+        points = blobs_with_noise(5)[0]
+        scale = 2.0 ** 500  # exact in binary: every distance scales exactly
+        assert np.abs(points * scale).max() < math.sqrt(np.finfo(float).max / 5) / 2
+        got = cluster_rows(points * scale, 5, 5)
+        want = cluster_rows(points, 5, 5)
+        assert got.labels.tobytes() == want.labels.tobytes()
 
     def test_cycle_rejected(self):
         with pytest.raises(ValueError, match="cycle"):

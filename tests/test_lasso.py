@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from shoplens import lasso as lasso_mod
-from shoplens.lasso import (DesignMatrix, DropExperimentCurve, cross_validate_alpha,
+from shoplens.lasso import (DesignMatrix, DropExperimentCurve, LassoModel,
+                            cross_validate_alpha,
                             default_alpha_grid, drop_experiment, duality_gap,
                             fit_lasso, kkt_violations, max_alpha, normal_cdf,
                             ols_refit,
@@ -10,7 +16,7 @@ from shoplens.lasso import (DesignMatrix, DropExperimentCurve, cross_validate_al
 
 from conftest import purchase_matrix
 from oracles import (lasso_objective, ols_holdout_mse, projected_gradient_lasso,
-                     reference_fit_lasso)
+                     reference_drop_experiment, reference_fit_lasso)
 
 
 def random_design(seed, n=30, p=10, y_centered=True):
@@ -167,19 +173,32 @@ def raw_design(x, y):
                         dropped_cols=[])
 
 
-def assert_same_fit(design, alpha, rows=None, warm_start=None, **solver):
-    """fit_lasso on the design of ``rows`` must reproduce the plain cyclic
-    solver on those rows bit for bit."""
+def objective_of(design, model):
+    return lasso_objective(design.x, design.y, model.intercept, model.beta, model.alpha)
+
+
+def assert_certified(design, alpha, rows=None, warm_start=None, **solver):
+    """fit_lasso on the design of ``rows`` ends no higher than the plain
+    cyclic solver under the same sweep cap, never raises its objective from
+    one sweep to the next, and is certified optimal when it converges: a
+    relative duality gap of at most 1e-10 and KKT violations of at most
+    1e-9 alpha. Two kinds of converged fit are not certified: a support of
+    at least as many columns as rows gets no Newton step, so only the
+    coefficient-change rule bounds its gap, and a coefficient that a warm
+    start puts on a column that is zero on the rows is never touched."""
     taken = design if rows is None else design.take(rows)
     got = fit_lasso(taken, alpha, warm_start=warm_start, **solver)
     ref = reference_fit_lasso(design, alpha, rows=rows, warm_start=warm_start, **solver)
-    assert got.beta.tobytes() == ref.beta.tobytes()
-    assert got.n_iter == ref.n_iter
-    assert got.converged == ref.converged
-    assert (np.float64(got.max_coord_delta).tobytes()
-            == np.float64(ref.max_coord_delta).tobytes())
-    assert (np.array(got.objective_trace).tobytes()
-            == np.array(ref.objective_trace).tobytes())
+    assert len(got.objective_trace) == got.n_iter <= solver.get("max_iter", 10000)
+    trace = np.array(got.objective_trace)
+    assert np.all(np.diff(trace) <= 1e-12 * abs(trace[0]))
+    final = objective_of(taken, got)
+    assert final <= objective_of(taken, ref) * (1 + 1e-12)
+    untouched = (got.beta != 0) & ~taken.x.any(axis=0)
+    newton = np.count_nonzero(got.beta) < len(taken.y)
+    if got.converged and newton and not untouched.any():
+        assert duality_gap(taken, got) <= 1e-10 * final
+        assert max(kkt_violations(taken, got)) <= 1e-9 * alpha
     return got
 
 
@@ -198,22 +217,31 @@ class TestTake:
 
 
 class TestReferenceEquality:
-    """Zero-run screening and the allocation-free sweep change no bit of a
-    fit: coefficients, sweep count, stop flag, last full-sweep change and the
-    objective trace all equal the plain cyclic solver's."""
+    """The Newton steps leave fit_lasso on a different path from the plain
+    cyclic solver; against it, every fit must end no higher under the same
+    sweep cap, and a converged fit must be certified optimal. Zero-run
+    screening still changes no bit of a fit."""
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("frac", [0.5, 0.1, 0.02])
     def test_p_greater_than_n(self, seed, frac):
         d = random_design(seed, n=25, p=150)  # several screening blocks
-        assert_same_fit(d, frac * max_alpha(d), max_iter=400)
+        assert_certified(d, frac * max_alpha(d), max_iter=400)
 
     @pytest.mark.parametrize("block", [1, 5, 64, 10_000])
     def test_block_size_changes_nothing(self, monkeypatch, block):
-        monkeypatch.setattr(lasso_mod, "_SCREEN_BLOCK", block)
         d = random_design(3, n=30, p=90)
-        for frac in (0.3, 0.05):
-            assert_same_fit(d, frac * max_alpha(d), max_iter=300)
+        alphas = [frac * max_alpha(d) for frac in (0.3, 0.05)]
+        want = [fit_lasso(d, a, max_iter=300) for a in alphas]
+        monkeypatch.setattr(lasso_mod, "_SCREEN_BLOCK", block)
+        for a, ref in zip(alphas, want):
+            got = assert_certified(d, a, max_iter=300)
+            assert got.beta.tobytes() == ref.beta.tobytes()
+            assert (got.n_iter, got.converged) == (ref.n_iter, ref.converged)
+            assert (np.float64(got.max_coord_delta).tobytes()
+                    == np.float64(ref.max_coord_delta).tobytes())
+            assert (np.array(got.objective_trace).tobytes()
+                    == np.array(ref.objective_trace).tobytes())
 
     def test_row_subset_that_zeroes_a_column(self):
         rng = np.random.default_rng(5)
@@ -225,11 +253,11 @@ class TestReferenceEquality:
         y = x[:, :6] @ rng.standard_normal(6) + rng.standard_normal(n)
         d = raw_design(x, y)
         alpha = 0.05 * max_alpha(d.take(rows))
-        assert_same_fit(d, alpha, rows=rows)
+        assert assert_certified(d, alpha, rows=rows).converged
         warm = rng.standard_normal(p) * (rng.random(p) < 0.2)
         warm[3] = 0.7       # a coefficient on the zero column is never touched
-        model = assert_same_fit(d, alpha, max_iter=200, rows=rows,
-                                warm_start=warm)
+        model = assert_certified(d, alpha, max_iter=200, rows=rows,
+                                 warm_start=warm)
         assert model.beta[3] == 0.7
 
     def test_duplicate_columns(self):
@@ -243,29 +271,27 @@ class TestReferenceEquality:
         y = 2.0 * x[:, 2] - x[:, 20] + 0.1 * rng.standard_normal(n)
         d = raw_design(x, y)
         for frac in (0.5, 0.1, 0.01):
-            assert_same_fit(d, frac * max_alpha(d), max_iter=300)
+            assert_certified(d, frac * max_alpha(d), max_iter=300)
 
     def test_warm_started_path(self):
         d = random_design(9, n=30, p=120)
         hi = max_alpha(d)
         warm = None
         for a in hi * np.logspace(0, -2, 8):
-            warm = assert_same_fit(d, a, max_iter=300,
-                                   warm_start=warm).beta
+            warm = assert_certified(d, a, max_iter=300, warm_start=warm).beta
 
     def test_arbitrary_warm_starts(self):
         rng = np.random.default_rng(10)
         d = random_design(10, n=20, p=60)
         warm = rng.standard_normal(60) * (rng.random(60) < 0.3)
         warm[rng.random(60) < 0.2] = -0.0
-        assert_same_fit(d, 0.2 * max_alpha(d), max_iter=500,
-                        warm_start=warm)
-        assert_same_fit(d, 0.2 * max_alpha(d), warm_start=np.full(60, -0.0))
+        assert_certified(d, 0.2 * max_alpha(d), max_iter=500, warm_start=warm)
+        assert_certified(d, 0.2 * max_alpha(d), warm_start=np.full(60, -0.0))
 
     @pytest.mark.parametrize("max_iter", [1, 2, 3, 4, 7, 25])
     def test_max_iter_cap_mid_path(self, max_iter):
         d = random_design(12, n=30, p=100)
-        model = assert_same_fit(d, 0.01 * max_alpha(d), max_iter=max_iter)
+        model = assert_certified(d, 0.01 * max_alpha(d), max_iter=max_iter)
         assert model.n_iter == max_iter and not model.converged
 
     def test_rho_exactly_at_alpha(self):
@@ -279,7 +305,7 @@ class TestReferenceEquality:
         rho = np.array([x[:, j] @ r0 / n for j in range(p)])
         j = int(np.argsort(np.abs(rho))[p // 2])
         alpha = float(abs(rho[j]))   # the first sweep meets |rho_j| == alpha
-        model = assert_same_fit(d, alpha, tol=1e-12)
+        model = assert_certified(d, alpha, tol=1e-12)
         assert model.beta[j] == 0.0
         assert np.count_nonzero(model.beta) > 0
 
@@ -299,7 +325,9 @@ class TestReferenceEquality:
                 break
         else:
             pytest.skip("blocked and per-column dot products agree on this BLAS")
-        model = assert_same_fit(raw_design(x, y), alpha, max_iter=1)
+        d = raw_design(x, y)
+        model = assert_certified(d, alpha, max_iter=1)
+        assert model.beta.tobytes() == reference_fit_lasso(d, alpha, max_iter=1).beta.tobytes()
         assert model.beta[j] != 0.0
 
     def test_randomized_designs(self):
@@ -320,9 +348,137 @@ class TestReferenceEquality:
             warm = None
             if rng.random() < 0.3:
                 warm = rng.standard_normal(p) * (rng.random(p) < 0.3)
-            assert_same_fit(d, float(rng.uniform(0.001, 1.2)) * hi,
-                            max_iter=int(rng.integers(1, 200)),
-                            rows=rows, warm_start=warm)
+            assert_certified(d, float(rng.uniform(0.001, 1.2)) * hi,
+                             max_iter=int(rng.integers(1, 200)),
+                             rows=rows, warm_start=warm)
+
+
+class TestNewtonStep:
+    def test_first_sign_change_stops_at_zero(self):
+        point, first = lasso_mod._to_first_sign_change(
+            np.array([1.0, -1.0, 3.0]), np.array([-3.0, 1.0, 5.0]))
+        assert first == 0   # coordinate 0 reaches 0 at t = 1/4, coordinate 1 at 1/2
+        assert point.tolist() == [0.0, -0.5, 3.5]
+        target = np.array([2.0, -1.0])
+        point, first = lasso_mod._to_first_sign_change(np.array([1.0, -3.0]), target)
+        assert first is None and point is target
+
+    @staticmethod
+    def record(monkeypatch, name):
+        """Wrap lasso_mod.<name> and collect its results."""
+        original, seen = getattr(lasso_mod, name), []
+
+        def wrapper(*args):
+            out = original(*args)
+            seen.append((args, out))
+            return out
+        monkeypatch.setattr(lasso_mod, name, wrapper)
+        return seen
+
+    def test_sign_crossing(self, monkeypatch):
+        seen = self.record(monkeypatch, "_to_first_sign_change")
+        for seed in range(50):
+            rng = np.random.default_rng(200 + seed)
+            x = rng.standard_normal((40, 30))
+            x[:, 1:] += 0.9 * x[:, :-1]   # neighbours correlate: signs move
+            d = standardize(x, x[:, :6] @ rng.standard_normal(6) + rng.standard_normal(40))
+            warm = rng.choice([-1.0, 1.0], 30) * (rng.random(30) < 0.5)
+            seen.clear()
+            model = assert_certified(d, 0.05 * max_alpha(d), warm_start=warm)
+            if any(first is not None for _, (_, first) in seen):
+                break
+        else:
+            pytest.fail("no Newton step changed a sign on 50 seeded designs")
+        assert model.converged
+
+    def test_repeated_columns_are_held(self, monkeypatch):
+        seen = self.record(monkeypatch, "_cholesky")
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((30, 12))
+        x[:, 5] = x[:, 2]
+        x[:, 9] = x[:, 2]
+        d = raw_design(x, x[:, 2] - 0.5 * x[:, 7] + 0.1 * rng.standard_normal(30))
+        warm = np.zeros(12)
+        warm[[2, 5, 9]] = 0.3   # the repeated columns share one coefficient
+        model = assert_certified(d, 0.05 * max_alpha(d), warm_start=warm)
+        assert model.converged
+        assert any(held for _, (_, _, held) in seen)
+        assert np.count_nonzero(model.beta[[2, 5, 9]]) >= 2
+
+    def test_support_of_at_least_n_columns_gets_no_step(self, monkeypatch):
+        seen = self.record(monkeypatch, "_gram")
+        rng = np.random.default_rng(9)
+        d = random_design(9, n=12, p=40)
+        warm = rng.standard_normal(40)   # 40 nonzero coefficients on 12 rows
+        model = assert_certified(d, 0.3 * max_alpha(d), warm_start=warm)
+        # Steps start once the support has shrunk below the 12 rows.
+        assert seen and all(a.shape[1] < 12 for (a,), _ in seen)
+        assert model.converged and np.count_nonzero(model.beta) < 12
+
+    def test_tiled_products_match_numpy(self):
+        rng = np.random.default_rng(11)
+        for k in (1, 63, 64, 65, 130):
+            a = rng.standard_normal((150, k))
+            g = lasso_mod._gram(a)
+            assert np.abs(g - a.T @ a).max() <= 1e-12 * np.abs(g).max()
+            assert g.tobytes() == g.T.tobytes()
+            low, inverses, held = lasso_mod._cholesky(g)
+            assert held == []
+            b = rng.standard_normal(k)
+            want = np.linalg.solve(g, b)
+            got = lasso_mod._cho_solve(low, inverses, b)
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_cholesky_holds_dependent_columns(self):
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((100, 80))
+        a[:, 70] = a[:, 3] - 2.0 * a[:, 40]   # depends on two earlier columns
+        a[:, 75] = a[:, 70]
+        g = lasso_mod._gram(a)
+        low, inverses, held = lasso_mod._cholesky(g)
+        assert held == [70, 75]
+        free = np.setdiff1d(np.arange(80), held)
+        b = rng.standard_normal(80)
+        b[held] = 0.0
+        got = lasso_mod._cho_solve(low, inverses, b)
+        assert got[held].tolist() == [0.0, 0.0]
+        want = np.linalg.solve(g[np.ix_(free, free)], b[free])
+        assert np.abs(got[free] - want).max() <= 1e-10 * np.abs(want).max()
+
+
+THREAD_CHECK = """
+import hashlib
+import numpy as np
+from shoplens.lasso import drop_experiment, duality_gap, fit_lasso, max_alpha, standardize
+rng = np.random.default_rng(0)
+x = rng.standard_normal((240, 600))
+d = standardize(x, x[:, :40] @ rng.standard_normal(40) + 3.0 * rng.standard_normal(240))
+train, hold = d.take(np.arange(48, 240)), d.take(np.arange(48))
+train.x = np.asfortranarray(train.x)
+model = fit_lasso(train, 0.03 * max_alpha(train))
+curve = drop_experiment(train, hold, model)
+assert model.converged and len(model.support()) > 128
+digest = hashlib.sha256(model.beta.tobytes() + np.array(model.objective_trace).tobytes()
+                        + np.array(curve.points).tobytes()
+                        + np.float64(duality_gap(train, model)).tobytes())
+print(digest.hexdigest(), curve.dropped)
+"""
+
+
+def test_same_bits_at_one_and_two_blas_threads():
+    """OpenBLAS splits large products between threads in a way that can
+    change their bits; the fit, its certificate and the drop experiment must
+    not depend on it."""
+    src = str(Path(lasso_mod.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run([sys.executable, "-c", THREAD_CHECK], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 class TestDualityGap:
@@ -397,16 +553,19 @@ class TestCrossValidation:
         assert (best, curve, stats) == cross_validate_alpha(d, grid, k=4, seed=5, max_iter=8)
         pool = np.arange(len(d.y))
         want = []
-        for test_idx in np.array_split(np.random.default_rng(5).permutation(pool), 4):
+        for fold, test_idx in enumerate(
+                np.array_split(np.random.default_rng(5).permutation(pool), 4)):
+            train = d.take(np.setdiff1d(pool, test_idx))
+            train.x = np.asfortranarray(train.x)  # the layout the fold fits see
             warm = None
             for alpha in sorted(grid, reverse=True):
-                model = reference_fit_lasso(d, alpha, max_iter=8,
-                                            rows=np.setdiff1d(pool, test_idx),
-                                            warm_start=warm)
+                model = fit_lasso(train, alpha, max_iter=8, warm_start=warm)
                 warm = model.beta
-                want.append((model.n_iter, model.converged))
-        assert stats == want
-        assert {converged for _, converged in want} == {False, True}
+                want.append((fold, alpha, model.n_iter, model.converged,
+                             duality_gap(train, model)))
+        assert [tuple(f) for f in stats] == want
+        assert {f.converged for f in stats} == {False, True}
+        assert all(f.duality_gap <= 1e-10 * f.alpha for f in stats if f.converged)
 
     def test_small_fold_rejected(self):
         d = random_design(24, n=5)
@@ -428,7 +587,62 @@ def split(design, holdout):
     return design.take(train), design.take(holdout)
 
 
+def assert_same_drops(training, holdout, model, rtol=1e-12):
+    """drop_experiment gives the lstsq reference's drop order and fallback
+    steps, and its holdout MSEs within ``rtol`` relative."""
+    got = drop_experiment(training, holdout, model)
+    want = reference_drop_experiment(training, holdout, model)
+    assert (got.support, got.dropped, got.betas) == (want.support, want.dropped, want.betas)
+    assert got.ridge_fallback_steps == want.ridge_fallback_steps
+    assert [n for n, _ in got.points] == [n for n, _ in want.points]
+    for (_, m), (_, ref) in zip(got.points, want.points):
+        assert abs(m - ref) <= rtol * ref
+    return got
+
+
 class TestDropExperiment:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference_on_planted_designs(self, seed):
+        d, _ = planted_design(50 + seed, n=80, p=40, noise=1.0)
+        model = fit_lasso(d, 0.01 * max_alpha(d))
+        assert len(model.support()) > 20
+        curve = assert_same_drops(*split(d, np.arange(0, 80, 4)), model)
+        assert not curve.ridge_fallback_steps
+
+    def test_matches_reference_with_repeated_columns(self):
+        rng = np.random.default_rng(36)
+        x = rng.standard_normal((40, 10))
+        x[:, 6] = x[:, 1]
+        x[:, 8] = -2.0 * x[:, 3]
+        d = raw_design(x, x[:, :4] @ np.array([1.0, -2.0, 0.5, 1.5])
+                       + 0.1 * rng.standard_normal(40))
+        beta = np.zeros(10)
+        beta[[0, 1, 2, 3, 6, 8]] = [0.9, -0.8, 0.7, 0.6, -0.5, 0.4]
+        model = LassoModel(alpha=0.01, intercept=float(d.y.mean()), beta=beta,
+                           col_ids=d.col_ids, n_iter=0, max_coord_delta=0.0,
+                           converged=False)
+        curve = assert_same_drops(*split(d, np.arange(0, 40, 5)), model)
+        assert curve.ridge_fallback_steps   # until a copy is dropped
+
+    def test_matches_reference_with_more_columns_than_rows(self):
+        rng = np.random.default_rng(37)
+        x = rng.standard_normal((200, 220))
+        d = standardize(x, x[:, :20] @ rng.standard_normal(20) + rng.standard_normal(200))
+        beta = np.zeros(220)
+        beta[:200] = rng.standard_normal(200)   # 200 features on 160 training rows
+        model = LassoModel(alpha=0.01, intercept=0.0, beta=beta, col_ids=d.col_ids,
+                           n_iter=0, max_coord_delta=0.0, converged=False)
+        curve = assert_same_drops(*split(d, np.arange(0, 200, 5)), model, rtol=1e-9)
+        assert curve.ridge_fallback_steps == list(range(41))
+
+    def test_matches_reference_on_singular_refit(self):
+        rng = np.random.default_rng(35)
+        x = rng.standard_normal((8, 6))
+        d = standardize(x, x @ np.array([2.0, -1.5, 1.0, 0.5, -0.5, 0.25]))
+        model = fit_lasso(d, 1e-4 * max_alpha(d))
+        curve = assert_same_drops(*split(d, [0, 1, 2]), model)
+        assert curve.ridge_fallback_steps
+
     def test_single_feature_support_gives_two_points(self):
         d, _ = planted_design(30, n=30, p=5, support=(2,), coefs=(4.0,))
         model = fit_lasso(d, 0.5 * max_alpha(d))

@@ -209,6 +209,36 @@ class TestFullRun:
         _, curve = read_csv(out / "select-features" / "cv_curve.csv")
         assert select["cv_fits"] == cfg.lasso.folds * len(curve)
         assert 0 <= select["cv_unconverged_fits"] <= select["cv_fits"]
+        header, rows = read_csv(out / "select-features" / "cv_fits.csv")
+        assert header == ["fold", "alpha", "n_iter", "converged", "duality_gap"]
+        assert len(rows) == select["cv_fits"]
+        assert [int(r[0]) for r in rows] == sorted(int(r[0]) for r in rows)
+        assert sum(r[3] == "false" for r in rows) == select["cv_unconverged_fits"]
+        assert max(float(r[4]) for r in rows) == select["cv_max_duality_gap"]
+
+    def test_drop_curve_matches_reference_refits(self, full_run):
+        from oracles import reference_drop_experiment
+        cfg, out, _ = full_run
+        cfg = cfg.resolved()
+        sel = out / "select-features"
+        model_doc = json.loads((sel / "model.json").read_text(encoding="utf-8"))
+        _, scores = read_csv(out / "rfm" / "scores.csv")
+        design = lasso.standardize(read_matrix(out / "ingest", "matrix"),
+                                   {r[0]: float(r[2]) for r in scores})
+        held = set(model_doc["holdout_rows"])
+        rows = np.arange(len(design.y))
+        in_holdout = np.array([r in held for r in design.row_ids])
+        training, holdout = design.take(rows[~in_holdout]), design.take(rows[in_holdout])
+        model = lasso.fit_lasso(training, model_doc["alpha"], tol=cfg.lasso.tol,
+                                max_iter=cfg.lasso.max_iter)
+        got = lasso.drop_experiment(training, holdout, model)
+        want = reference_drop_experiment(training, holdout, model)
+        assert (got.dropped, got.ridge_fallback_steps) == (want.dropped,
+                                                           want.ridge_fallback_steps)
+        for (n_got, m_got), (n_want, m_want) in zip(got.points, want.points):
+            assert n_got == n_want and abs(m_got - m_want) <= 1e-12 * m_want
+        _, recorded = read_csv(sel / "drop_curve.csv")
+        assert [(int(n), float(m)) for n, m in recorded] == got.points
 
     def test_factors_carry_p_prime_ids(self, full_run):
         _, out, _ = full_run
