@@ -19,7 +19,7 @@ from .ingest import PurchaseMatrix
 
 @dataclass
 class DesignMatrix:
-    x: np.ndarray          # n x p, standardized; Fortran order, C order once taken
+    x: np.ndarray          # n x p, standardized, Fortran order
     y: np.ndarray          # n responses
     row_ids: list[str]
     col_ids: list[str]
@@ -28,15 +28,12 @@ class DesignMatrix:
     dropped_cols: list[str]  # constant columns excluded from x
 
     def take(self, rows) -> "DesignMatrix":
-        """The design of the given rows, in that order.
-
-        ``x`` is numpy's fancy index of this design's ``x``, which comes out
-        in C order, and is deliberately not converted: the layout sets the
-        summation order of products such as ``x.T @ v``, and with it every
-        bit of alpha_max, the alpha grid and the fits.
-        """
+        """The design of the given rows, in that order."""
         rows = np.asarray(rows)
-        return replace(self, x=self.x[rows], y=self.y[rows],
+        x = np.empty((len(rows), self.x.shape[1]), order="F")
+        for j in range(0, x.shape[1], _TILE):  # a whole C-ordered gather raised peak RSS
+            x[:, j:j + _TILE] = self.x[rows, j:j + _TILE]
+        return replace(self, x=x, y=self.y[rows],
                        row_ids=[self.row_ids[i] for i in rows.tolist()])
 
 
@@ -134,8 +131,8 @@ _SCREEN_BLOCK = 64
 # 20 sweeps 12% and 35% longer; 3 needs 27% fewer sweeps than 5.
 _NEWTON_EVERY = 3
 
-# Width of the tiles that every Gram product and Cholesky factor is built
-# from. OpenBLAS splits a larger product or factorization between its
+# Width of the tiles that every Gram product, X'v product and Cholesky factor
+# is built from. OpenBLAS splits a larger product or factorization between its
 # threads, and the bits of the result then depend on the thread count; on
 # tiles of this width they are the same at 1 and at 2 threads.
 _TILE = 64
@@ -166,6 +163,15 @@ def _gram(a: np.ndarray) -> np.ndarray:
             g[i:i + _TILE, j:j + _TILE] = ti.T @ ap[:, j:j + _TILE]
             g[j:j + _TILE, i:i + _TILE] = g[i:i + _TILE, j:j + _TILE].T
     return g[:k, :k]
+
+
+def _xt_dot(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``x.T @ v`` from products of ``_TILE`` columns at a time: a single
+    product over all columns changes bits with the BLAS thread count."""
+    out = np.empty(x.shape[1])
+    for j in range(0, x.shape[1], _TILE):
+        out[j:j + _TILE] = x[:, j:j + _TILE].T @ v
+    return out
 
 
 def _factor_tile(s: np.ndarray, diag: np.ndarray):
@@ -487,7 +493,7 @@ def kkt_violations(design: DesignMatrix, model: LassoModel) -> tuple[float, floa
     x, y = design.x, design.y
     n = x.shape[0]
     r = y - model.intercept - x @ model.beta
-    g = x.T @ r / n
+    g = _xt_dot(x, r) / n
     nz = model.beta != 0
     viol_nz = float(np.abs(g[nz] - model.alpha * np.sign(model.beta[nz])).max()) if nz.any() else 0.0
     viol_z = float(np.maximum(np.abs(g[~nz]) - model.alpha, 0.0).max()) if (~nz).any() else 0.0
@@ -505,14 +511,11 @@ def duality_gap(design: DesignMatrix, model: LassoModel) -> float:
     thread count.
     """
     x, y = design.x, design.y
-    n, p = x.shape
+    n = x.shape[0]
     z = y - model.intercept
     r = z - x @ model.beta
     primal = r @ r / (2 * n) + model.alpha * np.abs(model.beta).sum()
-    # X'r one tile of columns at a time: a single product over all columns
-    # changes bits with the BLAS thread count.
-    corr = max((float(np.abs(x[:, j:j + _TILE].T @ r).max()) for j in range(0, p, _TILE)),
-               default=0.0)
+    corr = float(np.abs(_xt_dot(x, r)).max(initial=0.0))
     s = min(1.0, n * model.alpha / corr) if corr > 0 else 1.0
     zs = z - s * r
     dual = (z @ z - zs @ zs) / (2 * n)
@@ -523,7 +526,7 @@ def max_alpha(design: DesignMatrix) -> float:
     """Smallest alpha at which the fitted coefficient vector is all zero."""
     x, y = design.x, design.y
     yc = y - y.mean()
-    return float(np.abs(x.T @ yc).max() / x.shape[0])
+    return float(np.abs(_xt_dot(x, yc)).max() / x.shape[0])
 
 
 def default_alpha_grid(design: DesignMatrix, num: int = 100,
@@ -569,9 +572,6 @@ def cross_validate_alpha(design: DesignMatrix, grid, k: int, seed: int,
     fits: list[CvFit] = []
     for fi, test_idx in enumerate(folds):
         train = design.take(np.setdiff1d(pool, test_idx))
-        # fit_lasso solves on a Fortran copy of x; made once per fold instead
-        # of once per fit, it is the same copy, and the taken rows are freed.
-        train.x = np.asfortranarray(train.x)
         test = design.take(test_idx)
         warm = None
         for gi in range(grid.size - 1, -1, -1):  # descending alpha, warm-started

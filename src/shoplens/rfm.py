@@ -1,11 +1,12 @@
 """Customer value scoring: recency/frequency/monetary attributes, the
-weighted RFM score, and its Box-Cox normalization.
+weighted RFM score, and its maximum-likelihood Box-Cox normalization.
 
 Raw recency (days) and monetary value (currency) are not commensurable, so
 each attribute is min-max normalized to [0, 1] over the scored population
 before weighting; recency is flipped so that larger means more recent.
 """
 
+import math
 from dataclasses import dataclass
 from datetime import datetime
 
@@ -17,6 +18,11 @@ from .ingest import Transactions, _runs
 POSITIVITY_EPS = 1e-6
 # Below this magnitude the power-transform exponent is treated as zero.
 LOG_BRANCH_TOL = 1e-8
+# Bracket width at which the exponent search stops. It is far below the ~1e-8
+# either side of the maximum over which the likelihood of the fixture's scores
+# is flat to rounding; over (-5, 5) it takes 55 likelihood evaluations.
+LAMBDA_WIDTH = 1e-10
+_GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -92,6 +98,9 @@ def compute_rfm_attributes(txns: Transactions, as_of: datetime) -> list[RfmAttri
                      for k in last_seen.tolist()])
     freq = np.diff(invoice_starts, append=len(owner)).astype(float)
     money = np.bincount(group, weights=txns.spend[order])  # adds in order
+    overflowed = ~np.isfinite(money)
+    if overflowed.any():
+        raise ValueError(f"total spend of customer {ids[overflowed.argmax()]} is not finite")
 
     recency = _minmax(-days)  # negate so larger = more recent
     frequency = _minmax(freq)
@@ -122,162 +131,51 @@ def boxcox_log_likelihood(values: np.ndarray, lam: float) -> float:
     return -0.5 * n * np.log(var) + (lam - 1.0) * np.log(values).sum()
 
 
-def _minimize_bounded(func, bounds, xatol=1e-5, maxiter=500):
-    """Bounded Brent minimization of ``func`` over ``bounds``; the argmin.
-
-    A port of ``_minimize_scalar_bounded`` from ``scipy.optimize._optimize``
-    (SciPy 1.17.1), the method behind ``minimize_scalar(method="bounded")``,
-    without its printing and result object. Its statements, their order and
-    its numpy calls are kept, so it returns the same float bit for bit, on
-    the NaN and inf paths too, and the rfm stage need not import
-    ``scipy.optimize``. That code carries this notice:
-
-    Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
-    All rights reserved.
-
-    Redistribution and use in source and binary forms, with or without
-    modification, are permitted provided that the following conditions
-    are met:
-
-    1. Redistributions of source code must retain the above copyright
-       notice, this list of conditions and the following disclaimer.
-
-    2. Redistributions in binary form must reproduce the above
-       copyright notice, this list of conditions and the following
-       disclaimer in the documentation and/or other materials provided
-       with the distribution.
-
-    3. Neither the name of the copyright holder nor the names of its
-       contributors may be used to endorse or promote products derived
-       from this software without specific prior written permission.
-
-    THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
-    "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
-    LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
-    A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
-    OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
-    SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
-    LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
-    DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
-    THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
-    (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
-    OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
-    """
-    maxfun = maxiter
-    if len(bounds) != 2:
-        raise ValueError('bounds must have two elements.')
-    x1, x2 = bounds
-
-    if not (np.size(x1) == 1 and np.isfinite(x1)
-            and np.size(x2) == 1 and np.isfinite(x2)):
-        raise ValueError("Optimization bounds must be finite scalars.")
-
-    if x1 > x2:
-        raise ValueError("The lower bound exceeds the upper bound.")
-
-    sqrt_eps = np.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
-    a, b = x1, x2
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    x = xf
-    fx = func(x)
-    num = 1
-
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-
-    while (np.abs(xf - xm) > (tol2 - 0.5 * (b - a))):
-        golden = 1
-        # Check for parabolic fit
-        if np.abs(e) > tol1:
-            golden = 0
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = np.abs(q)
-            r = e
-            e = rat
-
-            # Check for acceptability of parabola
-            if ((np.abs(p) < np.abs(0.5*q*r)) and (p > q*(a - xf)) and
-                    (p < q * (b - xf))):
-                rat = (p + 0.0) / q
-                x = xf + rat
-
-                if ((x - a) < tol2) or ((b - x) < tol2):
-                    si = np.sign(xm - xf) + ((xm - xf) == 0)
-                    rat = tol1 * si
-            else:      # do a golden-section step
-                golden = 1
-
-        if golden:  # do a golden-section step
-            if xf >= xm:
-                e = a - xf
-            else:
-                e = b - xf
-            rat = golden_mean*e
-
-        si = np.sign(rat) + (rat == 0)
-        x = xf + si * np.maximum(np.abs(rat), tol1)
-        fu = func(x)
-        num += 1
-
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if (fu <= fnfc) or (nfc == xf):
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-
-        if num >= maxfun:
-            break
-
-    return xf
+def _golden_section_max(func, lo: float, hi: float) -> float:
+    """Argmax of ``func`` over [lo, hi] by golden-section search (Kiefer 1953)
+    to a bracket of ``LAMBDA_WIDTH``; a NaN value ranks below every number."""
+    # A fixed step count: near the float spacing the bracket may stop shrinking.
+    steps = math.ceil(math.log(max(hi - lo, LAMBDA_WIDTH) / LAMBDA_WIDTH, _GOLDEN))
+    a, b = lo, hi
+    c, d = b - (b - a) / _GOLDEN, a + (b - a) / _GOLDEN
+    fc, fd = func(c), func(d)
+    for _ in range(steps):
+        if fc >= fd or math.isnan(fd):  # a maximum lies in [a, d]
+            b, d, fd = d, c, fc
+            c = b - (b - a) / _GOLDEN
+            fc = func(c)
+        else:                           # a maximum lies in [c, b]
+            a, c, fc = c, d, fd
+            d = a + (b - a) / _GOLDEN
+            fd = func(d)
+    return c if fc >= fd or math.isnan(fd) else d
 
 
 def boxcox_lambda_mle(values, search: tuple[float, float] = (-5.0, 5.0)) -> BoxCoxParams:
     """Maximum-likelihood exponent for the power transform.
 
     Values are shifted by max(0, eps - min) first so every input is strictly
-    positive; the exponent is found by bounded scalar maximization (Brent's
-    method, as ``scipy.optimize.minimize_scalar(method="bounded")`` runs it)
-    of the profile log-likelihood over the search interval.
+    positive; the exponent maximizes the profile log-likelihood over the
+    search interval by golden-section search, to within ``LAMBDA_WIDTH``.
     """
     values = np.asarray(list(values), dtype=float)
     if len(values) < 3:
         raise ValueError(f"need at least 3 values, got {len(values)}")
+    if not np.isfinite(values).all():
+        raise ValueError(f"value {values[~np.isfinite(values)][0]} is not finite")
     if np.all(values == values[0]):
         raise ValueError("all values identical: transform likelihood is degenerate")
+    lo, hi = (float(b) for b in search)
+    if not math.isfinite(hi - lo):  # also true when a bound is not finite
+        raise ValueError(f"search bounds {search} must be finite, and so must their distance")
+    if lo > hi:
+        raise ValueError(f"search lower bound {lo} exceeds the upper bound {hi}")
     shift = max(0.0, POSITIVITY_EPS - values.min())
     shifted = values + shift
     if np.any(shifted <= 0):
         raise ValueError("values not strictly positive after shift")
 
-    lam = _minimize_bounded(lambda lam: -boxcox_log_likelihood(shifted, lam),
-                            search, xatol=1e-6)
+    lam = _golden_section_max(lambda lam: boxcox_log_likelihood(shifted, lam), lo, hi)
     return BoxCoxParams(lam=float(lam), shift=shift)
 
 

@@ -207,8 +207,8 @@ class TestTake:
         d = random_design(62, n=20, p=7)
         rows = np.array([5, 0, 12, 3])
         taken = d.take(rows)
-        # Not converted: the layout decides the bits of x.T @ v.
-        assert taken.x.flags.c_contiguous and not taken.x.flags.f_contiguous
+        # The layout standardize gives and fit_lasso solves on.
+        assert taken.x.flags.f_contiguous and not taken.x.flags.c_contiguous
         assert taken.x.tobytes() == d.x[rows].tobytes()
         assert taken.y.tobytes() == d.y[rows].tobytes()
         assert taken.row_ids == ["r5", "r0", "r12", "r3"]
@@ -454,7 +454,6 @@ rng = np.random.default_rng(0)
 x = rng.standard_normal((240, 600))
 d = standardize(x, x[:, :40] @ rng.standard_normal(40) + 3.0 * rng.standard_normal(240))
 train, hold = d.take(np.arange(48, 240)), d.take(np.arange(48))
-train.x = np.asfortranarray(train.x)
 model = fit_lasso(train, 0.03 * max_alpha(train))
 curve = drop_experiment(train, hold, model)
 assert model.converged and len(model.support()) > 128
@@ -462,13 +461,22 @@ digest = hashlib.sha256(model.beta.tobytes() + np.array(model.objective_trace).t
                         + np.array(curve.points).tobytes()
                         + np.float64(duality_gap(train, model)).tobytes())
 print(digest.hexdigest(), curve.dropped)
+# A response that follows column 1360 of 2,723 puts the largest |x'y| where
+# one product over all columns splits between two threads.
+alphas = []
+for seed in range(10):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((360, 2723))
+    d = standardize(x, 5.0 * x[:, 1360] + rng.standard_normal(360))
+    alphas.append(max_alpha(d.take(np.arange(72, 360))))
+print(np.array(alphas).tobytes().hex())
 """
 
 
 def test_same_bits_at_one_and_two_blas_threads():
     """OpenBLAS splits large products between threads in a way that can
-    change their bits; the fit, its certificate and the drop experiment must
-    not depend on it."""
+    change their bits; the fit, its certificate, the drop experiment and
+    alpha_max must not depend on it."""
     src = str(Path(lasso_mod.__file__).resolve().parents[1])
     outputs = []
     for threads in ("1", "2"):

@@ -98,6 +98,15 @@ class TestAttributes:
             compute_rfm_attributes(
                 from_records(Transactions, [make_txn(date="2012-01-05 00:00")]), AS_OF)
 
+    def test_total_spend_that_overflows_names_the_customer(self):
+        # Every line is finite; customer "1"'s total is not.
+        txns = [make_txn(customer_id="0", spend=5.0),
+                make_txn(customer_id="1", stock_code="A", spend=1.7e308),
+                make_txn(customer_id="1", stock_code="B", spend=1.7e308),
+                make_txn(customer_id="2", spend=3.0)]
+        with pytest.raises(ValueError, match="customer 1 is not finite"):
+            compute_rfm_attributes(from_records(Transactions, txns), AS_OF)
+
 
 class TestWeightedScore:
     def test_all_ones_with_paper_weights(self):
@@ -217,6 +226,11 @@ class TestLambdaMle:
     def test_too_few_values(self):
         with pytest.raises(ValueError, match="at least 3"):
             boxcox_lambda_mle([1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value(self, bad):
+        with pytest.raises(ValueError, match="not finite"):
+            boxcox_lambda_mle([0.5, bad, 2.0, 3.0])
 
     def test_shift_makes_values_positive(self):
         params = boxcox_lambda_mle([0.0, 1.0, 2.0, 3.0])

@@ -43,8 +43,8 @@ def test_nmf_import_loads_no_other_package_module():
 
 def test_ingest_and_rfm_stages_leave_scipy_optimize_unloaded(
         fixture_csv, fixture_config_path, tmp_path):
-    # The Box-Cox fit runs an in-package bounded Brent, so scoring does not
-    # pay for scipy.optimize either.
+    # The Box-Cox fit runs an in-package golden-section search, so scoring
+    # does not pay for scipy.optimize either.
     argv = ["--config", str(fixture_config_path), "--input", str(fixture_csv),
             "--out", str(tmp_path / "run")]
     code = ("import json, sys\n"
