@@ -59,6 +59,8 @@ class CustomerSegment:
     customer_id: str
     segment: Segment
     n_purchases: int
+    last_purchase: datetime
+    spend: float
 
 
 @dataclass(frozen=True)
@@ -454,34 +456,42 @@ def clean_transactions(lines: InvoiceLines,
 
 def segment_customers(txns: Transactions, frequent_min_purchases: int = 5,
                       wholesale_quantity_threshold: int = 1000) -> list[CustomerSegment]:
-    """Partition registered customers into Wholesale / Frequent / Infrequent.
+    """Partition registered customers into Wholesale / Frequent / Infrequent,
+    and summarize each one's purchases, in customer id order.
 
     Wholesale is flagged first: any single invoice totaling more than
     ``wholesale_quantity_threshold`` units. Remaining customers are Frequent
     iff they have at least ``frequent_min_purchases`` distinct invoices.
     Every customer present in the transactions gets exactly one segment.
+    A customer's spend is summed in (customer, invoice, stock code) order,
+    ties in table order, so it is identical across runs.
     """
     if len(txns) == 0:
         return []
-    n_invoices = len(txns.invoice_id.values)
-    pairs, pair_of = np.unique(txns.customer_id.codes * n_invoices + txns.invoice_id.codes,
-                               return_inverse=True)
-    units = np.zeros(len(pairs), dtype=np.int64)
-    np.add.at(units, pair_of, txns.quantity)
-    owner = pairs // n_invoices  # sorted, since codes order like ids
-    starts, _ = _runs(owner)
-    n_purchases = np.diff(starts, append=len(owner))
-    biggest = np.maximum.reduceat(units, starts)
+    # (invoice, stock code) as one key: a third lexsort key costs more.
+    line_key = txns.invoice_id.codes * len(txns.stock_code.values) + txns.stock_code.codes
+    order = np.lexsort((line_key, txns.customer_id.codes))
+    who = txns.customer_id.codes[order]
+    starts, customer = _runs(who)
+    invoice_starts, invoice = _runs(who * len(txns.invoice_id.values)
+                                    + txns.invoice_id.codes[order])
+    units = np.add.reduceat(txns.quantity[order], invoice_starts)
+    n_purchases = np.bincount(customer[invoice_starts])
+    biggest = np.maximum.reduceat(units, invoice[starts])
+    last = np.maximum.reduceat(txns.invoice_date.codes[order], starts)  # codes order like dates
+    spend = np.bincount(customer, weights=txns.spend[order])  # adds in order
 
     out = []
-    for code, n, big in zip(owner[starts].tolist(), n_purchases.tolist(), biggest.tolist()):
+    for code, n, big, day, total in zip(who[starts].tolist(), n_purchases.tolist(),
+                                        biggest.tolist(), last.tolist(), spend.tolist()):
         if big > wholesale_quantity_threshold:
             segment = Segment.WHOLESALE
         elif n >= frequent_min_purchases:
             segment = Segment.FREQUENT
         else:
             segment = Segment.INFREQUENT
-        out.append(CustomerSegment(txns.customer_id.values[code], segment, n))
+        out.append(CustomerSegment(txns.customer_id.values[code], segment, n,
+                                   txns.invoice_date.values[day], total))
     return out
 
 
@@ -584,11 +594,21 @@ def read_transactions(path: str | Path) -> Transactions:
     )
 
 
+_SEGMENT_COLUMNS = ["customer_id", "segment", "n_purchases", "last_purchase", "spend"]
+
+
 def write_segments(segments, path: str | Path) -> None:
-    write_csv(Path(path), ["customer_id", "segment", "n_purchases"],
-              ([s.customer_id, s.segment.value, str(s.n_purchases)] for s in segments))
+    write_csv(Path(path), _SEGMENT_COLUMNS,
+              ([s.customer_id, s.segment.value, str(s.n_purchases),
+                s.last_purchase.isoformat(), fmt_float(s.spend)] for s in segments))
 
 
 def read_segments(path: str | Path) -> list[CustomerSegment]:
-    _, rows = read_csv(Path(path))
-    return [CustomerSegment(c, Segment(s), int(n)) for c, s, n in rows]
+    """``write_segments``'s file. Other columns, as an older ingest wrote,
+    are a ValueError naming the file."""
+    header, rows = read_csv(Path(path))
+    if header != _SEGMENT_COLUMNS:
+        raise ValueError(f"{path}: columns {header}, expected {_SEGMENT_COLUMNS}; "
+                         f"re-run the 'ingest' stage")
+    return [CustomerSegment(c, Segment(s), int(n), datetime.fromisoformat(d), float(m))
+            for c, s, n, d, m in rows]

@@ -271,18 +271,15 @@ def _stage_ingest(cfg: PipelineConfig, run_dir: Path, inputs: _Inputs):
 
 
 def _stage_rfm(cfg: PipelineConfig, run_dir: Path, inputs: _Inputs):
-    txns = ingest_mod.read_transactions(inputs.need("ingest/transactions.csv"))
     segments = ingest_mod.read_segments(inputs.need("ingest/segments.csv"))
     out = run_dir / "rfm"
     out.mkdir(parents=True, exist_ok=True)
 
-    frequent = {s.customer_id for s in segments
-                if s.segment is ingest_mod.Segment.FREQUENT}
-    member_txns = txns.for_customers(frequent)
-    as_of = max(member_txns.invoice_date.used())
+    frequent = [s for s in segments if s.segment is ingest_mod.Segment.FREQUENT]
+    as_of = max(s.last_purchase for s in frequent)
     weights = rfm_mod.RfmWeights(cfg.rfm.w_recency, cfg.rfm.w_frequency,
                                  cfg.rfm.w_monetary)
-    scores, params = rfm_mod.score_customers(member_txns, as_of, weights,
+    scores, params = rfm_mod.score_customers(frequent, as_of, weights,
                                              cfg.rfm.boxcox_search)
 
     write_csv(out / "scores.csv", ["customer_id", "gamma", "gamma_prime"],

@@ -12,8 +12,6 @@ from datetime import datetime
 
 import numpy as np
 
-from .ingest import Transactions, _runs
-
 # Offset that guarantees strictly positive inputs for the power transform.
 POSITIVITY_EPS = 1e-6
 # Below this magnitude the power-transform exponent is treated as zero.
@@ -68,45 +66,28 @@ def _minmax(values: np.ndarray) -> np.ndarray:
     return (values - lo) / (hi - lo)
 
 
-def compute_rfm_attributes(txns: Transactions, as_of: datetime) -> list[RfmAttributes]:
+def compute_rfm_attributes(segments, as_of: datetime) -> list[RfmAttributes]:
     """Per-customer normalized recency, frequency, and monetary attributes.
 
     recency = 1 - minmax(days since last purchase), frequency =
     minmax(distinct invoice count), monetary = minmax(total spend), all
-    relative to the customers present in the input. Spend is summed in
-    (customer, invoice, stock code) order, ties in table order.
+    relative to the given ``ingest.CustomerSegment`` records, in their order.
     """
-    if len(txns) == 0:
-        raise ValueError("no transactions to score")
-    customer, invoice, dates = txns.customer_id, txns.invoice_id, txns.invoice_date
-    order = np.lexsort((txns.stock_code.codes, invoice.codes, customer.codes))
-    date_codes = dates.codes[order]
-    late = np.array([d > as_of for d in dates.values], dtype=bool)[date_codes]
-    if late.any():
-        raise ValueError(
-            f"transaction at {dates.values[date_codes[late.argmax()]]} is after as_of {as_of}")
+    if not segments:
+        raise ValueError("no customers to score")
+    for s in segments:
+        if s.last_purchase > as_of:
+            raise ValueError(f"customer {s.customer_id}'s purchase at {s.last_purchase} "
+                             f"is after as_of {as_of}")
+        if not math.isfinite(s.spend):
+            raise ValueError(f"total spend of customer {s.customer_id} is not finite")
 
-    who = customer.codes[order]
-    starts, group = _runs(who)
-    last_seen = np.maximum.reduceat(date_codes, starts)  # date codes order like dates
-    n_invoices = len(invoice.values)
-    owner = np.unique(who * n_invoices + invoice.codes[order]) // n_invoices
-    invoice_starts, _ = _runs(owner)
-
-    ids = [customer.values[k] for k in who[starts].tolist()]
-    days = np.array([(as_of - dates.values[k]).total_seconds() / 86400.0
-                     for k in last_seen.tolist()])
-    freq = np.diff(invoice_starts, append=len(owner)).astype(float)
-    money = np.bincount(group, weights=txns.spend[order])  # adds in order
-    overflowed = ~np.isfinite(money)
-    if overflowed.any():
-        raise ValueError(f"total spend of customer {ids[overflowed.argmax()]} is not finite")
-
+    days = np.array([(as_of - s.last_purchase).total_seconds() / 86400.0 for s in segments])
     recency = _minmax(-days)  # negate so larger = more recent
-    frequency = _minmax(freq)
-    monetary = _minmax(money)
-    return [RfmAttributes(c, float(recency[i]), float(frequency[i]), float(monetary[i]))
-            for i, c in enumerate(ids)]
+    frequency = _minmax(np.array([float(s.n_purchases) for s in segments]))
+    monetary = _minmax(np.array([s.spend for s in segments], dtype=float))
+    return [RfmAttributes(s.customer_id, float(r), float(f), float(m))
+            for s, r, f, m in zip(segments, recency, frequency, monetary)]
 
 
 def weighted_rfm_score(attrs: RfmAttributes, weights: RfmWeights) -> float:
@@ -193,11 +174,12 @@ def boxcox_transform(value: float, params: BoxCoxParams) -> float:
     return float((x ** params.lam - 1.0) / params.lam)
 
 
-def score_customers(txns: Transactions, as_of: datetime, weights: RfmWeights,
+def score_customers(segments, as_of: datetime, weights: RfmWeights,
                     search: tuple[float, float] = (-5.0, 5.0),
                     ) -> tuple[list[RfmScore], BoxCoxParams]:
-    """Full scoring pass: attributes, weighted score, fitted transform."""
-    attrs = compute_rfm_attributes(txns, as_of)
+    """Full scoring pass over ``ingest.CustomerSegment`` records: attributes,
+    weighted score, fitted transform."""
+    attrs = compute_rfm_attributes(segments, as_of)
     gammas = np.array([weighted_rfm_score(a, weights) for a in attrs])
     params = boxcox_lambda_mle(gammas, search)
     scores = [RfmScore(a.customer_id, float(g), boxcox_transform(float(g), params))

@@ -595,14 +595,20 @@ def reference_segment_customers(txns, frequent_min_purchases: int = 5,
     Wholesale is flagged first: any single invoice totaling more than
     ``wholesale_quantity_threshold`` units. Remaining customers are Frequent
     iff they have at least ``frequent_min_purchases`` distinct invoices.
-    Every customer present in the transactions gets exactly one segment.
+    Every customer present in the transactions gets exactly one segment,
+    with its latest invoice date and its spend summed in sorted record order.
     """
     invoices: dict[str, set[str]] = {}
     invoice_units: dict[tuple[str, str], int] = {}
-    for t in txns:
+    last_seen: dict[str, datetime] = {}
+    spend: dict[str, float] = {}
+    for t in sorted(txns, key=lambda t: (t.customer_id, t.invoice_id, t.stock_code)):
         invoices.setdefault(t.customer_id, set()).add(t.invoice_id)
         key = (t.customer_id, t.invoice_id)
         invoice_units[key] = invoice_units.get(key, 0) + t.quantity
+        last_seen[t.customer_id] = max(last_seen.get(t.customer_id, t.invoice_date),
+                                       t.invoice_date)
+        spend[t.customer_id] = spend.get(t.customer_id, 0.0) + t.spend
 
     out = []
     for customer_id in sorted(invoices):
@@ -614,7 +620,8 @@ def reference_segment_customers(txns, frequent_min_purchases: int = 5,
             segment = Segment.FREQUENT
         else:
             segment = Segment.INFREQUENT
-        out.append(CustomerSegment(customer_id, segment, n_purchases))
+        out.append(CustomerSegment(customer_id, segment, n_purchases,
+                                   last_seen[customer_id], spend[customer_id]))
     return out
 
 

@@ -297,10 +297,10 @@ class TestPartB:
 
     @pytest.fixture(scope="class")
     def uci_design(self, uci):
-        txns, _, frequent, matrix = uci
-        member_txns = txns.for_customers(frequent)
-        as_of = max(member_txns.invoice_date.used())
-        scores, params = rfm_mod.score_customers(member_txns, as_of, rfm_mod.RfmWeights())
+        _, segments, _, matrix = uci
+        members = [s for s in segments if s.segment is ingest_mod.Segment.FREQUENT]
+        as_of = max(s.last_purchase for s in members)
+        scores, params = rfm_mod.score_customers(members, as_of, rfm_mod.RfmWeights())
         print(f"  [B] fitted box-cox lambda={params.lam:.4f} shift={params.shift:.2e}")
 
         def skew(a):

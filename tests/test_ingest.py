@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -428,3 +429,17 @@ class TestSerialization:
         ingest.write_transactions(from_records(Transactions, txns), tmp_path / "t.csv")
         back = ingest.read_transactions(tmp_path / "t.csv")
         assert records(back) == txns
+
+    def test_segments_round_trip(self, tmp_path):
+        # Customer "B" is infrequent and its total spend overflows to inf;
+        # segments carry it, and only scoring rejects it.
+        txns = [*[make_txn("A", invoice_id=f"a{i}", date=f"2011-06-0{i} 10:00:30.25",
+                           spend=0.1 * i) for i in range(1, 6)],
+                make_txn("B", stock_code="X", spend=1.7e308),
+                make_txn("B", stock_code="Y", spend=1.7e308)]
+        segments = segment_customers(from_records(Transactions, txns))
+        assert [(s.segment, s.n_purchases, s.spend) for s in segments] == [
+            (Segment.FREQUENT, 5, sum(0.1 * i for i in range(1, 6))),
+            (Segment.INFREQUENT, 1, math.inf)]
+        ingest.write_segments(segments, tmp_path / "s.csv")
+        assert ingest.read_segments(tmp_path / "s.csv") == segments

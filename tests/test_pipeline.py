@@ -119,6 +119,36 @@ class TestStageInputs:
         assert list(opened) == list(declared)
         for name, paths in declared.items():
             assert opened[name] == paths, name
+        assert declared["rfm"] == [str((run_dir / "ingest" / "segments.csv").resolve())]
+
+    def test_rfm_does_not_read_the_transactions(self, full_run, fixture_config_path,
+                                                tmp_path):
+        _, out, _ = full_run
+        run_dir = tmp_path / "run"
+        shutil.copytree(out, run_dir)
+        (run_dir / "ingest" / "transactions.csv").unlink()
+        (run_dir / "rfm" / "scores.csv").unlink()
+        rc = cli_main(["--config", str(fixture_config_path), "rfm", "--out", str(run_dir)])
+        assert rc == 0
+        assert (run_dir / "rfm" / "scores.csv").read_bytes() == \
+            (out / "rfm" / "scores.csv").read_bytes()
+
+    def test_stale_segments_name_the_file(self, full_run, fixture_config_path,
+                                          tmp_path, capsys):
+        # The three columns segments.csv had before it carried the purchase summary.
+        _, out, _ = full_run
+        run_dir = tmp_path / "run"
+        shutil.copytree(out, run_dir)
+        path = run_dir / "ingest" / "segments.csv"
+        path.write_text("".join(",".join(line.split(",")[:3]) + "\n" for line in
+                                path.read_text(encoding="utf-8").splitlines()),
+                        encoding="utf-8")
+        rc = cli_main(["--config", str(fixture_config_path), "rfm", "--out", str(run_dir)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {path}: columns ['customer_id', 'segment', "
+                              f"'n_purchases'], expected")
+        assert "re-run the 'ingest' stage" in err
 
     @pytest.mark.parametrize("stage, deleted, named", [
         ("export-graph", "factorize/H.csv", "factorize"),
@@ -451,7 +481,7 @@ class TestCli:
             (last + 3, "Quantity",
              "quantity '100000000000000000000' outside the signed 32-bit range")]
         _, segments = read_csv(out / "ingest" / "segments.csv")
-        assert ["A100", "Frequent", "5"] in segments
+        assert ["A100", "Frequent", "5"] in [row[:3] for row in segments]
 
     @pytest.mark.parametrize("edit, named", [
         ({"lasso_": {"folds": 99}}, "config key 'lasso_'"),

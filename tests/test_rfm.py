@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shoplens.ingest import Transactions
+from shoplens.ingest import Transactions, segment_customers
 from shoplens.rfm import (LOG_BRANCH_TOL, BoxCoxParams, RfmAttributes, RfmWeights,
                           boxcox_lambda_mle, boxcox_transform,
                           compute_rfm_attributes, weighted_rfm_score)
@@ -16,6 +16,11 @@ from shoplens.rfm import (LOG_BRANCH_TOL, BoxCoxParams, RfmAttributes, RfmWeight
 from oracles import boxcox_grid_lambda, from_records, make_txn
 
 AS_OF = datetime(2011, 12, 31)
+
+
+def segments(txns) -> list:
+    """The purchase summaries ``segment_customers`` makes of the records."""
+    return segment_customers(from_records(Transactions, txns))
 
 
 def exact_boxcox(value: float, lam: float) -> Fraction:
@@ -44,7 +49,7 @@ def rounding_bound(value: float, lam: float) -> float:
 class TestAttributes:
     def test_single_customer_degenerates_to_ones(self):
         txns = [make_txn(date="2011-06-01 00:00")]
-        (a,) = compute_rfm_attributes(from_records(Transactions, txns), AS_OF)
+        (a,) = compute_rfm_attributes(segments(txns), AS_OF)
         assert (a.recency, a.frequency, a.monetary) == (1.0, 1.0, 1.0)
 
     def test_dominating_customer_hits_the_endpoints(self):
@@ -53,7 +58,7 @@ class TestAttributes:
             make_txn(customer_id="top", invoice_id="t2", date="2011-12-01 00:00", spend=50.0),
             make_txn(customer_id="low", invoice_id="l1", date="2011-06-01 00:00", spend=10.0),
         ]
-        low, top = compute_rfm_attributes(from_records(Transactions, txns), AS_OF)
+        low, top = compute_rfm_attributes(segments(txns), AS_OF)
         assert (top.recency, top.frequency, top.monetary) == (1.0, 1.0, 1.0)
         assert (low.recency, low.frequency, low.monetary) == (0.0, 0.0, 0.0)
 
@@ -83,7 +88,7 @@ class TestAttributes:
             "C4": (1.0, 1.0, 1.0),
             "C5": (15 / 35, 0.5, 0.75),
         }
-        for a in compute_rfm_attributes(from_records(Transactions, txns), AS_OF):
+        for a in compute_rfm_attributes(segments(txns), AS_OF):
             r, f, m = expected[a.customer_id]
             assert a.recency == pytest.approx(r, abs=1e-12)
             assert a.frequency == pytest.approx(f, abs=1e-12)
@@ -91,12 +96,11 @@ class TestAttributes:
 
     def test_empty_input(self):
         with pytest.raises(ValueError):
-            compute_rfm_attributes(from_records(Transactions, []), AS_OF)
+            compute_rfm_attributes(segments([]), AS_OF)
 
     def test_transaction_after_as_of(self):
         with pytest.raises(ValueError, match="after as_of"):
-            compute_rfm_attributes(
-                from_records(Transactions, [make_txn(date="2012-01-05 00:00")]), AS_OF)
+            compute_rfm_attributes(segments([make_txn(date="2012-01-05 00:00")]), AS_OF)
 
     def test_total_spend_that_overflows_names_the_customer(self):
         # Every line is finite; customer "1"'s total is not.
@@ -105,7 +109,7 @@ class TestAttributes:
                 make_txn(customer_id="1", stock_code="B", spend=1.7e308),
                 make_txn(customer_id="2", spend=3.0)]
         with pytest.raises(ValueError, match="customer 1 is not finite"):
-            compute_rfm_attributes(from_records(Transactions, txns), AS_OF)
+            compute_rfm_attributes(segments(txns), AS_OF)
 
 
 class TestWeightedScore:

@@ -78,10 +78,10 @@ def assert_same_as_reference(path, schema=None, cancellation_prefix="C", **segme
         assert m.indices.tolist() == ref.indices.tolist()
         assert as_bytes(m.data) == as_bytes(ref.data)
 
-        chosen = txns.for_customers(members)
+        chosen = [s for s in segments if s.customer_id in set(members)]
         ref_chosen = [t for t in ref_txns if t.customer_id in set(members)]
         as_of = max(t.invoice_date for t in ref_chosen)
-        assert max(chosen.invoice_date.used()) == as_of
+        assert max(s.last_purchase for s in chosen) == as_of
         got = rfm.compute_rfm_attributes(chosen, as_of)
         want = reference_compute_rfm_attributes(ref_chosen, as_of)
         assert [a.customer_id for a in got] == [a.customer_id for a in want]
@@ -295,8 +295,9 @@ def test_boxcox_search_bound_checks():
 def test_score_customers_on_parsed_fixture(fixture_csv):
     lines, _ = parse_invoice_csv(fixture_csv)
     txns = clean_transactions(lines)
-    as_of = max(txns.invoice_date.used())
-    scores, params = rfm.score_customers(txns, as_of, rfm.RfmWeights())
+    segments = segment_customers(txns)
+    as_of = max(s.last_purchase for s in segments)
+    scores, params = rfm.score_customers(segments, as_of, rfm.RfmWeights())
     assert len(scores) == len(txns.customer_id.used())
     assert as_of == max(t.invoice_date for t in records(txns))
     want = scipy_lambda(np.array([s.gamma for s in scores]), (-5.0, 5.0))
