@@ -11,6 +11,7 @@ import json
 import os
 import re
 from contextlib import contextmanager
+from itertools import islice, repeat
 from pathlib import Path
 
 
@@ -55,25 +56,46 @@ def unsafe_cell(text: str) -> bool:
     return "," in text or _breaks_line(text)
 
 
+# Writers format, check and write rows (or records) in blocks of this many.
+# Larger blocks are no faster, and a block's rows, lines and text are all
+# alive at once, which grows the heap that later stages of a run inherit.
+_BLOCK_ROWS = 256
+
+
 def write_csv(path: Path, header: list[str], rows) -> None:
     """Write rows of already-formatted strings with a fixed line terminator.
 
-    The format is deliberately quote-free, so no cell may be ``unsafe_cell``.
+    The format is deliberately quote-free, so no cell may be ``unsafe_cell``,
+    and every row must have as many cells as the header; either is a
+    ValueError.
     """
-    def line(cells) -> str:
-        # One test of the joined row; only a row that fails it is searched
-        # for the cell to name.
-        text = ",".join(cells)
-        if text.count(",") >= len(cells) or _breaks_line(text):
-            for cell in cells:
+    width, rows = len(header), iter(rows)
+    with _atomic_open(path) as f:
+        f.write(_checked_lines(path, width, [header], 1))
+        line = 2
+        while block := list(islice(rows, _BLOCK_ROWS)):
+            f.write(_checked_lines(path, width, block, line))
+            line += len(block)
+
+
+def _checked_lines(path: Path, width: int, block: list, first_line: int) -> str:
+    """The block's rows as text, one line each. One pass over the joined
+    text checks the whole block; only a block that fails it is searched for
+    the cell or the row to name."""
+    text = "\n".join(map(",".join, block)) + "\n"
+    # A row of ``width`` cells is width - 1 commas and a newline, plus one
+    # for each comma or newline inside a cell.
+    flat = text.replace("\n", ",")
+    if (list(map(len, block)).count(width) != len(block)
+            or flat.count(",") != len(block) * width or _breaks_line(flat)):
+        for number, row in enumerate(block, start=first_line):
+            for cell in row:
                 if unsafe_cell(cell):
                     raise ValueError(f"cell {cell!r} contains a delimiter or newline")
-        return text + "\n"
-
-    with _atomic_open(path) as f:
-        f.write(line(header))
-        for row in rows:
-            f.write(line(row))
+            if len(row) != width:
+                raise ValueError(f"{path}: line {number} has {len(row)} cells, "
+                                 f"the header {width}")
+    return text
 
 
 def _read_rows(path: Path) -> tuple[list[str], list[str]]:
@@ -85,7 +107,7 @@ def _read_rows(path: Path) -> tuple[list[str], list[str]]:
     if not lines:
         return [], []
     header, body = lines[0].split(","), lines[1:]
-    if any(line.count(",") != len(header) - 1 for line in body):
+    if list(map(str.count, body, repeat(","))).count(len(header) - 1) != len(body):
         raise ValueError(f"{path}: a row does not have {len(header)} cells")
     return header, body
 
@@ -111,13 +133,16 @@ def dump_json(path: Path, obj) -> None:
         f.write("\n")
 
 
+_JSONL_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
+
+
 def dump_jsonl(path: Path, records) -> None:
     """One JSON object per line; a float is written as its shortest
     round-trip repr, and a NaN or infinity raises ValueError."""
+    records = iter(records)
     with _atomic_open(path) as f:
-        for rec in records:
-            f.write(json.dumps(rec, sort_keys=True, allow_nan=False))
-            f.write("\n")
+        while block := list(islice(records, _BLOCK_ROWS)):
+            f.write("\n".join(map(_JSONL_ENCODER.encode, block)) + "\n")
 
 
 def file_digest(path: Path) -> str:

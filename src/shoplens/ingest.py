@@ -159,11 +159,12 @@ class Transactions(_Table):
 
 
 def _positions(ids: list[str], wanted, unknown: str) -> np.ndarray:
-    """Index of each wanted id in the sorted ``ids``, compared as strings."""
-    missing = set(wanted).difference(ids)
-    if missing:
-        raise ValueError(f"{unknown}: {sorted(missing)}")
-    return np.searchsorted(np.array(ids, dtype=object), np.array(wanted, dtype=object))
+    """Index of each wanted id in ``ids``, which must all be known."""
+    index = dict(zip(ids, range(len(ids))))
+    try:
+        return np.fromiter(map(index.__getitem__, wanted), dtype=np.int64, count=len(wanted))
+    except KeyError:
+        raise ValueError(f"{unknown}: {sorted(set(wanted).difference(ids))}") from None
 
 
 class PurchaseMatrix:
@@ -313,6 +314,12 @@ def _parse_rows(reader, header: list[str], schema: dict[str, str],
     row keeps its extra fields under the key None of the reject record.
     An accepted row's fields are appended to the columns, each repeated
     value as its code in that column's vocabulary.
+
+    Values repeat, so each distinct raw cell is checked once. A vocabulary
+    holds only stripped values of accepted rows, so a raw cell that is one
+    of its keys is accepted by that lookup; the quantity, price and date of
+    a raw cell are cached the same way. Only a new cell is stripped and
+    checked, and it enters a vocabulary only once its row is accepted.
     """
     width = len(header)
     at = {name: i for i, name in enumerate(header)}
@@ -322,8 +329,10 @@ def _parse_rows(reader, header: list[str], schema: dict[str, str],
         "invoice_date", "unit_price", "customer_id", "country"))
 
     invoices, stocks, descriptions, customers, countries = {}, {}, {}, {}, {}
+    quantities: dict[str, int] = {}  # raw cell -> accepted quantity
+    prices: dict[str, float] = {}  # raw cell -> accepted unit price
     moments: dict[datetime, int] = {}  # distinct parsed dates
-    stamps: dict[str, int] = {}  # raw stamp -> code in moments, -1 if unparseable
+    stamps: dict[str, int] = {}  # raw cell -> code in moments, -1 if unparseable
     (invoice_col, stock_col, description_col, quantity_col, date_col, price_col,
      customer_col, country_col) = ([] for _ in range(8))
     rejects: list[RejectedRow] = []
@@ -338,74 +347,95 @@ def _parse_rows(reader, header: list[str], schema: dict[str, str],
         if len(row) < width:
             row += [""] * (width - len(row))
 
-        invoice_id = row[i_invoice].strip()
-        if not invoice_id:
-            reject(idx, row, schema["invoice_id"], "empty invoice id")
-            continue
-        if unsafe_cell(invoice_id):
-            reject(idx, row, schema["invoice_id"],
-                   f"invoice id {invoice_id!r} contains a delimiter or newline")
-            continue
-        stock_code = row[i_stock].strip()
-        if not stock_code:
-            reject(idx, row, schema["stock_code"], "empty stock code")
-            continue
-        if unsafe_cell(stock_code):
-            reject(idx, row, schema["stock_code"],
-                   f"stock code {stock_code!r} contains a delimiter or newline")
-            continue
+        invoice = invoices.get(row[i_invoice])
+        if invoice is None:
+            invoice_id = row[i_invoice].strip()
+            if not invoice_id:
+                reject(idx, row, schema["invoice_id"], "empty invoice id")
+                continue
+            if unsafe_cell(invoice_id):
+                reject(idx, row, schema["invoice_id"],
+                       f"invoice id {invoice_id!r} contains a delimiter or newline")
+                continue
+        stock = stocks.get(row[i_stock])
+        if stock is None:
+            stock_code = row[i_stock].strip()
+            if not stock_code:
+                reject(idx, row, schema["stock_code"], "empty stock code")
+                continue
+            if unsafe_cell(stock_code):
+                reject(idx, row, schema["stock_code"],
+                       f"stock code {stock_code!r} contains a delimiter or newline")
+                continue
 
-        raw_qty = row[i_quantity].strip()
-        try:
-            quantity = int(raw_qty)
-        except ValueError:
-            reject(idx, row, schema["quantity"], f"non-integer quantity {raw_qty!r}")
-            continue
-        if quantity not in _QUANTITY_RANGE:
-            reject(idx, row, schema["quantity"],
-                   f"quantity {raw_qty!r} outside the signed 32-bit range")
-            continue
+        quantity = quantities.get(row[i_quantity])
+        if quantity is None:
+            raw_qty = row[i_quantity].strip()
+            try:
+                quantity = int(raw_qty)
+            except ValueError:
+                reject(idx, row, schema["quantity"], f"non-integer quantity {raw_qty!r}")
+                continue
+            if quantity not in _QUANTITY_RANGE:
+                reject(idx, row, schema["quantity"],
+                       f"quantity {raw_qty!r} outside the signed 32-bit range")
+                continue
+            quantities[row[i_quantity]] = quantity
 
-        raw_price = row[i_price].strip()
-        try:
-            unit_price = float(raw_price)
-        except ValueError:
-            reject(idx, row, schema["unit_price"], f"non-numeric unit price {raw_price!r}")
-            continue
-        if not math.isfinite(unit_price):
-            reject(idx, row, schema["unit_price"], f"non-finite unit price {raw_price!r}")
-            continue
+        unit_price = prices.get(row[i_price])
+        if unit_price is None:
+            raw_price = row[i_price].strip()
+            try:
+                unit_price = float(raw_price)
+            except ValueError:
+                reject(idx, row, schema["unit_price"], f"non-numeric unit price {raw_price!r}")
+                continue
+            if not math.isfinite(unit_price):
+                reject(idx, row, schema["unit_price"], f"non-finite unit price {raw_price!r}")
+                continue
+            prices[row[i_price]] = unit_price
         if not math.isfinite(quantity * unit_price):
             reject(idx, row, schema["unit_price"],
-                   f"quantity {raw_qty!r} x unit price {raw_price!r} is not finite")
+                   f"quantity {row[i_quantity].strip()!r} x unit price "
+                   f"{row[i_price].strip()!r} is not finite")
             continue
 
-        raw_date = row[i_date].strip()
-        date_code = stamps.get(raw_date)
+        date_code = stamps.get(row[i_date])
         if date_code is None:  # many lines share one invoice stamp
-            moment = _parse_stamp(raw_date)
-            date_code = stamps[raw_date] = (
+            moment = _parse_stamp(row[i_date].strip())
+            date_code = stamps[row[i_date]] = (
                 -1 if moment is None else moments.setdefault(moment, len(moments)))
         if date_code < 0:
-            reject(idx, row, schema["invoice_date"], f"unparseable date {raw_date!r}")
+            reject(idx, row, schema["invoice_date"],
+                   f"unparseable date {row[i_date].strip()!r}")
             continue
 
-        customer_id = row[i_customer].strip() or None
-        if customer_id is not None and unsafe_cell(customer_id):
-            reject(idx, row, schema["customer_id"],
-                   f"customer id {customer_id!r} contains a delimiter or newline")
-            continue
-        invoice_col.append(invoices.setdefault(invoice_id, len(invoices)))
-        stock_col.append(stocks.setdefault(stock_code, len(stocks)))
-        description = row[i_description].strip()
-        description_col.append(descriptions.setdefault(description, len(descriptions)))
+        customer = customers.get(row[i_customer])
+        if customer is None:
+            customer_id = row[i_customer].strip()
+            if not customer_id:
+                customer = -1  # an anonymous line
+            elif unsafe_cell(customer_id):
+                reject(idx, row, schema["customer_id"],
+                       f"customer id {customer_id!r} contains a delimiter or newline")
+                continue
+            else:
+                customer = customers.setdefault(customer_id, len(customers))
+        invoice_col.append(invoice if invoice is not None
+                           else invoices.setdefault(invoice_id, len(invoices)))
+        stock_col.append(stock if stock is not None
+                         else stocks.setdefault(stock_code, len(stocks)))
+        description = descriptions.get(row[i_description])
+        description_col.append(description if description is not None else
+                               descriptions.setdefault(row[i_description].strip(),
+                                                       len(descriptions)))
         quantity_col.append(quantity)
         date_col.append(date_code)
         price_col.append(unit_price)
-        customer_col.append(-1 if customer_id is None
-                            else customers.setdefault(customer_id, len(customers)))
-        country = row[i_country].strip()
-        country_col.append(countries.setdefault(country, len(countries)))
+        customer_col.append(customer)
+        country = countries.get(row[i_country])
+        country_col.append(country if country is not None else
+                           countries.setdefault(row[i_country].strip(), len(countries)))
     lines = InvoiceLines(
         invoice_id=Coded.ranked(invoice_col, list(invoices)),
         stock_code=Coded.ranked(stock_col, list(stocks)),
@@ -532,7 +562,9 @@ def write_matrix(matrix: PurchaseMatrix, directory: str | Path, prefix: str) -> 
     paths = matrix_paths(directory, prefix)
     triplets, rows_path, cols_path = paths
     write_csv(triplets, ["row_id", "col_id", "value"],
-              ([r, c, fmt_float(v)] for r, c, v in matrix.triplets()))
+              zip(map(matrix.row_ids.__getitem__, matrix._rows().tolist()),
+                  map(matrix.col_ids.__getitem__, matrix.indices.tolist()),
+                  map(fmt_float, matrix.data.tolist())))
     write_text(rows_path, "".join(r + "\n" for r in matrix.row_ids))
     write_text(cols_path, "".join(c + "\n" for c in matrix.col_ids))
     return paths
@@ -552,8 +584,8 @@ def read_matrix(directory: str | Path, prefix: str) -> PurchaseMatrix:
         cols = _positions(col_ids, col_cells, f"ids not in {prefix}.cols.txt")
         order = np.lexsort((cols, rows))
         indptr = np.searchsorted(rows[order], np.arange(len(row_ids) + 1))
-        return PurchaseMatrix(row_ids, col_ids, indptr, cols[order],
-                              np.array([float(v) for v in values])[order])
+        values = np.fromiter(map(float, values), dtype=np.float64, count=len(values))
+        return PurchaseMatrix(row_ids, col_ids, indptr, cols[order], values[order])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -569,15 +601,21 @@ def write_rejects(rejects, path: str | Path) -> None:
 
 
 def write_transactions(txns: Transactions, path: str | Path) -> None:
-    def cells(column: Coded) -> list:
-        return [column.values[k] for k in column.codes.tolist()]
+    """One line per transaction. Ids are written from their vocabularies, and
+    each distinct date, spend and quantity is formatted once."""
+    def cells(codes: np.ndarray, texts: list) -> list:
+        return np.array(texts, dtype=object)[codes].tolist()
 
-    stamps = Coded(txns.invoice_date.codes, [d.isoformat() for d in txns.invoice_date.values])
+    def formatted(values: np.ndarray, fmt) -> list:
+        # Distinct by bit pattern, so that 0.0 and -0.0 keep their own text.
+        bits, codes = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
+        return cells(codes, [fmt(v) for v in bits.view(values.dtype).tolist()])
+
+    ids = [cells(c.codes, c.values) for c in (txns.customer_id, txns.stock_code, txns.invoice_id)]
+    stamps = cells(txns.invoice_date.codes, [d.isoformat() for d in txns.invoice_date.values])
     write_csv(Path(path),
               ["customer_id", "stock_code", "invoice_id", "invoice_date", "spend", "quantity"],
-              zip(cells(txns.customer_id), cells(txns.stock_code), cells(txns.invoice_id),
-                  cells(stamps), map(fmt_float, txns.spend.tolist()),
-                  map(str, txns.quantity.tolist())))
+              zip(*ids, stamps, formatted(txns.spend, fmt_float), formatted(txns.quantity, str)))
 
 
 def read_transactions(path: str | Path) -> Transactions:

@@ -12,6 +12,7 @@ import time
 import types
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple, get_args, get_origin
@@ -224,8 +225,10 @@ def _write_labelled(path: Path, corner: str, row_ids, col_ids, values) -> None:
 def _read_labelled(path: Path) -> tuple[list[str], list[str], np.ndarray]:
     """``_write_labelled``'s file as (row ids, column ids, values)."""
     header, rows = read_csv(path)
-    values = np.array([[float(v) for v in r[1:]] for r in rows])
-    return [r[0] for r in rows], header[1:], values
+    shape = len(rows), len(header[1:])
+    values = np.fromiter(map(float, chain.from_iterable(r[1:] for r in rows)),
+                         dtype=np.float64, count=shape[0] * shape[1])
+    return [r[0] for r in rows], header[1:], values.reshape(shape)
 
 
 # ------------------------------------------------------------- stages ----

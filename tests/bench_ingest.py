@@ -6,8 +6,8 @@ collect this file (it is not named ``test_*.py``). Run it explicitly:
 The invoice file is generated from a fixed seed: 60k lines from 1,200
 registered customers (a quarter of the lines anonymous) over 2,000 items,
 ~20 lines per invoice sharing one ``%m/%d/%Y %H:%M`` stamp, with some
-cancellations. It is written once, to a temporary directory, for both
-benchmarks.
+cancellations. It is written once, to a temporary directory, for every
+benchmark.
 """
 
 import numpy as np
@@ -61,3 +61,16 @@ def test_score_customers(benchmark, invoice_file):
     as_of = max(s.last_purchase for s in members)
     scores, _ = benchmark(rfm.score_customers, members, as_of, rfm.RfmWeights())
     assert len(scores) == len(members)
+
+
+def test_write_and_read_ingest_artifacts(benchmark, invoice_file, tmp_path):
+    lines, _ = ingest.parse_invoice_csv(invoice_file)
+    txns = ingest.clean_transactions(lines)
+    _, matrix = ingest_front_end(invoice_file)
+
+    def write_and_read():
+        ingest.write_transactions(txns, tmp_path / "transactions.csv")
+        ingest.write_matrix(matrix, tmp_path, "matrix")
+        return ingest.read_matrix(tmp_path, "matrix")
+
+    assert benchmark(write_and_read) == matrix

@@ -99,3 +99,39 @@ def test_write_csv_names_the_cell_that_would_split_a_line(tmp_path, cell):
         write_csv(tmp_path / "t.csv", ["k", "v", "w"], [["a", "1", "x"], ["b", cell, "é"]])
     with pytest.raises(ValueError, match=re.escape(f"cell {cell!r} contains")):
         write_csv(tmp_path / "t.csv", ["k", cell], [])
+    # Past the first block of rows, the failing block is searched as well.
+    clean = [[str(i), "1", "x"] for i in range(10_000)]
+    with pytest.raises(ValueError, match=re.escape(f"cell {cell!r} contains")):
+        write_csv(tmp_path / "t.csv", ["k", "v", "w"], clean + [["b", cell, "é"]])
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("rows,line,cells", [
+    ([["x"], []], 2, 1),
+    ([["a", "1"]] * 5_000 + [[]], 5_002, 0),
+    # Three cells and one cell: as many commas as two rows of two cells.
+    ([["a", "1"]] * 9_000 + [["x", "y", "z"], ["w"]], 9_002, 3),
+])
+def test_write_csv_rejects_a_row_of_another_width(tmp_path, rows, line, cells):
+    path = tmp_path / "t.csv"
+    message = f"{path}: line {line} has {cells} cells, the header 2"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        write_csv(path, ["a", "b"], rows)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_blocks_write_the_rows_line_by_line(tmp_path):
+    # Cells that are not printable yet break no line ("\t", "\x00") make a
+    # block fail its one-pass check; its search then finds nothing to refuse.
+    rows = [[str(i), ["", "é", "a\tb", "\x00", "x y"][i % 5], f"{i / 7!r}"]
+            for i in range(10_001)]
+    path = tmp_path / "t.csv"
+    write_csv(path, ["k", "v", "w"], iter(rows))
+    expected = "k,v,w\n" + "".join(",".join(r) + "\n" for r in rows)
+    assert path.read_bytes() == expected.encode("utf-8")
+    assert read_csv(path) == (["k", "v", "w"], rows)
+
+    records = [{"b": i, "a": [i / 3, "é"], "c": None} for i in range(10_001)]
+    dump_jsonl(path, iter(records))
+    expected = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+    assert path.read_bytes() == expected.encode("utf-8")

@@ -105,8 +105,10 @@ def random_rows(seed: int, n: int) -> list[list[str]]:
     ties, spends of very different magnitudes (so the order of a sum shows
     in its bits), mixed date formats, and a share of malformed fields."""
     rng = np.random.default_rng(seed)
-    invoices = ["536365", "536366", "C536379", "536370", "c536371", "581587", "A1"]
-    stocks = ["85123A", "71053", "84406B", "POST", "a", "B", "22633", "D"]
+    # Padded ids are vocabulary misses that strip to a known id.
+    invoices = ["536365", "536366", "C536379", "536370", "c536371", "581587", "A1",
+                " 536365", "536370 "]
+    stocks = ["85123A", "71053", "84406B", "POST", "a", "B", "22633", "D", " 85123A ", "POST "]
     customers = ["17850", "13047", "12583", "", "12346.0", "é1", "B2", "17850 "]
     quantities = ["1", "2", "3", "6", "12", "24", "-1", "0", " 4 ", "1_000", "abc", ""]
     prices = ["2.55", "3.39", "0.1", "0.7", "1e16", "1", "0", "-1.5", "1e-3",
@@ -134,6 +136,28 @@ class TestAgainstReference:
         path = write_rows(tmp_path / "in.csv", random_rows(seed, 1500))
         lines, rejects = assert_same_as_reference(path)
         assert len(lines) > 500 and len(rejects) > 50
+
+    def test_vocabularies_hold_only_accepted_stripped_ids(self, tmp_path):
+        # "536400" and "P1" first appear on a row rejected for its quantity,
+        # then padded on accepted rows; "536499" and "P9" only on rejected
+        # rows, one of them rejected after every id check passed.
+        rows = [["536400", "P1", "X", "abc", "12/01/2010 08:26", "1.5", "C1", "UK"],
+                ["536499", "P9", "X", "2", "12/01/2010 08:26", "1.5", "C,9", "UK"],
+                [" 536400", "P1 ", " X", "2", "12/01/2010 08:26", "1.5", "C1", "UK"],
+                ["536400 ", " P1 ", "X ", " 3 ", " 12/01/2010 08:26", " 1.5 ", " C1", " UK"],
+                ["536400", "P1", "X", "2", "12/01/2010 08:26", "1.5", "C1", "UK"],
+                ["536401", " P2", "Y", "1", "12/01/2010 08:26", "2", "C2 ", "UK"],
+                ["536499", "P9", "X", "1e3", "12/01/2010 08:26", "1.5", "C1", "UK"]]
+        path = write_rows(tmp_path / "in.csv", rows)
+        lines, rejects = parse_invoice_csv(path)
+        ref_lines, ref_rejects = reference_parse(path)
+        assert records(lines) == ref_lines and rejects == ref_rejects
+        assert [r.line_number for r in rejects] == [2, 3, 8]
+        for name in ("invoice_id", "stock_code", "customer_id", "description", "country"):
+            accepted = {getattr(line, name) for line in ref_lines} - {None}
+            assert getattr(lines, name).values == sorted(accepted), name
+        assert lines.invoice_id.values == ["536400", "536401"]
+        assert lines.stock_code.values == ["P1", "P2"]
 
     def test_date_stamps_through_the_parser(self, tmp_path):
         rows = [["1", "A", "X", "2", stamp, "1.5", "C1", "UK"] for stamp in STAMPS]
