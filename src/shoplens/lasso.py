@@ -1,6 +1,7 @@
-"""Sparse value regression: l1-penalized linear model solved by cyclic
-coordinate descent, alpha selection by cross-validation, and the
-drop-smallest-coefficient experiment that fixes the final feature count.
+"""Sparse value regression: l1-penalized linear model solved exactly along
+its piecewise-linear path in alpha, alpha selection by cross-validation on
+one path per fold, and the drop-smallest-coefficient experiment that fixes
+the final feature count.
 
 Objective convention: (1 / (2n)) * ||y - b0 - X.b||_2^2 + alpha * ||b||_1
 with an unpenalized intercept b0 fixed at mean(y). Alpha values are only
@@ -44,12 +45,7 @@ class LassoModel:
     beta: np.ndarray
     col_ids: list[str]
     n_iter: int
-    max_coord_delta: float
     converged: bool
-    objective_trace: list[float] = field(default_factory=list)
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.intercept + x @ self.beta
 
     def support(self) -> list[int]:
         return [int(j) for j in np.flatnonzero(self.beta)]
@@ -121,28 +117,26 @@ def standardize(p_matrix, responses) -> DesignMatrix:
     )
 
 
-# Columns per blocked gradient when a full sweep screens zero coefficients;
-# a coordinate that enters the model wastes at most one block of it.
-_SCREEN_BLOCK = 64
-
-# Active sweeps between Newton steps on the support. On the pinned paper
-# workload's select-features (seeds 1-3, 6, 8, 9, 11), every 2, 3 or 5 sweeps
-# took the same time within 2%, every sweep took 7% longer and every 10 or
-# 20 sweeps 12% and 35% longer; 3 needs 27% fewer sweeps than 5.
-_NEWTON_EVERY = 3
-
 # Width of the tiles that every Gram product, X'v product and Cholesky factor
 # is built from. OpenBLAS splits a larger product or factorization between its
 # threads, and the bits of the result then depend on the thread count; on
 # tiles of this width they are the same at 1 and at 2 threads.
 _TILE = 64
 
-# A Cholesky pivot at or below this fraction of its diagonal entry means the
-# column lies within 1e-4 rad of the span of the columns before it, and the
-# system is treated as singular. Rounding left an exactly dependent column
-# of a 359-column refit with a pivot of 1.2e-9 of its diagonal entry, so the
-# bound sits ten times above that.
+# A Cholesky pivot (or a Schur complement) at or below this fraction of its
+# diagonal entry means the column lies within 1e-4 rad of the span of the
+# columns before it, and the system is treated as singular. Rounding left an
+# exactly dependent column of a 359-column refit with a pivot of 1.2e-9 of
+# its diagonal entry, so the bound sits ten times above that. The lasso path
+# applies it to a column that would enter.
 _PIVOT_RTOL = 1e-8
+
+
+# The response lies in the active span when its squared residual there is
+# at most this fraction of its squared norm. At saturation the residual is
+# rounding (5.7e-26 of the norm on a default-config paper fold); one column
+# short of it, 1e-10 to 1e-6 on the same folds.
+_EPS = float(np.finfo(float).eps)
 
 
 def _padded(k: int) -> int:
@@ -259,229 +253,164 @@ def _cho_solve(low: np.ndarray, inverses: list[np.ndarray], b: np.ndarray) -> np
     return v[:k]
 
 
-def _soft_threshold(z: float, a: float) -> float:
-    if z > a:
-        return z - a
-    if z < -a:
-        return z + a
-    return 0.0
+def _gap(z: np.ndarray, r: np.ndarray, xtr: np.ndarray, alpha: float, l1: float) -> float:
+    """Duality gap of a fit with residual ``r = z - X.b``, ``xtr = X'r`` and
+    ``l1 = ||b||_1`` (see ``duality_gap``)."""
+    n = len(z)
+    corr = float(np.abs(xtr).max(initial=0.0))
+    s = min(1.0, n * alpha / corr) if corr > 0 else 1.0
+    zs = z - s * r
+    return float(r @ r / (2 * n) + alpha * l1 - (z @ z - zs @ zs) / (2 * n))
 
 
-def _to_first_sign_change(now: np.ndarray, target: np.ndarray):
-    """The point of the segment from ``now`` to ``target`` where the first
-    coordinate changes sign, with that coordinate exactly 0, and its
-    position; ``target`` and None when no coordinate changes sign."""
-    flips = np.flatnonzero(np.sign(target) != np.sign(now))
-    if not flips.size:
-        return target, None
-    ratios = now[flips] / (now[flips] - target[flips])
-    first = int(flips[np.argmin(ratios)])
-    point = now + ratios.min() * (target - now)
-    point[first] = 0.0
-    return point, first
+def _path(x: np.ndarray, y: np.ndarray, alphas, max_iter: int):
+    """The lasso path of ``(x, y)`` from alpha_max down through ``alphas``,
+    which must be descending and positive.
+
+    Returns ``(stops, beta, steps)``: a ``(beta, n_iter, gap)`` for each
+    alpha the path reaches, in order, and the coefficients and step count
+    where it ended. Between knots the solution is linear in alpha (LARS
+    with the lasso modification; Efron, Hastie, Johnstone & Tibshirani
+    2004): with the active columns A and their signs s fixed, the
+    coefficients move along d = (X_A'X_A/n)^-1 s as alpha falls, and the
+    correlations c = X'r/n along a = X'u/n with u = X_A.d. A step ends at
+    the first knot: a column whose |c_j| meets alpha enters, or an active
+    coefficient that reaches zero leaves. A column whose Schur complement
+    is at most ``_PIVOT_RTOL`` times its diagonal lies in the active span
+    and does not enter, so of identical columns the lowest index enters
+    (``argmin`` takes the first of equal entry events). The response gets
+    the same test at rounding level: once its least-squares residual on the
+    active columns, r - alpha.u, is at most sqrt(eps) of its norm while a
+    column is still out, r = alpha.u, every column's entry sits at alpha = 0
+    and none can enter: the path is saturated and ends. It also ends after
+    ``max_iter`` steps (adds and drops). Each step takes one ``_xt_dot``
+    product, and every other product is an ``einsum``, so the bits do not
+    depend on the BLAS thread count. The inverse Gram matrix of the active
+    columns is bordered on an add and downdated on a drop. At each alpha
+    in ``alphas`` the residual and X'r are recomputed, for the duality gap
+    and as the correlations the path goes on from.
+    """
+    n, p = x.shape
+    z = y - y.mean()
+    zz = float(z @ z)
+    r = z.copy()
+    c = _xt_dot(x, z) / n
+    level = float(np.abs(c).max(initial=0.0))
+    diag = np.einsum("ij,ij->j", x, x) / n
+    size = min(n, p)
+    cols = np.empty((n, size), order="F")  # the active columns, in entry order
+    inv = np.empty((size, size))           # the inverse of their Gram matrix / n
+    coefs = np.empty(size)                 # and their coefficients
+    signs = np.empty(size)
+    active: list[int] = []
+    barrier = np.zeros(p)  # inf for a column in the model or in its span
+    stops: list[tuple[np.ndarray, int, float]] = []
+    steps = 0
+    targets = [float(a) for a in alphas]
+
+    def beta() -> np.ndarray:
+        out = np.zeros(p)
+        out[active] = coefs[:len(active)]
+        return out
+
+    def stop(alpha: float) -> None:
+        nonlocal r, c
+        k = len(active)
+        r = z - np.einsum("ij,j->i", cols[:, :k], coefs[:k])
+        xtr = _xt_dot(x, r)
+        c = xtr / n
+        gap = _gap(z, r, xtr, alpha, float(np.abs(coefs[:k]).sum()))
+        stops.append((beta(), steps, gap))
+
+    while targets and targets[0] >= level:  # at or above alpha_max: b = 0
+        stop(targets.pop(0))
+    stale, left = True, -1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while targets and steps < max_iter:
+            k = len(active)
+            if stale:
+                d = np.einsum("ij,j->i", inv[:k, :k], signs[:k])
+                u = np.einsum("ij,j->i", cols[:, :k], d)
+                a = _xt_dot(x, u) / n
+                stale = False
+                if k < p and (rest := r - level * u) @ rest <= _EPS * zz:
+                    break  # saturated
+            hits = -coefs[:k] / d
+            hits[~(hits > 0)] = np.inf
+            up = (level - c) / (1.0 - a)
+            up[a >= 1.0] = np.inf
+            down = (level + c) / (1.0 + a)
+            down[a <= -1.0] = np.inf
+            if left >= 0:  # the column that just left moves inward from its side
+                (up if left_sign > 0 else down)[left] = np.inf
+            entry = np.maximum(np.minimum(up, down), barrier)
+            i = int(np.argmin(hits)) if k else -1
+            j = int(np.argmin(entry))
+            to_stop = level - targets[0]
+            gamma = min(to_stop, hits[i] if k else np.inf, entry[j])
+            if entry[j] == gamma < to_stop and (not k or gamma < hits[i]):
+                g = np.einsum("ij,i->j", cols[:, :k], x[:, j]) / n
+                h = np.einsum("ij,j->i", inv[:k, :k], g)
+                schur = diag[j] - g @ h
+                if k == size or schur <= _PIVOT_RTOL * diag[j]:
+                    barrier[j] = np.inf
+                    continue
+            coefs[:k] += gamma * d
+            c -= gamma * a
+            r -= gamma * u
+            if gamma == to_stop:
+                level = targets.pop(0)
+                stop(level)
+                continue
+            level -= gamma
+            steps += 1
+            stale, left = True, -1
+            if k and gamma == hits[i]:  # the i-th active column leaves
+                q = inv[:k, i].copy()
+                inv[:k, :k] -= np.multiply.outer(q, q / q[i])
+                inv[i:k - 1, :k] = inv[i + 1:k, :k]
+                inv[:k - 1, i:k - 1] = inv[:k - 1, i + 1:k]
+                left, left_sign = active.pop(i), signs[i]
+                for buf in (coefs, signs):
+                    buf[i:k - 1] = buf[i + 1:k]
+                cols[:, i:k - 1] = cols[:, i + 1:k]
+                barrier[:] = 0.0
+                barrier[active] = np.inf
+            else:  # column j enters: border the inverse
+                hs = h / schur
+                inv[:k, :k] += np.multiply.outer(h, hs)
+                inv[:k, k] = inv[k, :k] = -hs
+                inv[k, k] = 1.0 / schur
+                cols[:, k] = x[:, j]
+                coefs[k] = 0.0
+                signs[k] = 1.0 if up[j] <= down[j] else -1.0
+                active.append(j)
+                barrier[j] = np.inf
+    return stops, beta(), steps
 
 
 def fit_lasso(design: DesignMatrix, alpha: float, tol: float = 1e-7,
-              max_iter: int = 10000,
-              warm_start: np.ndarray | None = None) -> LassoModel:
-    """Cyclic coordinate descent with exact soft-threshold updates, and a
-    Newton step on the support every ``_NEWTON_EVERY`` active sweeps.
+              max_iter: int = 10000) -> LassoModel:
+    """The lasso fit at ``alpha``, read off the exact path (``_path``).
 
-    Sweeps alternate between the full coordinate set and the current active
-    set; convergence is a full sweep whose largest coefficient change falls
-    below tol. Hitting max_iter is reported via ``converged``, not
-    raised; ``n_iter`` counts sweeps. ``warm_start`` seeds the coefficients.
-
-    A full sweep screens each run of zero coefficients with one blocked
-    gradient x[:, lo:hi]'r / n: a zero coordinate stays zero, and leaves the
-    residual untouched, whenever |x_j'r / n| <= alpha, so it is skipped when
-    the blocked gradient is below alpha by more than the rounding difference
-    between the blocked and the per-column dot product. Every coordinate that
-    is visited gets the same floating-point operations in the same order as
-    a plain cyclic sweep, so coefficients, sweep counts and the objective
-    trace do not depend on the screening.
-
-    With the signs s of the support S held fixed, the objective is a
-    quadratic whose minimizer solves (X_S'X_S / n) b = X_S'z / n - alpha.s
-    with z = y - b0 (the feature-sign step of Lee, Battle, Raina & Ng,
-    2007). The Newton step moves the support's coefficients to that
-    minimizer or, if a sign would change, as far as the first sign change,
-    where that coefficient becomes exactly zero, and then steps again on the
-    smaller support. A step is kept only if it does not raise the objective,
-    so the objective trace never increases. A support of at least n columns
-    is left to the sweeps, and a support column that depends on the others
-    (such as a repeated column) is held at its value during the step.
+    ``converged`` means the path reached ``alpha`` and the fit's duality
+    gap is at most ``tol``; ``n_iter`` counts path steps. A path that
+    saturates above ``alpha``, or stops after ``max_iter`` steps, returns
+    the coefficients where it ended, with ``converged`` false.
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    alpha = float(alpha)  # Python floats: cheaper scalar arithmetic, same IEEE results
+    alpha = float(alpha)
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     x, y = design.x, design.y
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("non-finite values in design")
-    x = np.asfortranarray(x)
-    n, p = x.shape
-
-    intercept = float(y.mean())
-    z = y - intercept
-    col_sq = np.einsum("ij,ij->j", x, x) / n
-    beta = np.zeros(p) if warm_start is None else np.array(warm_start, dtype=float)
-    r = z - x @ beta
-
-    cols = [x[:, j] for j in range(p)]
-    sq = col_sq.tolist()
-    b = beta.tolist()
-    tmp = np.empty(n)
-    # Two dot products of the same n terms, summed in any order, differ by
-    # at most 2 * gamma_n * ||x_j|| * ||r|| ~ eps * ||x_j|| * ||r|| before the
-    # division by n, and the divisions and the comparison with alpha add a
-    # few eps * alpha; the screening slack is four times both.
-    slack_x = 4.0 * np.finfo(float).eps * np.sqrt(col_sq * n)
-    slack_alpha = 4.0 * np.finfo(float).eps * alpha
-    trace: list[float] = []
-
-    def update(j: int) -> float:
-        """Soft-threshold update of coordinate j; returns |change|."""
-        s = sq[j]
-        if s == 0.0:
-            return 0.0
-        old = b[j]
-        c = cols[j]
-        rho = float(c.dot(r)) / n + s * old
-        new = _soft_threshold(rho, alpha) / s
-        if new != old:
-            np.multiply(c, new - old, tmp)
-            np.subtract(r, tmp, r)
-            b[j] = new
-            beta[j] = new
-        return abs(new - old)
-
-    def objective(res: np.ndarray, coefs: np.ndarray) -> float:
-        return float(res @ res / (2 * n) + alpha * np.abs(coefs).sum())
-
-    def newton() -> bool:
-        """Feature-sign steps on the support, repeated after a sign change.
-
-        The support's Gram matrix is factored once. After a sign change the
-        step solves the smaller system by bordering: with W = G^-1 E for
-        the unit columns E of the zeroed coordinates Z, the solution
-        u + W.mu with (E'W) mu = -E'u is zero on Z and solves the system of
-        the other coordinates. A support column that depends on the others
-        is held at its value. Returns whether a step was kept; a support of
-        at least n columns is singular and gets none.
-        """
-        support = np.flatnonzero(beta)
-        if support.size >= n:
-            return False
-        xs = x[:, support]
-        gram = _gram(xs) / n
-        low, inverses, held = _cholesky(gram)
-        now = beta[support]
-        rhs = np.einsum("ij,i->j", xs, z) / n - alpha * np.sign(now)
-        if held:
-            rhs -= np.einsum("ij,j->i", gram[:, held], now[held])
-            rhs[held] = 0.0
-        base = _cho_solve(low, inverses, rhs)
-        base[held] = now[held]
-        zeroed: list[int] = []
-        bordering: list[np.ndarray] = []
-        current = trace[-1]
-        kept = False
-        while True:
-            target = base.copy()
-            if zeroed:  # at most one tile: np.linalg.solve is thread-stable there
-                w = np.column_stack(bordering)
-                target += np.einsum("ij,j->i", w, np.linalg.solve(w[zeroed], -base[zeroed]))
-                target[zeroed] = 0.0
-            target, first = _to_first_sign_change(now, target)
-            trial = beta.copy()
-            trial[support] = target
-            res = z - np.einsum("ij,j->i", xs, target)
-            value = objective(res, trial)
-            if value > current:
-                return kept
-            beta[:] = trial
-            for j, v in zip(support.tolist(), target.tolist()):
-                b[j] = v
-            r[:] = res
-            current = value
-            kept = True
-            if first is None or len(zeroed) == _TILE:
-                return True
-            now = target
-            zeroed.append(first)
-            unit = np.zeros(support.size)
-            unit[first] = 1.0
-            bordering.append(_cho_solve(low, inverses, unit))
-
-    def full_sweep() -> float:
-        max_delta = 0.0
-        lo = 0
-        for a in np.flatnonzero(beta).tolist() + [p]:
-            while lo < a:  # zero coefficients lo..a-1, one block at a time
-                hi = min(a, lo + _SCREEN_BLOCK)
-                g = np.abs(x[:, lo:hi].T @ r / n)
-                bound = alpha - (slack_alpha + np.sqrt(r.dot(r)) * slack_x[lo:hi])
-                nxt = hi
-                for k in np.flatnonzero(g >= bound).tolist():
-                    delta = update(lo + k)
-                    if delta > 0.0:  # entered the model: the rest of g is stale
-                        max_delta = max(max_delta, delta)
-                        nxt = lo + k + 1
-                        break
-                lo = nxt
-            if a < p:
-                max_delta = max(max_delta, update(a))
-                lo = a + 1
-        trace.append(objective(r, beta))
-        return max_delta
-
-    def active_sweep(active: list[int]) -> float:
-        max_delta = 0.0
-        for j in active:
-            delta = update(j)
-            if delta > max_delta:
-                max_delta = delta
-        trace.append(objective(r, beta))
-        return max_delta
-
-    n_iter = 0
-    active_sweeps = 0
+    stops, beta, steps = _path(np.asfortranarray(x), y, [alpha], max_iter)
     converged = False
-    polished = False
-    last_full_delta = np.inf
-    while n_iter < max_iter:
-        last_full_delta = full_sweep()
-        n_iter += 1
-        if last_full_delta < tol:
-            # One Newton step before stopping, confirmed by one more sweep.
-            if polished or n_iter == max_iter or not newton():
-                converged = True
-                break
-            polished = True
-            continue
-        polished = False
-        active = np.flatnonzero(beta).tolist()
-        if not active:
-            continue
-        while n_iter < max_iter:
-            delta = active_sweep(active)
-            n_iter += 1
-            if delta < tol:
-                break
-            active_sweeps += 1
-            if active_sweeps % _NEWTON_EVERY == 0 and n_iter < max_iter:
-                newton()
-
-    return LassoModel(
-        alpha=float(alpha),
-        intercept=intercept,
-        beta=beta,
-        col_ids=list(design.col_ids),
-        n_iter=n_iter,
-        max_coord_delta=float(last_full_delta),
-        converged=converged,
-        objective_trace=trace,
-    )
+    if stops:
+        beta, steps, gap = stops[0]
+        converged = gap <= tol
+    return LassoModel(alpha=alpha, intercept=float(y.mean()), beta=beta,
+                      col_ids=list(design.col_ids), n_iter=steps, converged=converged)
 
 
 def kkt_violations(design: DesignMatrix, model: LassoModel) -> tuple[float, float]:
@@ -511,15 +440,9 @@ def duality_gap(design: DesignMatrix, model: LassoModel) -> float:
     thread count.
     """
     x, y = design.x, design.y
-    n = x.shape[0]
     z = y - model.intercept
     r = z - x @ model.beta
-    primal = r @ r / (2 * n) + model.alpha * np.abs(model.beta).sum()
-    corr = float(np.abs(_xt_dot(x, r)).max(initial=0.0))
-    s = min(1.0, n * model.alpha / corr) if corr > 0 else 1.0
-    zs = z - s * r
-    dual = (z @ z - zs @ zs) / (2 * n)
-    return float(primal - dual)
+    return _gap(z, r, _xt_dot(x, r), model.alpha, float(np.abs(model.beta).sum()))
 
 
 def max_alpha(design: DesignMatrix) -> float:
@@ -537,7 +460,9 @@ def default_alpha_grid(design: DesignMatrix, num: int = 100,
 
 
 class CvFit(NamedTuple):
-    """The certificate of one cross-validation fit."""
+    """The certificate of one cross-validation fit: a grid alpha that its
+    fold's path reached, the path steps taken to reach it, and its
+    duality gap."""
     fold: int
     alpha: float
     n_iter: int
@@ -551,12 +476,19 @@ def cross_validate_alpha(design: DesignMatrix, grid, k: int, seed: int,
     """Pick alpha by k-fold cross-validation MSE.
 
     Fold assignment is a seeded permutation of the row positions, so
-    identical seeds give identical folds. Ties on mean MSE break toward the
-    larger alpha (the sparser model). Returns the chosen alpha, the
-    (alpha, mean MSE) curve, and a ``CvFit`` for every fit, fold by fold
-    and in descending alpha within a fold.
+    identical seeds give identical folds. Each fold runs one path
+    (``_path``) down through the grid. A grid alpha below the end of some
+    fold's path (saturation, or ``max_iter`` steps) is not reached: its
+    mean MSE is NaN, it is never chosen, and it has no ``CvFit``. Ties on
+    mean MSE break toward the larger alpha (the sparser model). Returns the
+    chosen alpha, the (alpha, mean MSE) curve, and a ``CvFit`` for every
+    reached fit, fold by fold and in descending alpha within a fold.
     """
-    grid = np.asarray(sorted(set(float(a) for a in grid)))
+    grid = [float(a) for a in grid]
+    for a in grid:
+        if not (a > 0 and math.isfinite(a)):
+            raise ValueError(f"alpha must be positive and finite, got {a}")
+    grid = np.asarray(sorted(set(grid)))
     if grid.size == 0:
         raise ValueError("empty alpha grid")
     if k < 2:
@@ -568,24 +500,27 @@ def cross_validate_alpha(design: DesignMatrix, grid, k: int, seed: int,
         if len(f) < 2:
             raise ValueError(f"fold with {len(f)} rows; need at least 2 per fold")
 
-    fold_mse = np.zeros((k, grid.size))
+    fold_mse = np.full((k, grid.size), np.nan)
     fits: list[CvFit] = []
     for fi, test_idx in enumerate(folds):
         train = design.take(np.setdiff1d(pool, test_idx))
         test = design.take(test_idx)
-        warm = None
-        for gi in range(grid.size - 1, -1, -1):  # descending alpha, warm-started
-            model = fit_lasso(train, grid[gi], tol, max_iter, warm_start=warm)
-            warm = model.beta
-            fits.append(CvFit(fi, float(grid[gi]), model.n_iter, model.converged,
-                              duality_gap(train, model)))
-            fold_mse[fi, gi] = np.mean((test.y - model.predict(test.x)) ** 2)
+        stops, _, _ = _path(train.x, train.y, grid[::-1], max_iter)
+        intercept = float(train.y.mean())
+        for gi, (beta, steps, gap) in zip(range(grid.size - 1, -1, -1), stops):
+            fits.append(CvFit(fi, float(grid[gi]), steps, gap <= tol, gap))
+            support = np.flatnonzero(beta)
+            pred = intercept + np.einsum("ij,j->i", test.x[:, support], beta[support])
+            fold_mse[fi, gi] = np.mean((test.y - pred) ** 2)
 
     mean_mse = fold_mse.mean(axis=0)
-    best_positions = np.flatnonzero(mean_mse == mean_mse.min())
+    reached = ~np.isnan(mean_mse)
+    if not reached.any():
+        raise ValueError(f"no alpha in the grid is reached by every fold's path; "
+                         f"the largest is {grid[-1]:.6g}")
+    best_positions = np.flatnonzero(mean_mse == mean_mse[reached].min())
     alpha_best = float(grid[best_positions[-1]])
     return alpha_best, [(float(a), float(m)) for a, m in zip(grid, mean_mse)], fits
-
 
 def ols_refit(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray, bool]:
     """Least-squares fit with intercept; rank-deficient systems fall back

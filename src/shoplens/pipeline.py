@@ -310,8 +310,11 @@ def _stage_select_features(cfg: PipelineConfig, run_dir: Path, inputs: _Inputs):
     out.mkdir(parents=True, exist_ok=True)
 
     design = lasso_mod.standardize(matrix, responses)
-
     n = len(design.y)
+    if not design.col_ids:
+        raise ValueError(f"select-features: every item column is constant over the "
+                         f"{n} frequent shoppers")
+
     rng = np.random.default_rng(cfg.lasso.seed)
     holdout_size = max(1, round(cfg.lasso.holdout_fraction * n))
     if holdout_size >= n:
@@ -329,6 +332,10 @@ def _stage_select_features(cfg: PipelineConfig, run_dir: Path, inputs: _Inputs):
         tol=cfg.lasso.tol, max_iter=cfg.lasso.max_iter)
     model = lasso_mod.fit_lasso(training, alpha_best, tol=cfg.lasso.tol,
                                 max_iter=cfg.lasso.max_iter)
+    if not model.support():
+        raise ValueError(f"select-features: the model at alpha_best = {alpha_best:.6g} "
+                         f"(alpha_max = {lasso_mod.max_alpha(training):.6g}) has no "
+                         f"nonzero coefficients")
     held = design.take(holdout)
     curve = lasso_mod.drop_experiment(training, held, model)
     ranking = lasso_mod.select_features(curve, slack=cfg.lasso.slack)
@@ -364,7 +371,6 @@ def _stage_select_features(cfg: PipelineConfig, run_dir: Path, inputs: _Inputs):
         "intercept": model.intercept,
         "beta": {c: float(b) for c, b in zip(model.col_ids, model.beta) if b != 0},
         "n_iter": model.n_iter,
-        "max_coord_delta": model.max_coord_delta,
         "converged": model.converged,
         "duality_gap": lasso_mod.duality_gap(training, model),
         "dropped_constant_columns": design.dropped_cols,
@@ -390,6 +396,7 @@ def _stage_select_features(cfg: PipelineConfig, run_dir: Path, inputs: _Inputs):
         "holdout_mse_selected": holdout_mse,
         "diagnostics_degenerate": report.degenerate,
         "cv_fits": len(cv_fits),
+        "cv_unreached_fits": cfg.lasso.folds * len(cv_curve) - len(cv_fits),
         "cv_unconverged_fits": sum(1 for f in cv_fits if not f.converged),
         "cv_max_duality_gap": max(f.duality_gap for f in cv_fits),
     }

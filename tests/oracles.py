@@ -11,8 +11,9 @@ well: the full-matrix distance layer (``full_*``), the n x n reference for
 the library's row-block core distances and row-by-row Prim tree, whose
 ``full_pairwise_distances`` keeps the reference distance expression that
 the library's column-wise kernel reproduces; ``reference_fit_lasso``, the
-plain cyclic coordinate descent whose objective the library's
-Newton-accelerated solver must match or beat under the same sweep cap;
+plain cyclic coordinate descent whose objective the library's exact path
+must match or beat, and whose zero pattern it shares where the fit is
+unique or its ties are between identical columns;
 ``reference_drop_experiment``, the per-step lstsq refits whose drop order,
 fallback steps and holdout MSEs the library's one-Gram-matrix refits
 reproduce within rounding; the NMF layer (``reference_fit_nmf`` and its mask and imputation helpers), the residual-form W and H updates
@@ -85,17 +86,18 @@ def _reference_soft_threshold(z: float, a: float) -> float:
 
 
 def reference_fit_lasso(design: DesignMatrix, alpha: float, tol: float = 1e-7,
-                          max_iter: int = 10000, rows: np.ndarray | None = None,
-                          warm_start: np.ndarray | None = None) -> LassoModel:
+                        max_iter: int = 10000, rows: np.ndarray | None = None,
+                        warm_start: np.ndarray | None = None) -> LassoModel:
     """Cyclic coordinate descent with exact soft-threshold updates, visiting
-    every coordinate of every sweep; ``fit_lasso`` must end at an objective
-    no higher than this under the same sweep cap.
+    every coordinate of every sweep; the path that ``fit_lasso`` follows
+    must end at an objective no higher than this.
 
     Sweeps alternate between the full coordinate set and the current active
     set; convergence is a full sweep whose largest coefficient change falls
     below tol. Hitting max_iter is reported via ``converged``, not
-    raised. ``rows`` restricts the fit to a row subset (used by
-    cross-validation); ``warm_start`` seeds the coefficients.
+    raised; ``n_iter`` counts sweeps. ``rows`` restricts the fit to a row
+    subset (as a cross-validation fold does); ``warm_start`` seeds the
+    coefficients.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -112,8 +114,6 @@ def reference_fit_lasso(design: DesignMatrix, alpha: float, tol: float = 1e-7,
     beta = np.zeros(p) if warm_start is None else np.array(warm_start, dtype=float)
     r = y - intercept - x @ beta
 
-    trace: list[float] = []
-
     def sweep(indices) -> float:
         max_delta = 0.0
         for j in indices:
@@ -128,38 +128,23 @@ def reference_fit_lasso(design: DesignMatrix, alpha: float, tol: float = 1e-7,
             delta = abs(new - old)
             if delta > max_delta:
                 max_delta = delta
-        trace.append(float(r @ r / (2 * n) + alpha * np.abs(beta).sum()))
         return max_delta
 
-    all_idx = range(p)
     n_iter = 0
     converged = False
-    last_full_delta = np.inf
     while n_iter < max_iter:
-        last_full_delta = sweep(all_idx)
         n_iter += 1
-        if last_full_delta < tol:
+        if sweep(range(p)) < tol:
             converged = True
             break
         active = np.flatnonzero(beta)
-        if active.size == 0:
-            continue
-        while n_iter < max_iter:
-            delta = sweep(active)
+        while active.size and n_iter < max_iter:
             n_iter += 1
-            if delta < tol:
+            if sweep(active) < tol:
                 break
 
-    return LassoModel(
-        alpha=float(alpha),
-        intercept=intercept,
-        beta=beta,
-        col_ids=list(design.col_ids),
-        n_iter=n_iter,
-        max_coord_delta=float(last_full_delta),
-        converged=converged,
-        objective_trace=trace,
-    )
+    return LassoModel(alpha=float(alpha), intercept=intercept, beta=beta,
+                      col_ids=list(design.col_ids), n_iter=n_iter, converged=converged)
 
 
 def reference_drop_experiment(training: DesignMatrix, holdout: DesignMatrix,

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -132,12 +133,6 @@ class TestFitLasso:
         assert viol_nz < 1e-4
         assert viol_z < 1e-4
 
-    def test_objective_never_increases_across_sweeps(self):
-        d = random_design(7, n=40, p=25)
-        model = fit_lasso(d, 0.05 * max_alpha(d))
-        trace = np.array(model.objective_trace)
-        assert np.all(np.diff(trace) <= 1e-12)
-
     def test_monotone_sparsity_along_alpha_path(self):
         d = random_design(11, n=40, p=20)
         alphas = max_alpha(d) * np.logspace(-3, 0, 10)
@@ -148,8 +143,9 @@ class TestFitLasso:
         d = random_design(13)
         alpha = 0.1 * max_alpha(d)
         model = fit_lasso(d, alpha)
-        assert model.objective_trace[-1] == pytest.approx(
-            lasso_objective(d.x, d.y, model.intercept, model.beta, alpha), rel=1e-10)
+        ref = reference_fit_lasso(d, alpha, tol=1e-13, max_iter=100_000)
+        assert lasso_objective(d.x, d.y, model.intercept, model.beta, alpha) == pytest.approx(
+            lasso_objective(d.x, d.y, ref.intercept, ref.beta, alpha), rel=1e-12)
 
     def test_nonfinite_design_rejected(self):
         d = random_design(2)
@@ -160,6 +156,8 @@ class TestFitLasso:
     def test_alpha_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
             fit_lasso(random_design(2), 0.0)
+        with pytest.raises(ValueError, match="finite, got nan"):
+            fit_lasso(random_design(2), float("nan"))
 
 
 def raw_design(x, y):
@@ -177,28 +175,33 @@ def objective_of(design, model):
     return lasso_objective(design.x, design.y, model.intercept, model.beta, model.alpha)
 
 
-def assert_certified(design, alpha, rows=None, warm_start=None, **solver):
-    """fit_lasso on the design of ``rows`` ends no higher than the plain
-    cyclic solver under the same sweep cap, never raises its objective from
-    one sweep to the next, and is certified optimal when it converges: a
-    relative duality gap of at most 1e-10 and KKT violations of at most
-    1e-9 alpha. Two kinds of converged fit are not certified: a support of
-    at least as many columns as rows gets no Newton step, so only the
-    coefficient-change rule bounds its gap, and a coefficient that a warm
-    start puts on a column that is zero on the rows is never touched."""
+def assert_certified(design, alpha, rows=None, **solver):
+    """fit_lasso on the design of ``rows``, checked against the plain
+    cyclic solver. A converged fit ends no higher than that solver run to
+    a 1e-12 coefficient change, and is certified optimal: a duality gap of
+    at most 1e-10 of its objective and KKT violations of at most 1e-9
+    alpha. A fit that stopped below ``max_iter`` steps without reaching
+    alpha saturated: it holds fewer columns than rows and is certified in
+    the same way at the alpha where the path ended, above ``alpha``."""
     taken = design if rows is None else design.take(rows)
-    got = fit_lasso(taken, alpha, warm_start=warm_start, **solver)
-    ref = reference_fit_lasso(design, alpha, rows=rows, warm_start=warm_start, **solver)
-    assert len(got.objective_trace) == got.n_iter <= solver.get("max_iter", 10000)
-    trace = np.array(got.objective_trace)
-    assert np.all(np.diff(trace) <= 1e-12 * abs(trace[0]))
-    final = objective_of(taken, got)
-    assert final <= objective_of(taken, ref) * (1 + 1e-12)
-    untouched = (got.beta != 0) & ~taken.x.any(axis=0)
-    newton = np.count_nonzero(got.beta) < len(taken.y)
-    if got.converged and newton and not untouched.any():
-        assert duality_gap(taken, got) <= 1e-10 * final
-        assert max(kkt_violations(taken, got)) <= 1e-9 * alpha
+    got = fit_lasso(taken, alpha, **solver)
+    max_iter = solver.get("max_iter", 10000)
+    assert got.n_iter <= max_iter
+    if got.converged:
+        ref = reference_fit_lasso(design, alpha, tol=1e-12, max_iter=100_000, rows=rows)
+        final = objective_of(taken, got)
+        assert final <= objective_of(taken, ref) * (1 + 1e-12)
+        end = got
+    elif got.n_iter < max_iter:
+        support = got.support()
+        assert len(support) < len(taken.y)
+        grad = taken.x[:, support].T @ (taken.y - got.intercept - taken.x @ got.beta)
+        end = replace(got, alpha=float(np.abs(grad).max()) / len(taken.y))
+        assert end.alpha > alpha
+    else:
+        return got
+    assert duality_gap(taken, end) <= 1e-10 * objective_of(taken, end)
+    assert max(kkt_violations(taken, end)) <= 1e-9 * end.alpha
     return got
 
 
@@ -217,31 +220,29 @@ class TestTake:
 
 
 class TestReferenceEquality:
-    """The Newton steps leave fit_lasso on a different path from the plain
-    cyclic solver; against it, every fit must end no higher under the same
-    sweep cap, and a converged fit must be certified optimal. Zero-run
-    screening still changes no bit of a fit."""
+    """The exact path against the plain cyclic solver: every converged fit
+    ends no higher and is certified optimal, and a saturated one is
+    certified where its path ended."""
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("frac", [0.5, 0.1, 0.02])
     def test_p_greater_than_n(self, seed, frac):
-        d = random_design(seed, n=25, p=150)  # several screening blocks
-        assert_certified(d, frac * max_alpha(d), max_iter=400)
+        d = random_design(seed, n=25, p=150)
+        model = assert_certified(d, frac * max_alpha(d), max_iter=400)
+        assert model.converged or frac == 0.02  # 0.02 lies below saturation
 
     @pytest.mark.parametrize("block", [1, 5, 64, 10_000])
     def test_block_size_changes_nothing(self, monkeypatch, block):
+        """The width of the X'v tiles changes a fit only by rounding."""
         d = random_design(3, n=30, p=90)
         alphas = [frac * max_alpha(d) for frac in (0.3, 0.05)]
         want = [fit_lasso(d, a, max_iter=300) for a in alphas]
-        monkeypatch.setattr(lasso_mod, "_SCREEN_BLOCK", block)
+        monkeypatch.setattr(lasso_mod, "_TILE", block)
         for a, ref in zip(alphas, want):
             got = assert_certified(d, a, max_iter=300)
-            assert got.beta.tobytes() == ref.beta.tobytes()
             assert (got.n_iter, got.converged) == (ref.n_iter, ref.converged)
-            assert (np.float64(got.max_coord_delta).tobytes()
-                    == np.float64(ref.max_coord_delta).tobytes())
-            assert (np.array(got.objective_trace).tobytes()
-                    == np.array(ref.objective_trace).tobytes())
+            assert np.array_equal(got.beta != 0, ref.beta != 0)
+            assert np.abs(got.beta - ref.beta).max() <= 1e-12 * np.abs(ref.beta).max()
 
     def test_row_subset_that_zeroes_a_column(self):
         rng = np.random.default_rng(5)
@@ -253,12 +254,9 @@ class TestReferenceEquality:
         y = x[:, :6] @ rng.standard_normal(6) + rng.standard_normal(n)
         d = raw_design(x, y)
         alpha = 0.05 * max_alpha(d.take(rows))
-        assert assert_certified(d, alpha, rows=rows).converged
-        warm = rng.standard_normal(p) * (rng.random(p) < 0.2)
-        warm[3] = 0.7       # a coefficient on the zero column is never touched
-        model = assert_certified(d, alpha, max_iter=200, rows=rows,
-                                 warm_start=warm)
-        assert model.beta[3] == 0.7
+        model = assert_certified(d, alpha, rows=rows)
+        assert model.converged
+        assert model.beta[3] == model.beta[65] == 0.0
 
     def test_duplicate_columns(self):
         rng = np.random.default_rng(8)
@@ -271,28 +269,41 @@ class TestReferenceEquality:
         y = 2.0 * x[:, 2] - x[:, 20] + 0.1 * rng.standard_normal(n)
         d = raw_design(x, y)
         for frac in (0.5, 0.1, 0.01):
-            assert_certified(d, frac * max_alpha(d), max_iter=300)
+            model = assert_certified(d, frac * max_alpha(d), max_iter=300)
+            # Of each group of copies, the lowest index carries the weight.
+            assert model.beta[2] > 0 and model.beta[20] < 0
+            assert not model.beta[[10, 11, 79, 40]].any()
 
     def test_warm_started_path(self):
+        """Fits down a descending alpha sequence match the plain solver
+        warm-started down the same sequence."""
         d = random_design(9, n=30, p=120)
-        hi = max_alpha(d)
         warm = None
-        for a in hi * np.logspace(0, -2, 8):
-            warm = assert_certified(d, a, max_iter=300, warm_start=warm).beta
+        for a in max_alpha(d) * np.logspace(0, -1.5, 8):
+            model = assert_certified(d, a)
+            ref = reference_fit_lasso(d, a, tol=1e-12, max_iter=100_000, warm_start=warm)
+            warm = ref.beta
+            assert model.converged
+            assert objective_of(d, model) <= objective_of(d, ref) * (1 + 1e-12)
 
     def test_arbitrary_warm_starts(self):
+        """The plain solver, started anywhere, ends at the path's optimum."""
         rng = np.random.default_rng(10)
         d = random_design(10, n=20, p=60)
+        alpha = 0.2 * max_alpha(d)
+        model = assert_certified(d, alpha)
         warm = rng.standard_normal(60) * (rng.random(60) < 0.3)
         warm[rng.random(60) < 0.2] = -0.0
-        assert_certified(d, 0.2 * max_alpha(d), max_iter=500, warm_start=warm)
-        assert_certified(d, 0.2 * max_alpha(d), warm_start=np.full(60, -0.0))
+        for start in (warm, np.full(60, -0.0)):
+            ref = reference_fit_lasso(d, alpha, tol=1e-12, max_iter=100_000, warm_start=start)
+            assert objective_of(d, ref) == pytest.approx(objective_of(d, model), rel=1e-10)
 
     @pytest.mark.parametrize("max_iter", [1, 2, 3, 4, 7, 25])
     def test_max_iter_cap_mid_path(self, max_iter):
         d = random_design(12, n=30, p=100)
         model = assert_certified(d, 0.01 * max_alpha(d), max_iter=max_iter)
         assert model.n_iter == max_iter and not model.converged
+        assert duality_gap(d, model) > 0.0   # the fit stopped above alpha
 
     def test_rho_exactly_at_alpha(self):
         rng = np.random.default_rng(13)
@@ -304,31 +315,10 @@ class TestReferenceEquality:
         r0 = y - float(y.mean()) - x @ np.zeros(p)
         rho = np.array([x[:, j] @ r0 / n for j in range(p)])
         j = int(np.argsort(np.abs(rho))[p // 2])
-        alpha = float(abs(rho[j]))   # the first sweep meets |rho_j| == alpha
+        alpha = float(abs(rho[j]))   # column j's knot is alpha itself
         model = assert_certified(d, alpha, tol=1e-12)
         assert model.beta[j] == 0.0
         assert np.count_nonzero(model.beta) > 0
-
-    def test_blocked_gradient_rounds_below_alpha(self):
-        """A coordinate whose blocked gradient rounds below alpha while its
-        own dot product exceeds alpha must still enter the model."""
-        for seed in range(2000):
-            rng = np.random.default_rng(seed)
-            x = rng.standard_normal((7, 20))
-            y = rng.standard_normal(7)
-            r0 = y - float(y.mean()) - x @ np.zeros(20)
-            own = np.abs([x[:, j] @ r0 / 7 for j in range(20)])
-            blocked = np.abs(np.asfortranarray(x).T @ r0 / 7)
-            j = int(np.argmax(own))
-            alpha = float(np.nextafter(own[j], 0.0))
-            if blocked[j] < alpha:
-                break
-        else:
-            pytest.skip("blocked and per-column dot products agree on this BLAS")
-        d = raw_design(x, y)
-        model = assert_certified(d, alpha, max_iter=1)
-        assert model.beta.tobytes() == reference_fit_lasso(d, alpha, max_iter=1).beta.tobytes()
-        assert model.beta[j] != 0.0
 
     def test_randomized_designs(self):
         rng = np.random.default_rng(14)
@@ -345,75 +335,82 @@ class TestReferenceEquality:
             hi = max_alpha(d if rows is None else d.take(rows))
             if hi == 0.0:
                 continue
-            warm = None
-            if rng.random() < 0.3:
-                warm = rng.standard_normal(p) * (rng.random(p) < 0.3)
             assert_certified(d, float(rng.uniform(0.001, 1.2)) * hi,
-                             max_iter=int(rng.integers(1, 200)),
-                             rows=rows, warm_start=warm)
+                             max_iter=int(rng.integers(1, 200)), rows=rows)
+
+
+def correlated_design(seed, n=40, p=30):
+    """Neighbouring columns correlate, so coefficients change sign along
+    the path."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, p))
+    x[:, 1:] += 0.9 * x[:, :-1]
+    return standardize(x, x[:, :6] @ rng.standard_normal(6) + rng.standard_normal(n))
 
 
 class TestNewtonStep:
+    """Each path step moves the support along the solution of its
+    sign-fixed quadratic, the feature-sign Newton system
+    (X_S'X_S/n).d = s, and stops at the first knot."""
+
     def test_first_sign_change_stops_at_zero(self):
-        point, first = lasso_mod._to_first_sign_change(
-            np.array([1.0, -1.0, 3.0]), np.array([-3.0, 1.0, 5.0]))
-        assert first == 0   # coordinate 0 reaches 0 at t = 1/4, coordinate 1 at 1/2
-        assert point.tolist() == [0.0, -0.5, 3.5]
-        target = np.array([2.0, -1.0])
-        point, first = lasso_mod._to_first_sign_change(np.array([1.0, -3.0]), target)
-        assert first is None and point is target
-
-    @staticmethod
-    def record(monkeypatch, name):
-        """Wrap lasso_mod.<name> and collect its results."""
-        original, seen = getattr(lasso_mod, name), []
-
-        def wrapper(*args):
-            out = original(*args)
-            seen.append((args, out))
-            return out
-        monkeypatch.setattr(lasso_mod, name, wrapper)
-        return seen
-
-    def test_sign_crossing(self, monkeypatch):
-        seen = self.record(monkeypatch, "_to_first_sign_change")
-        for seed in range(50):
-            rng = np.random.default_rng(200 + seed)
-            x = rng.standard_normal((40, 30))
-            x[:, 1:] += 0.9 * x[:, :-1]   # neighbours correlate: signs move
-            d = standardize(x, x[:, :6] @ rng.standard_normal(6) + rng.standard_normal(40))
-            warm = rng.choice([-1.0, 1.0], 30) * (rng.random(30) < 0.5)
-            seen.clear()
-            model = assert_certified(d, 0.05 * max_alpha(d), warm_start=warm)
-            if any(first is not None for _, (_, first) in seen):
+        """A coefficient whose sign would change leaves the model at exactly
+        zero: along a fine grid, every reached fit is certified, and between
+        fits of opposite sign the coefficient is exactly zero."""
+        for seed in range(200, 250):
+            d = correlated_design(seed)
+            grid = max_alpha(d) * np.logspace(0, -2, 400)
+            stops, _, _ = lasso_mod._path(d.x, d.y, grid, 10_000)
+            signs = np.array([np.sign(beta) for beta, _, _ in stops])
+            flips = [j for j in range(signs.shape[1])
+                     if (signs[:, j] > 0).any() and (signs[:, j] < 0).any()]
+            if flips:
                 break
         else:
-            pytest.fail("no Newton step changed a sign on 50 seeded designs")
-        assert model.converged
+            pytest.fail("no coefficient changed sign on 50 seeded paths")
+        assert len(stops) == len(grid)
+        for j in flips:
+            at = np.flatnonzero(signs[:, j])
+            for t, u in zip(at, at[1:]):
+                if signs[t, j] != signs[u, j]:
+                    assert u > t + 1   # an exact zero between opposite signs
+        for (beta, _, gap), alpha in zip(stops, grid):
+            fit = LassoModel(alpha=alpha, intercept=float(d.y.mean()), beta=beta,
+                             col_ids=d.col_ids, n_iter=0, converged=True)
+            assert gap <= 1e-12 * objective_of(d, fit)
+            assert max(kkt_violations(d, fit)) <= 1e-9 * alpha
 
-    def test_repeated_columns_are_held(self, monkeypatch):
-        seen = self.record(monkeypatch, "_cholesky")
+    def test_sign_crossing(self):
+        """A fit past a drop is certified; steps are adds plus drops, so a
+        drop shows as n_iter - |support| = 2 x drops > 0."""
+        for seed in range(50):
+            d = correlated_design(200 + seed)
+            model = assert_certified(d, 0.05 * max_alpha(d))
+            if model.n_iter > len(model.support()):
+                break
+        else:
+            pytest.fail("no path dropped a column on 50 seeded designs")
+        assert model.converged
+        assert (model.n_iter - len(model.support())) % 2 == 0
+
+    def test_repeated_columns_are_held(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((30, 12))
         x[:, 5] = x[:, 2]
         x[:, 9] = x[:, 2]
         d = raw_design(x, x[:, 2] - 0.5 * x[:, 7] + 0.1 * rng.standard_normal(30))
-        warm = np.zeros(12)
-        warm[[2, 5, 9]] = 0.3   # the repeated columns share one coefficient
-        model = assert_certified(d, 0.05 * max_alpha(d), warm_start=warm)
+        model = assert_certified(d, 0.05 * max_alpha(d))
         assert model.converged
-        assert any(held for _, (_, _, held) in seen)
-        assert np.count_nonzero(model.beta[[2, 5, 9]]) >= 2
+        # The copies lie in the span of the first: they never enter.
+        assert model.beta[2] != 0.0 and model.beta[5] == model.beta[9] == 0.0
 
-    def test_support_of_at_least_n_columns_gets_no_step(self, monkeypatch):
-        seen = self.record(monkeypatch, "_gram")
-        rng = np.random.default_rng(9)
+    def test_support_of_at_least_n_columns_gets_no_step(self):
+        """The path saturates once the response lies in the span of its
+        columns, below n of them on a centered design, and ends there."""
         d = random_design(9, n=12, p=40)
-        warm = rng.standard_normal(40)   # 40 nonzero coefficients on 12 rows
-        model = assert_certified(d, 0.3 * max_alpha(d), warm_start=warm)
-        # Steps start once the support has shrunk below the 12 rows.
-        assert seen and all(a.shape[1] < 12 for (a,), _ in seen)
-        assert model.converged and np.count_nonzero(model.beta) < 12
+        model = assert_certified(d, 1e-4 * max_alpha(d))
+        assert not model.converged and model.n_iter < 10000
+        assert len(model.support()) < 12
 
     def test_tiled_products_match_numpy(self):
         rng = np.random.default_rng(11)
@@ -449,18 +446,21 @@ class TestNewtonStep:
 THREAD_CHECK = """
 import hashlib
 import numpy as np
-from shoplens.lasso import drop_experiment, duality_gap, fit_lasso, max_alpha, standardize
+from shoplens.lasso import (cross_validate_alpha, drop_experiment, duality_gap, fit_lasso,
+                            max_alpha, standardize)
 rng = np.random.default_rng(0)
 x = rng.standard_normal((240, 600))
 d = standardize(x, x[:, :40] @ rng.standard_normal(40) + 3.0 * rng.standard_normal(240))
 train, hold = d.take(np.arange(48, 240)), d.take(np.arange(48))
-model = fit_lasso(train, 0.03 * max_alpha(train))
-curve = drop_experiment(train, hold, model)
+hi = max_alpha(train)
+best, curve, fits = cross_validate_alpha(train, hi * np.logspace(-1.7, 0, 8), 3, 0)
+model = fit_lasso(train, 0.03 * hi)
+curve_d = drop_experiment(train, hold, model)
 assert model.converged and len(model.support()) > 128
-digest = hashlib.sha256(model.beta.tobytes() + np.array(model.objective_trace).tobytes()
-                        + np.array(curve.points).tobytes()
+digest = hashlib.sha256(np.array(curve).tobytes() + np.array([tuple(f) for f in fits]).tobytes()
+                        + model.beta.tobytes() + np.array(curve_d.points).tobytes()
                         + np.float64(duality_gap(train, model)).tobytes())
-print(digest.hexdigest(), curve.dropped)
+print(best, digest.hexdigest(), curve_d.dropped)
 # A response that follows column 1360 of 2,723 puts the largest |x'y| where
 # one product over all columns splits between two threads.
 alphas = []
@@ -475,8 +475,8 @@ print(np.array(alphas).tobytes().hex())
 
 def test_same_bits_at_one_and_two_blas_threads():
     """OpenBLAS splits large products between threads in a way that can
-    change their bits; the fit, its certificate, the drop experiment and
-    alpha_max must not depend on it."""
+    change their bits; the CV curve and fits, the final fit and its
+    certificate, the drop experiment and alpha_max must not depend on it."""
     src = str(Path(lasso_mod.__file__).resolve().parents[1])
     outputs = []
     for threads in ("1", "2"):
@@ -495,7 +495,7 @@ class TestDualityGap:
         d = random_design(seed, n=30, p=12 + 30 * seed)
         model = fit_lasso(d, 0.1 * max_alpha(d), tol=1e-12, max_iter=100_000)
         assert model.converged
-        assert abs(duality_gap(d, model)) < 1e-10 * model.objective_trace[-1]
+        assert abs(duality_gap(d, model)) < 1e-10 * objective_of(d, model)
 
     def test_zero_model_above_alpha_max_is_exactly_optimal(self):
         d = random_design(21)
@@ -555,25 +555,77 @@ class TestCrossValidation:
         assert a1 == a2 and c1 == c2
 
     def test_fit_stats_match_reference_recount(self):
+        """Each CV fit is the fold's fit_lasso at that alpha: the same path
+        steps and certificate. A path capped at 14 steps reaches only the
+        upper alphas; the rest have no fit and a NaN mean MSE."""
         d = random_design(27, n=40, p=15)
         grid = max_alpha(d) * np.logspace(-3, 0, 6)
-        best, curve, stats = cross_validate_alpha(d, grid, k=4, seed=5, max_iter=8)
-        assert (best, curve, stats) == cross_validate_alpha(d, grid, k=4, seed=5, max_iter=8)
+        best, curve, stats = cross_validate_alpha(d, grid, k=4, seed=5, max_iter=14)
+        again = cross_validate_alpha(d, grid, k=4, seed=5, max_iter=14)
+        assert (best, stats) == (again[0], again[2])
+        assert np.array_equal(np.array(curve), np.array(again[1]), equal_nan=True)
         pool = np.arange(len(d.y))
-        want = []
+        want, reached = [], set()
         for fold, test_idx in enumerate(
                 np.array_split(np.random.default_rng(5).permutation(pool), 4)):
             train = d.take(np.setdiff1d(pool, test_idx))
-            train.x = np.asfortranarray(train.x)  # the layout the fold fits see
-            warm = None
             for alpha in sorted(grid, reverse=True):
-                model = fit_lasso(train, alpha, max_iter=8, warm_start=warm)
-                warm = model.beta
-                want.append((fold, alpha, model.n_iter, model.converged,
-                             duality_gap(train, model)))
-        assert [tuple(f) for f in stats] == want
-        assert {f.converged for f in stats} == {False, True}
-        assert all(f.duality_gap <= 1e-10 * f.alpha for f in stats if f.converged)
+                model = fit_lasso(train, alpha, max_iter=14)
+                if model.converged:
+                    want.append((fold, alpha, model.n_iter, True))
+                    reached.add((fold, alpha))
+        assert [(f.fold, f.alpha, f.n_iter, f.converged) for f in stats] == want
+        assert all(f.duality_gap <= 1e-12 for f in stats)
+        assert 0 < len(stats) < 4 * len(grid)
+        for alpha, mse in curve:
+            assert np.isnan(mse) == (sum((f, alpha) in reached for f in range(4)) < 4)
+        assert best == max(a for a, m in curve if m == np.nanmin([m for _, m in curve]))
+
+    def test_identical_columns_in_a_fold(self):
+        """Columns identical on a fold's training rows but not on its test
+        rows: the lowest index carries the weight. Cyclic descent may split
+        it among the copies (any split has the same objective), so the
+        reference is compared on the copies' summed weight."""
+        rng = np.random.default_rng(28)
+        x = rng.standard_normal((40, 12))
+        test_idx = np.array_split(np.random.default_rng(3).permutation(40), 4)[0]
+        train = np.setdiff1d(np.arange(40), test_idx)
+        x[train, 7] = x[train, 3]
+        x[train, 9] = x[train, 3]
+        d = raw_design(x, x[:, 3] - x[:, 5] + 0.3 * rng.standard_normal(40))
+        assert not np.array_equal(x[test_idx, 3], x[test_idx, 7])
+        grid = max_alpha(d) * np.logspace(-1.5, 0, 5)
+        _, _, fits = cross_validate_alpha(d, grid, k=4, seed=3)
+        assert len(fits) == 4 * len(grid) and all(f.converged for f in fits)
+        stops, _, _ = lasso_mod._path(d.take(train).x, d.y[train], grid[::-1], 10_000)
+        for (beta, _, _), alpha in zip(stops, grid[::-1]):
+            ref = reference_fit_lasso(d, alpha, tol=1e-12, max_iter=100_000, rows=train)
+            assert beta[7] == beta[9] == 0.0
+            if alpha < grid[-1]:
+                assert beta[3] != 0.0
+            merged = ref.beta.copy()
+            merged[3] += merged[7] + merged[9]
+            merged[[7, 9]] = 0.0
+            big = 1e-9 * np.abs(merged).max(initial=0.0)
+            assert np.array_equal(beta != 0, np.abs(merged) > big)
+            assert np.abs(beta - merged).max() <= 1e-8
+
+    def test_saturated_fold_alphas_are_unreached(self):
+        """Below a fold's saturation the path ends: those alphas get a NaN
+        mean MSE, no fit, and are never chosen."""
+        d = random_design(29, n=24, p=60)
+        grid = max_alpha(d) * np.logspace(-4, 0, 12)
+        best, curve, fits = cross_validate_alpha(d, grid, k=3, seed=1)
+        mse = np.array([m for _, m in curve])
+        assert np.isnan(mse[0]) and not np.isnan(mse[-1])
+        assert len(fits) < 3 * len(grid)
+        assert best in [a for a, m in curve if not np.isnan(m)]
+        assert all(f.converged and f.duality_gap <= 1e-12 for f in fits)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.1, float("nan"), float("inf")])
+    def test_grid_alpha_must_be_positive_and_finite(self, bad):
+        with pytest.raises(ValueError, match=f"positive and finite, got {bad}"):
+            cross_validate_alpha(random_design(26), [0.1, bad], k=2, seed=0)
 
     def test_small_fold_rejected(self):
         d = random_design(24, n=5)
@@ -627,8 +679,7 @@ class TestDropExperiment:
         beta = np.zeros(10)
         beta[[0, 1, 2, 3, 6, 8]] = [0.9, -0.8, 0.7, 0.6, -0.5, 0.4]
         model = LassoModel(alpha=0.01, intercept=float(d.y.mean()), beta=beta,
-                           col_ids=d.col_ids, n_iter=0, max_coord_delta=0.0,
-                           converged=False)
+                           col_ids=d.col_ids, n_iter=0, converged=False)
         curve = assert_same_drops(*split(d, np.arange(0, 40, 5)), model)
         assert curve.ridge_fallback_steps   # until a copy is dropped
 
@@ -639,7 +690,7 @@ class TestDropExperiment:
         beta = np.zeros(220)
         beta[:200] = rng.standard_normal(200)   # 200 features on 160 training rows
         model = LassoModel(alpha=0.01, intercept=0.0, beta=beta, col_ids=d.col_ids,
-                           n_iter=0, max_coord_delta=0.0, converged=False)
+                           n_iter=0, converged=False)
         curve = assert_same_drops(*split(d, np.arange(0, 200, 5)), model, rtol=1e-9)
         assert curve.ridge_fallback_steps == list(range(41))
 

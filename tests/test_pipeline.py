@@ -237,7 +237,8 @@ class TestFullRun:
         assert grid["unconverged_cells"] == sum(1 for _, c in fits if not c)
         select = by_name["select-features"]
         _, curve = read_csv(out / "select-features" / "cv_curve.csv")
-        assert select["cv_fits"] == cfg.lasso.folds * len(curve)
+        assert select["cv_fits"] + select["cv_unreached_fits"] == cfg.lasso.folds * len(curve)
+        assert all(float(m) == float(m) for _, m in curve) == (select["cv_unreached_fits"] == 0)
         assert 0 <= select["cv_unconverged_fits"] <= select["cv_fits"]
         header, rows = read_csv(out / "select-features" / "cv_fits.csv")
         assert header == ["fold", "alpha", "n_iter", "converged", "duality_gap"]
@@ -290,6 +291,55 @@ class TestFullRun:
         _, rows = read_csv(out / "rfm" / "scores.csv")
         _, matrix_rows = read_csv(out / "ingest" / "matrix.triplets.csv")
         assert {r[0] for r in matrix_rows} <= {r[0] for r in rows}
+
+
+INVOICE_HEADER = "InvoiceNo,StockCode,Description,Quantity,InvoiceDate,UnitPrice,CustomerID,Country\n"
+
+
+def one_item_invoices(path: Path) -> Path:
+    """8 frequent shoppers who each buy the same item for the same total."""
+    lines = [f"{1001 + 5 * c + k},PEN04,GEL PEN SET,2,{1 + k}/{10 + c}/2011 10:00,1.50,"
+             f"C{c},United Kingdom\n" for c in range(8) for k in range(5)]
+    path.write_text(INVOICE_HEADER + "".join(lines), encoding="utf-8")
+    return path
+
+
+def random_invoices(path: Path, seed: int) -> Path:
+    """12 shoppers with 5 to 7 invoices each, of 1 to 3 of 6 items."""
+    rng = np.random.default_rng(seed)
+    lines, invoice = [], 1000
+    for c in range(12):
+        for _ in range(int(rng.integers(5, 8))):
+            invoice += 1
+            for item in rng.choice(6, size=int(rng.integers(1, 4)), replace=False):
+                lines.append(f"{invoice},SKU{item},ITEM {item},{int(rng.integers(1, 10))},"
+                             f"{int(rng.integers(1, 13))}/{int(rng.integers(1, 28))}/2011 10:00,"
+                             f"{int(rng.integers(1, 9))}.50,C{c},United Kingdom\n")
+    path.write_text(INVOICE_HEADER + "".join(lines), encoding="utf-8")
+    return path
+
+
+class TestDegenerateInputs:
+    """Well-formed inputs that leave select-features nothing to fit end with
+    a message that names the stage and the cause."""
+
+    def run_all(self, fixture_config_path, csv, tmp_path, capsys):
+        rc = cli_main(["--config", str(fixture_config_path), "run-all",
+                       "--input", str(csv), "--out", str(tmp_path / "run")])
+        return rc, capsys.readouterr().err
+
+    def test_every_item_column_constant(self, fixture_config_path, tmp_path, capsys):
+        csv = one_item_invoices(tmp_path / "one_item.csv")
+        assert self.run_all(fixture_config_path, csv, tmp_path, capsys) == (
+            1, "error: select-features: every item column is constant over the "
+               "8 frequent shoppers\n")
+
+    def test_empty_model_at_alpha_best(self, fixture_config_path, tmp_path, capsys):
+        csv = random_invoices(tmp_path / "random.csv", seed=3)
+        rc, err = self.run_all(fixture_config_path, csv, tmp_path, capsys)
+        assert rc == 1
+        assert err == ("error: select-features: the model at alpha_best = 0.204721 "
+                       "(alpha_max = 0.204721) has no nonzero coefficients\n")
 
 
 class TestDeterminism:
