@@ -117,18 +117,19 @@ def standardize(p_matrix, responses) -> DesignMatrix:
     )
 
 
-# Width of the tiles that every Gram product, X'v product and Cholesky factor
-# is built from. OpenBLAS splits a larger product or factorization between its
+# Width of the column tiles of every X'v product and of the row gather in
+# ``DesignMatrix.take``. OpenBLAS splits a larger product between its
 # threads, and the bits of the result then depend on the thread count; on
 # tiles of this width they are the same at 1 and at 2 threads.
 _TILE = 64
 
-# A Cholesky pivot (or a Schur complement) at or below this fraction of its
-# diagonal entry means the column lies within 1e-4 rad of the span of the
-# columns before it, and the system is treated as singular. Rounding left an
-# exactly dependent column of a 359-column refit with a pivot of 1.2e-9 of
-# its diagonal entry, so the bound sits ten times above that. The lasso path
-# applies it to a column that would enter.
+# A column whose Schur complement against the columns before it is at or
+# below this fraction of its diagonal entry lies within 1e-4 rad of their
+# span, and ``_border`` refuses it. Rounding left an exactly dependent
+# column of a 359-column refit with a Schur complement of 1.2e-9 of its
+# diagonal entry, so the bound sits ten times above that. The lasso path
+# applies it to a column that would enter, and the drop experiment to each
+# column of a refit.
 _PIVOT_RTOL = 1e-8
 
 
@@ -137,26 +138,6 @@ _PIVOT_RTOL = 1e-8
 # rounding (5.7e-26 of the norm on a default-config paper fold); one column
 # short of it, 1e-10 to 1e-6 on the same folds.
 _EPS = float(np.finfo(float).eps)
-
-
-def _padded(k: int) -> int:
-    return -(-k // _TILE) * _TILE
-
-
-def _gram(a: np.ndarray) -> np.ndarray:
-    """``a.T @ a`` from tile products on a zero-padded copy of ``a``, so
-    its bits do not depend on the BLAS thread count."""
-    n, k = a.shape
-    m = _padded(k)
-    ap = np.zeros((n, m), order="F")
-    ap[:, :k] = a
-    g = np.empty((m, m))
-    for i in range(0, m, _TILE):
-        ti = ap[:, i:i + _TILE]
-        for j in range(0, i + _TILE, _TILE):
-            g[i:i + _TILE, j:j + _TILE] = ti.T @ ap[:, j:j + _TILE]
-            g[j:j + _TILE, i:i + _TILE] = g[i:i + _TILE, j:j + _TILE].T
-    return g[:k, :k]
 
 
 def _xt_dot(x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -168,89 +149,31 @@ def _xt_dot(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _factor_tile(s: np.ndarray, diag: np.ndarray):
-    """Cholesky factor of the tile ``s``, or the position of its first pivot
-    that is not above ``_PIVOT_RTOL`` times its diagonal entry in ``diag``."""
-    def factor(t: int):
-        try:
-            f = np.linalg.cholesky(s[:t, :t])
-        except np.linalg.LinAlgError:
-            return None
-        return f if (np.diag(f) ** 2 > _PIVOT_RTOL * diag[:t]).all() else None
-
-    tile = factor(len(s))
-    if tile is not None:
-        return tile
-    lo, hi = 0, len(s)  # the leading lo x lo block factors, the hi x hi one does not
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if factor(mid) is None:
-            hi = mid
-        else:
-            lo = mid
-    return lo
+def _border(inv: np.ndarray, k: int, g: np.ndarray, d: float) -> bool:
+    """Border ``inv[:k, :k]``, the inverse of the Gram matrix of k columns,
+    to ``inv[:k + 1, :k + 1]``, the inverse with one more column whose
+    products with the k columns are ``g`` and with itself ``d``. A column
+    whose Schur complement is at most ``_PIVOT_RTOL`` times ``d`` lies in
+    the span of the k columns: it is refused, ``inv`` is left as it was,
+    and the result is False."""
+    h = np.einsum("ij,j->i", inv[:k, :k], g)
+    schur = d - g @ h
+    if schur <= _PIVOT_RTOL * d:
+        return False
+    hs = h / schur
+    inv[:k, :k] += np.multiply.outer(h, hs)
+    inv[:k, k] = inv[k, :k] = -hs
+    inv[k, k] = 1.0 / schur
+    return True
 
 
-def _cholesky(g: np.ndarray):
-    """Tiled lower Cholesky factor of the symmetric matrix ``g``, as
-    ``(low, inverses, held)``: the factor, the inverses of its diagonal
-    tiles, and the columns it held out.
-
-    A column whose pivot is at most ``_PIVOT_RTOL`` times its diagonal entry
-    depends on the columns before it. Its row and column are replaced by
-    those of the identity, so ``_cho_solve`` returns 0 there and solves the
-    remaining columns' system exactly when the right-hand side is 0 there.
-    Built from tile products and tile factorizations, so its bits do not
-    depend on the BLAS thread count.
-    """
-    k = len(g)
-    m = _padded(k)
-    a = np.eye(m)
-    a[:k, :k] = g
-    diag = np.diag(a).copy()
-    low = np.zeros((m, m))
-    inverses: list[np.ndarray] = []
-    held: list[int] = []
-    for j in range(0, m, _TILE):
-        cj = slice(j, j + _TILE)
-        for i in range(j, m, _TILE):
-            ci = slice(i, i + _TILE)
-            s = a[ci, cj].copy()
-            for q in range(0, j, _TILE):
-                s -= low[ci, q:q + _TILE] @ low[cj, q:q + _TILE].T
-            if i > j:
-                low[ci, cj] = s @ inverses[-1].T
-                continue
-            while not isinstance(tile := _factor_tile(s, diag[cj]), np.ndarray):
-                c = j + tile
-                held.append(c)
-                a[c, :] = a[:, c] = low[c, :] = 0.0
-                a[c, c] = 1.0
-                s[tile, :] = s[:, tile] = 0.0
-                s[tile, tile] = 1.0
-            low[cj, cj] = tile
-            inverses.append(np.linalg.inv(tile))
-    return low, inverses, held
-
-
-def _cho_solve(low: np.ndarray, inverses: list[np.ndarray], b: np.ndarray) -> np.ndarray:
-    """Solve ``g @ v = b`` for the ``g`` that ``_cholesky`` factored, by
-    forward and back substitution one tile at a time (``einsum`` products,
-    which do not use BLAS threads)."""
-    k = len(b)
-    v = np.zeros(low.shape[0])
-    v[:k] = b
-    for t, j in enumerate(range(0, len(v), _TILE)):
-        cj = slice(j, j + _TILE)
-        v[cj] = np.einsum("ij,j->i", inverses[t],
-                          v[cj] - np.einsum("ij,j->i", low[cj, :j], v[:j]))
-    for t in range(len(inverses) - 1, -1, -1):
-        j = t * _TILE
-        cj = slice(j, j + _TILE)
-        v[cj] = np.einsum("ij,i->j", inverses[t],
-                          v[cj] - np.einsum("ij,i->j", low[j + _TILE:, cj],
-                                            v[j + _TILE:]))
-    return v[:k]
+def _remove(inv: np.ndarray, k: int, i: int) -> None:
+    """Downdate ``inv[:k, :k]``, the inverse of the Gram matrix of k
+    columns, to ``inv[:k - 1, :k - 1]``, the inverse without the i-th."""
+    q = inv[:k, i].copy()
+    inv[:k, :k] -= np.multiply.outer(q, q / q[i])
+    inv[i:k - 1, :k] = inv[i + 1:k, :k]
+    inv[:k - 1, i:k - 1] = inv[:k - 1, i + 1:k]
 
 
 def _gap(z: np.ndarray, r: np.ndarray, xtr: np.ndarray, alpha: float, l1: float) -> float:
@@ -286,7 +209,8 @@ def _path(x: np.ndarray, y: np.ndarray, alphas, max_iter: int):
     ``max_iter`` steps (adds and drops). Each step takes one ``_xt_dot``
     product, and every other product is an ``einsum``, so the bits do not
     depend on the BLAS thread count. The inverse Gram matrix of the active
-    columns is bordered on an add and downdated on a drop. At each alpha
+    columns is bordered on an add (``_border``, whose Schur test is the one
+    above) and downdated on a drop (``_remove``). At each alpha
     in ``alphas`` the residual and X'r are recomputed, for the duality gap
     and as the correlations the path goes on from.
     """
@@ -350,9 +274,7 @@ def _path(x: np.ndarray, y: np.ndarray, alphas, max_iter: int):
             gamma = min(to_stop, hits[i] if k else np.inf, entry[j])
             if entry[j] == gamma < to_stop and (not k or gamma < hits[i]):
                 g = np.einsum("ij,i->j", cols[:, :k], x[:, j]) / n
-                h = np.einsum("ij,j->i", inv[:k, :k], g)
-                schur = diag[j] - g @ h
-                if k == size or schur <= _PIVOT_RTOL * diag[j]:
+                if k == size or not _border(inv, k, g, diag[j]):
                     barrier[j] = np.inf
                     continue
             coefs[:k] += gamma * d
@@ -366,21 +288,14 @@ def _path(x: np.ndarray, y: np.ndarray, alphas, max_iter: int):
             steps += 1
             stale, left = True, -1
             if k and gamma == hits[i]:  # the i-th active column leaves
-                q = inv[:k, i].copy()
-                inv[:k, :k] -= np.multiply.outer(q, q / q[i])
-                inv[i:k - 1, :k] = inv[i + 1:k, :k]
-                inv[:k - 1, i:k - 1] = inv[:k - 1, i + 1:k]
+                _remove(inv, k, i)
                 left, left_sign = active.pop(i), signs[i]
                 for buf in (coefs, signs):
                     buf[i:k - 1] = buf[i + 1:k]
                 cols[:, i:k - 1] = cols[:, i + 1:k]
                 barrier[:] = 0.0
                 barrier[active] = np.inf
-            else:  # column j enters: border the inverse
-                hs = h / schur
-                inv[:k, :k] += np.multiply.outer(h, hs)
-                inv[:k, k] = inv[k, :k] = -hs
-                inv[k, k] = 1.0 / schur
+            else:  # column j enters; the test above bordered the inverse
                 cols[:, k] = x[:, j]
                 coefs[k] = 0.0
                 signs[k] = 1.0 if up[j] <= down[j] else -1.0
@@ -522,6 +437,7 @@ def cross_validate_alpha(design: DesignMatrix, grid, k: int, seed: int,
     alpha_best = float(grid[best_positions[-1]])
     return alpha_best, [(float(a), float(m)) for a, m in zip(grid, mean_mse)], fits
 
+
 def ols_refit(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray, bool]:
     """Least-squares fit with intercept; rank-deficient systems fall back
     to a tiny ridge penalty on the slope coefficients."""
@@ -545,12 +461,15 @@ def drop_experiment(training: DesignMatrix, holdout: DesignMatrix,
     stock code), and repeat down to the intercept-only model. Both designs
     share the model's columns.
 
-    Every refit solves the normal equations of its columns by a Cholesky
-    factor of the matching block of one Gram matrix, formed once for the
-    intercept and the whole support. A refit with more columns than training
-    rows, or whose block holds a column (see ``_cholesky``), is solved by
-    ``ols_refit`` instead; the steps where that falls back to its ridge
-    penalty are recorded in ``ridge_fallback_steps``.
+    Every refit solves the normal equations of its columns with the inverse
+    of their Gram matrix. The inverse is built once, by bordering in column
+    order (``_border``), for the intercept and the support, and each drop
+    downdates it by one column (``_remove``); a subset of independent
+    columns stays independent. A refit with more columns than training
+    rows, or with a column that the Schur test refuses, is solved by
+    ``ols_refit`` instead, and the next step builds the inverse again; the
+    steps where that falls back to its ridge penalty are recorded in
+    ``ridge_fallback_steps``.
     """
     if len(holdout.y) == 0:
         raise ValueError("empty holdout")
@@ -566,8 +485,10 @@ def drop_experiment(training: DesignMatrix, holdout: DesignMatrix,
 
     # Column 0 of the refit design is the intercept, column i + 1 is support[i].
     a = np.column_stack([np.ones(len(training.y)), training.x[:, support]])
-    gram = _gram(a)
+    gram = np.einsum("ij,ik->jk", a, a)
     moments = np.einsum("ij,i->j", a, training.y)
+    inv = np.empty((a.shape[1], a.shape[1]))
+    built = False  # inv holds the inverse Gram matrix of this step's columns
     alive = list(range(len(support)))
 
     points: list[tuple[int, float]] = []
@@ -576,17 +497,17 @@ def drop_experiment(training: DesignMatrix, holdout: DesignMatrix,
     while True:
         survivors = [support[i] for i in alive]
         cols = [0] + [i + 1 for i in alive]
-        # More columns than rows cannot factor; rounding can hide that.
-        held = len(cols) > len(training.y)
-        if not held:
-            low, inverses, held = _cholesky(gram[np.ix_(cols, cols)])
-        if held:
+        # More columns than rows cannot be independent; rounding can hide that.
+        if not built and len(cols) <= len(training.y):
+            built = all(_border(inv, t, gram[c, cols[:t]], gram[c, c])
+                        for t, c in enumerate(cols))
+        if built:
+            sol = np.einsum("ij,j->i", inv[:len(cols), :len(cols)], moments[cols])
+            intercept, coefs = float(sol[0]), sol[1:]
+        else:
             intercept, coefs, fellback = ols_refit(training.x[:, survivors], training.y)
             if fellback:
                 fallback_steps.append(len(dropped))
-        else:
-            sol = _cho_solve(low, inverses, moments[cols])
-            intercept, coefs = float(sol[0]), sol[1:]
         pred = intercept + holdout.x[:, survivors] @ coefs
         points.append((len(survivors), float(np.mean((holdout.y - pred) ** 2))))
         if not alive:
@@ -595,6 +516,8 @@ def drop_experiment(training: DesignMatrix, holdout: DesignMatrix,
         tied = [i for i, c in zip(alive, coefs) if abs(c) == min_abs]
         victim = max(tied, key=lambda i: col_ids[support[i]])
         dropped.append(col_ids[support[victim]])
+        if built:
+            _remove(inv, len(cols), alive.index(victim) + 1)
         alive.remove(victim)
 
     return DropExperimentCurve(points=points, support=support_codes,
@@ -634,9 +557,10 @@ def normal_cdf(z: float) -> float:
 def residual_diagnostics(actual, predicted) -> DiagnosticsReport:
     """Predicted-vs-actual pairs plus probability-probability coordinates.
 
-    P-P points pair the normal CDF of the sorted standardized residuals with Hazen plotting positions (i - 0.5) / n. Constant
-    residuals make standardization impossible; the report is flagged
-    degenerate and carries no P-P points.
+    P-P points pair the normal CDF of the sorted standardized residuals
+    with Hazen plotting positions (i - 0.5) / n. Constant residuals make
+    standardization impossible; the report is flagged degenerate and
+    carries no P-P points.
     """
     actual = np.asarray(actual, dtype=float)
     predicted = np.asarray(predicted, dtype=float)

@@ -279,6 +279,9 @@ def _stage_rfm(cfg: PipelineConfig, run_dir: Path, inputs: _Inputs):
     out.mkdir(parents=True, exist_ok=True)
 
     frequent = [s for s in segments if s.segment is ingest_mod.Segment.FREQUENT]
+    if len(frequent) < 3:
+        raise ValueError(f"rfm: the Box-Cox fit needs at least 3 frequent shoppers, "
+                         f"got {len(frequent)}")
     as_of = max(s.last_purchase for s in frequent)
     weights = rfm_mod.RfmWeights(cfg.rfm.w_recency, cfg.rfm.w_frequency,
                                  cfg.rfm.w_monetary)
@@ -340,8 +343,10 @@ def _stage_select_features(cfg: PipelineConfig, run_dir: Path, inputs: _Inputs):
     curve = lasso_mod.drop_experiment(training, held, model)
     ranking = lasso_mod.select_features(curve, slack=cfg.lasso.slack)
     if ranking.selected_count == 0:
-        raise ValueError("feature selection kept 0 features; "
-                         "the value signal is not explained by any item")
+        raise ValueError(f"select-features: the drop curve keeps 0 features: the "
+                         f"intercept-only holdout MSE {curve.points[-1][1]:.6g} is within "
+                         f"slack {cfg.lasso.slack:g} of the curve minimum "
+                         f"{min(m for _, m in curve.points):.6g}")
 
     selected_codes = [code for code, _ in ranking.ranked]
     col_pos = {c: j for j, c in enumerate(design.col_ids)}
@@ -407,6 +412,11 @@ def _stage_grid_search(cfg: PipelineConfig, run_dir: Path, inputs: _Inputs):
     p_prime = inputs.matrix("select-features", "p_prime")
     out = run_dir / "grid-search"
     out.mkdir(parents=True, exist_ok=True)
+    n, m = p_prime.shape
+    if cfg.nmf.k_min > min(n, m):  # every cell would fail
+        raise ValueError(f"grid-search: k_min = {cfg.nmf.k_min} exceeds min(n, m′) = "
+                         f"{min(n, m)}, with n = {n} frequent shoppers and m′ = {m} "
+                         f"selected items")
 
     result = nmf_mod.grid_search(
         p_prime.to_dense(),

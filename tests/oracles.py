@@ -15,7 +15,7 @@ plain cyclic coordinate descent whose objective the library's exact path
 must match or beat, and whose zero pattern it shares where the fit is
 unique or its ties are between identical columns;
 ``reference_drop_experiment``, the per-step lstsq refits whose drop order,
-fallback steps and holdout MSEs the library's one-Gram-matrix refits
+fallback steps and holdout MSEs the library's inverse-Gram refits
 reproduce within rounding; the NMF layer (``reference_fit_nmf`` and its mask and imputation helpers), the residual-form W and H updates
 that the library's Gram-form sweep reproduces within rounding, with
 ``reference_grid_search``, the serial cell loop that the library may run in

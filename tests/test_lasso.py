@@ -412,35 +412,49 @@ class TestNewtonStep:
         assert not model.converged and model.n_iter < 10000
         assert len(model.support()) < 12
 
-    def test_tiled_products_match_numpy(self):
-        rng = np.random.default_rng(11)
-        for k in (1, 63, 64, 65, 130):
-            a = rng.standard_normal((150, k))
-            g = lasso_mod._gram(a)
-            assert np.abs(g - a.T @ a).max() <= 1e-12 * np.abs(g).max()
-            assert g.tobytes() == g.T.tobytes()
-            low, inverses, held = lasso_mod._cholesky(g)
-            assert held == []
-            b = rng.standard_normal(k)
-            want = np.linalg.solve(g, b)
-            got = lasso_mod._cho_solve(low, inverses, b)
-            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
-    def test_cholesky_holds_dependent_columns(self):
+class TestInverseUpdates:
+    """``_border`` and ``_remove`` keep the inverse Gram matrix of a set of
+    columns that grows and shrinks, for the path and the drop experiment."""
+
+    def test_border_and_remove_track_the_inverse(self):
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((150, 130))
+        gram = a.T @ a
+        inv = np.empty((130, 130))
+        kept: list[int] = []
+        for j in range(130):
+            assert lasso_mod._border(inv, len(kept), gram[j, kept], gram[j, j])
+            kept.append(j)
+            if j >= 40 and j % 3 == 0:  # and remove a random kept column
+                i = int(rng.integers(len(kept)))
+                lasso_mod._remove(inv, len(kept), i)
+                kept.pop(i)
+            k = len(kept)
+            want = np.linalg.inv(gram[np.ix_(kept, kept)])
+            assert np.abs(inv[:k, :k] - want).max() <= 1e-10 * np.abs(want).max()
+        assert len(kept) == 100
+
+    def test_border_refuses_dependent_columns(self):
         rng = np.random.default_rng(12)
         a = rng.standard_normal((100, 80))
         a[:, 70] = a[:, 3] - 2.0 * a[:, 40]   # depends on two earlier columns
         a[:, 75] = a[:, 70]
-        g = lasso_mod._gram(a)
-        low, inverses, held = lasso_mod._cholesky(g)
-        assert held == [70, 75]
-        free = np.setdiff1d(np.arange(80), held)
-        b = rng.standard_normal(80)
-        b[held] = 0.0
-        got = lasso_mod._cho_solve(low, inverses, b)
-        assert got[held].tolist() == [0.0, 0.0]
-        want = np.linalg.solve(g[np.ix_(free, free)], b[free])
-        assert np.abs(got[free] - want).max() <= 1e-10 * np.abs(want).max()
+        gram = a.T @ a
+        inv = np.empty((80, 80))
+        kept: list[int] = []
+        refused: list[int] = []
+        for j in range(80):
+            k = len(kept)
+            before = inv[:k, :k].copy()
+            if lasso_mod._border(inv, k, gram[j, kept], gram[j, j]):
+                kept.append(j)
+            else:
+                refused.append(j)
+                assert inv[:k, :k].tobytes() == before.tobytes()
+        assert refused == [70, 75]
+        want = np.linalg.inv(gram[np.ix_(kept, kept)])
+        assert np.abs(inv[:78, :78] - want).max() <= 1e-10 * np.abs(want).max()
 
 
 THREAD_CHECK = """
@@ -693,6 +707,45 @@ class TestDropExperiment:
                            n_iter=0, converged=False)
         curve = assert_same_drops(*split(d, np.arange(0, 200, 5)), model, rtol=1e-9)
         assert curve.ridge_fallback_steps == list(range(41))
+
+    def test_matches_reference_at_default_config_scale(self):
+        """A support of more than two 64-column tiles on 256 training rows of
+        a sparse non-negative spend design, as at the paper's shape."""
+        rng = np.random.default_rng(38)
+        spend = rng.exponential(20.0, (320, 600)) * (rng.random((320, 600)) < 0.05)
+        d = standardize(spend, np.log1p(spend[:, :30].sum(axis=1))
+                        + 0.3 * rng.standard_normal(320))
+        beta = np.zeros(len(d.col_ids))
+        beta[:180] = rng.standard_normal(180)
+        model = LassoModel(alpha=0.01, intercept=0.0, beta=beta, col_ids=d.col_ids,
+                           n_iter=0, converged=False)
+        curve = assert_same_drops(*split(d, np.arange(0, 320, 5)), model)
+        assert len(curve.support) == 180 and not curve.ridge_fallback_steps
+
+    def test_matches_reference_while_copies_hold_the_refit(self, monkeypatch):
+        """Three copies of one column hold the refit, and every rebuild of
+        the inverse, until two of them are dropped; from then on the rebuilt
+        inverse solves every step."""
+        refits = []
+
+        def counted(x, y):
+            refits.append(x.shape[1])
+            return ols_refit(x, y)
+
+        monkeypatch.setattr(lasso_mod, "ols_refit", counted)
+        rng = np.random.default_rng(39)
+        x = rng.standard_normal((50, 12))
+        x[:, 5] = x[:, 2]
+        x[:, 9] = x[:, 2]
+        d = raw_design(x, x[:, [0, 1, 3, 4, 6, 7]] @ np.array([3.0, -2.5, 2.0, -1.5, 1.2, 1.0])
+                       + 0.3 * x[:, 2] + 0.05 * rng.standard_normal(50))
+        beta = np.zeros(12)
+        beta[[0, 1, 2, 3, 4, 5, 6, 7, 9]] = 0.5
+        model = LassoModel(alpha=0.01, intercept=0.0, beta=beta, col_ids=d.col_ids,
+                           n_iter=0, converged=False)
+        curve = assert_same_drops(*split(d, np.arange(0, 50, 5)), model)
+        assert curve.ridge_fallback_steps == [0, 1] and refits == [9, 8]
+        assert set(curve.dropped[:2]) < {"c2", "c5", "c9"}
 
     def test_matches_reference_on_singular_refit(self):
         rng = np.random.default_rng(35)

@@ -320,13 +320,21 @@ def random_invoices(path: Path, seed: int) -> Path:
 
 
 class TestDegenerateInputs:
-    """Well-formed inputs that leave select-features nothing to fit end with
-    a message that names the stage and the cause."""
+    """Well-formed inputs that leave a stage nothing to fit end with a
+    message that names the stage, the cause and the counts involved."""
 
-    def run_all(self, fixture_config_path, csv, tmp_path, capsys):
+    def run_all(self, fixture_config_path, csv, tmp_path, capsys, *flags):
         rc = cli_main(["--config", str(fixture_config_path), "run-all",
-                       "--input", str(csv), "--out", str(tmp_path / "run")])
+                       "--input", str(csv), "--out", str(tmp_path / "run"), *flags])
         return rc, capsys.readouterr().err
+
+    def test_two_frequent_shoppers(self, fixture_config_path, tmp_path, capsys):
+        lines = [f"{1001 + 5 * c + k},SKU{(k + c) % 3},ITEM,{1 + k},{1 + k}/{10 + c}/2011 "
+                 f"10:00,{1.5 + c},C{c},United Kingdom\n" for c in range(2) for k in range(5)]
+        csv = tmp_path / "two.csv"
+        csv.write_text(INVOICE_HEADER + "".join(lines), encoding="utf-8")
+        assert self.run_all(fixture_config_path, csv, tmp_path, capsys) == (
+            1, "error: rfm: the Box-Cox fit needs at least 3 frequent shoppers, got 2\n")
 
     def test_every_item_column_constant(self, fixture_config_path, tmp_path, capsys):
         csv = one_item_invoices(tmp_path / "one_item.csv")
@@ -340,6 +348,22 @@ class TestDegenerateInputs:
         assert rc == 1
         assert err == ("error: select-features: the model at alpha_best = 0.204721 "
                        "(alpha_max = 0.204721) has no nonzero coefficients\n")
+
+    def test_drop_curve_keeps_no_feature(self, fixture_config_path, tmp_path, capsys):
+        csv = random_invoices(tmp_path / "random.csv", seed=27)
+        rc, err = self.run_all(fixture_config_path, csv, tmp_path, capsys)
+        assert rc == 1
+        assert err == ("error: select-features: the drop curve keeps 0 features: the "
+                       "intercept-only holdout MSE 0.0173154 is within slack 0.05 of the curve "
+                       "minimum 0.0173154\n")
+
+    def test_k_min_above_the_selected_items(self, fixture_csv, fixture_config_path,
+                                            tmp_path, capsys):
+        rc, err = self.run_all(fixture_config_path, fixture_csv, tmp_path, capsys,
+                               "--k-min", "4", "--k-max", "4")
+        assert rc == 1
+        assert err == ("error: grid-search: k_min = 4 exceeds min(n, m′) = 3, with n = 32 "
+                       "frequent shoppers and m′ = 3 selected items\n")
 
 
 class TestDeterminism:
@@ -622,15 +646,15 @@ class TestCli:
     def test_every_grid_cell_failing_says_why(self, full_run, fixture_config_path,
                                               tmp_path, capsys):
         # k = 50 exceeds m' = 3 in every cell; the error used to be only
-        # "every grid cell failed".
+        # "every grid cell failed", then the first cell's error.
         _, out, _ = full_run
         run_dir = tmp_path / "run"
         shutil.copytree(out, run_dir)
         rc = cli_main(["--config", str(fixture_config_path), "grid-search",
                        "--out", str(run_dir), "--k-min", "50", "--k-max", "50"])
         assert (rc, capsys.readouterr().err) == (
-            1, "error: every grid cell failed (4 of 4); "
-               "first: k=50 exceeds min(n, m) = 3\n")
+            1, "error: grid-search: k_min = 50 exceeds min(n, m′) = 3, with n = 32 "
+               "frequent shoppers and m′ = 3 selected items\n")
 
     def test_failed_stage_keeps_the_config_of_its_artifacts(
             self, full_run, fixture_config_path, tmp_path):
