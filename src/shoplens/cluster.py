@@ -5,6 +5,12 @@ condensed cluster tree at min_cluster_size -> excess-of-mass stability
 selection. Points that never sit inside a selected cluster are noise
 (label -1).
 
+The tree is kept once, in flat lists indexed by node: one union-find pass
+over the sorted edges both checks that they form a tree and builds the
+merges; each node's points are one contiguous range of the leaves in
+depth-first order; and one table maps each cluster to the selected cluster
+above it, so labeling a point is one lookup.
+
 Conventions, fixed for reproducibility:
   - The core distance is the distance to the min_samples-th nearest
     neighbor, not counting the point itself.
@@ -146,74 +152,61 @@ def mutual_reachability_mst(points: np.ndarray, core: np.ndarray) -> list[tuple[
     return edges
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+def _merge_tree(edges: list[tuple[int, int, float]], n: int):
+    """Tie-aware single-linkage tree over the spanning tree's edges, checked
+    as it is built. Equal-weight merges become one multiway node; children
+    are ordered by their first (lowest) point. Returns (children, weight,
+    size, start) as lists indexed by node: leaves are points 0..n-1,
+    internal nodes follow in creation order and the root is the last. The
+    leaves in depth-first order put every node's points in one contiguous
+    range of positions, start[node] to start[node] + size[node]; a point's
+    own position is start[point].
+    """
+    ordered = sorted(edges, key=lambda e: (e[2], min(e[0], e[1]), max(e[0], e[1])))
+    up = list(range(n))         # union-find over points
+    node_of = list(range(n))    # the tree node of each union-find root
+    children: list[list[int]] = [[] for _ in range(n)]
+    weight = [0.0] * n
+    size = [1] * n
+    first = list(range(n))
 
-    def find(self, x: int) -> int:
+    def find(x: int) -> int:
         root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
+        while up[root] != root:
+            root = up[root]
+        while up[x] != root:
+            up[x], x = root, up[x]
         return root
 
-    def union(self, a: int, b: int) -> int:
-        ra, rb = self.find(a), self.find(b)
-        self.parent[rb] = ra
-        return ra
+    groups: dict[int, list[int]] = {}  # root -> the nodes it merges at this weight
+    for i, (a, b, w) in enumerate(ordered):
+        if not (0 <= a < n and 0 <= b < n) or not w >= 0:
+            raise ValueError(f"bad edge ({a}, {b}, {w})")
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            raise ValueError("edge list contains a cycle; not a tree")
+        up[rb] = ra
+        members = groups.pop(ra, None) or [node_of[ra]]
+        members += groups.pop(rb, None) or [node_of[rb]]
+        groups[ra] = members
+        if i + 1 < len(ordered) and ordered[i + 1][2] == w:
+            continue
+        for root, members in groups.items():
+            node_of[root] = len(size)
+            kids = sorted(members, key=first.__getitem__)
+            children.append(kids)
+            weight.append(w)
+            size.append(sum(size[c] for c in kids))
+            first.append(first[kids[0]])
+        groups = {}
 
-
-def _merge_tree(edges: list[tuple[int, int, float]], n: int):
-    """Tie-aware single-linkage tree: equal-weight merges become one
-    multiway node. Returns (root, children, weight, size, min_point) where
-    leaves are point indices 0..n-1 and internal nodes follow."""
-    ordered = sorted(edges, key=lambda e: (e[2], min(e[0], e[1]), max(e[0], e[1])))
-    uf = _UnionFind(n)
-    node_of = {i: i for i in range(n)}
-    children: dict[int, list[int]] = {}
-    weight: dict[int, float] = {}
-    size = {i: 1 for i in range(n)}
-    min_point = {i: i for i in range(n)}
-    next_node = n
-
-    i = 0
-    while i < len(ordered):
-        w = ordered[i][2]
-        group_members: dict[int, list[int]] = {}
-        while i < len(ordered) and ordered[i][2] == w:
-            a, b, _ = ordered[i]
-            i += 1
-            ra, rb = uf.find(a), uf.find(b)
-            if ra == rb:
-                continue
-            ma = group_members.pop(ra, None) or [node_of[ra]]
-            mb = group_members.pop(rb, None) or [node_of[rb]]
-            r = uf.union(ra, rb)
-            group_members[r] = ma + mb
-        for root, members in group_members.items():
-            node = next_node
-            next_node += 1
-            kids = sorted(members, key=lambda c: min_point[c])
-            children[node] = kids
-            weight[node] = w
-            size[node] = sum(size[c] for c in kids)
-            min_point[node] = min(min_point[c] for c in kids)
-            node_of[root] = node
-
-    root = node_of[uf.find(0)]
-    return root, children, weight, size, min_point
-
-
-def _leaves_under(node: int, children: dict[int, list[int]], n: int) -> list[int]:
-    out, stack = [], [node]
-    while stack:
-        cur = stack.pop()
-        if cur < n:
-            out.append(cur)
-        else:
-            stack.extend(children[cur])
-    return sorted(out)
+    start = [0] * len(size)
+    for node in range(len(size) - 1, n - 1, -1):
+        pos = start[node]
+        for c in children[node]:
+            start[c] = pos
+            pos += size[c]
+    return children, weight, size, start
 
 
 def extract_clusters(mst: list[tuple[int, int, float]],
@@ -226,33 +219,22 @@ def extract_clusters(mst: list[tuple[int, int, float]],
     of their cluster as individual points. A cluster's stability is the
     accumulated (departure lambda - birth lambda) mass; a parent beats its
     children when its stability is at least the children's combined, and
-    the tree root competes like any other cluster. Points whose departure
-    chain never meets a selected cluster are noise. min_cluster_size must be
-    at least 2 (``cluster_rows`` checks it).
+    the tree root competes like any other cluster. A point takes the label
+    of the highest winning cluster on the path from the root to the cluster
+    it leaves; with no winner on that path it is noise.
+    Clusters are numbered by size (descending), then by first point.
+    min_cluster_size must be at least 2 (``cluster_rows`` checks it).
     """
     n = len(mst) + 1
     if n < 2:
         raise ValueError("need at least 2 points (one spanning-tree edge)")
-    uf_check = _UnionFind(n)
-    for a, b, w in mst:
-        if not (0 <= a < n and 0 <= b < n) or w < 0:
-            raise ValueError(f"bad edge ({a}, {b}, {w})")
-        if uf_check.find(a) == uf_check.find(b):
-            raise ValueError("edge list contains a cycle; not a tree")
-        uf_check.union(a, b)
+    children, weight, size, start = _merge_tree(mst, n)
 
-    root, children, weight, size, min_point = _merge_tree(mst, n)
-
-    root_cid = n
-    next_cid = n + 1
-    records: list[tuple[int, float]] = []  # (cid, lambda) of each departing point
-    birth = {root_cid: 0.0}
-    cluster_kids: dict[int, list[int]] = {root_cid: []}
-    cluster_parent: dict[int, int] = {}
-    point_departure: dict[int, int] = {}  # point -> the cid it leaves
-    split_records: list[tuple[int, float, int]] = []  # (parent cid, lambda, child size)
-
-    stack = [(root, root_cid)]
+    # Clusters in creation order, so a parent comes before its children.
+    birth, parent, stability = [0.0], [-1], [0.0]
+    cluster_kids: list[list[int]] = [[]]
+    departure = np.empty(n, dtype=int)  # by leaf position: the cluster a point leaves
+    stack = [(len(size) - 1, 0)]
     while stack:
         node, cid = stack.pop()
         if node < n:
@@ -260,72 +242,51 @@ def extract_clusters(mst: list[tuple[int, int, float]],
             # were 1, which cluster_rows rules out
             raise AssertionError("leaf reached with a cluster identity")
         lam = math.inf if weight[node] == 0.0 else 1.0 / weight[node]
-        kids = children[node]
-        big = [c for c in kids if size[c] >= min_cluster_size]
-        small = [c for c in kids if size[c] < min_cluster_size]
-        if len(big) >= 2:
-            for c in big:
-                new_cid = next_cid
-                next_cid += 1
-                birth[new_cid] = lam
-                cluster_kids[new_cid] = []
-                cluster_kids[cid].append(new_cid)
-                cluster_parent[new_cid] = cid
-                split_records.append((cid, lam, size[c]))
-                stack.append((c, new_cid))
-            spill = small
-        elif len(big) == 1:
+        big = [c for c in children[node] if size[c] >= min_cluster_size]
+        # One addition per departing point, then the splits: the order of
+        # the additions is part of the result.
+        for c in children[node]:
+            if size[c] < min_cluster_size:
+                departure[start[c]:start[c] + size[c]] = cid
+                for _ in range(size[c]):
+                    stability[cid] += lam - birth[cid]
+        if len(big) == 1:
             stack.append((big[0], cid))
-            spill = small
-        else:
-            spill = kids
-        for c in spill:
-            for p in _leaves_under(c, children, n):
-                records.append((cid, lam))
-                point_departure[p] = cid
+        elif big:
+            for c in big:
+                new_cid = len(birth)
+                birth.append(lam)
+                parent.append(cid)
+                stability.append(0.0)
+                cluster_kids.append([])
+                cluster_kids[cid].append(new_cid)
+                stability[cid] += size[c] * (lam - birth[cid])
+                stack.append((c, new_cid))
 
-    # Points first, then splits: the order of the additions is part of the result.
-    stability = {cid: 0.0 for cid in birth}
-    for parent_cid, lam in records:
-        stability[parent_cid] += lam - birth[parent_cid]
-    for parent_cid, lam, sz in split_records:
-        stability[parent_cid] += sz * (lam - birth[parent_cid])
+    # A cluster wins unless its children's combined stability beats its own.
+    won = [True] * len(birth)
+    won[0] = n >= min_cluster_size
+    for cid in range(len(birth) - 1, -1, -1):
+        if cluster_kids[cid]:
+            child_sum = sum(stability[k] for k in cluster_kids[cid])
+            if child_sum > stability[cid]:
+                won[cid] = False
+                stability[cid] = child_sum
+    # The highest winner on each cluster's path from the root owns it.
+    owner = [-1] * len(birth)
+    for cid in range(len(birth)):
+        above = owner[parent[cid]] if cid else -1
+        owner[cid] = above if above >= 0 or not won[cid] else cid
 
-    selected = {cid: True for cid in birth}
-    if n < min_cluster_size:
-        selected[root_cid] = False
-    adjusted = dict(stability)
-    for cid in sorted(birth, reverse=True):
-        kids = cluster_kids[cid]
-        if not kids:
-            continue
-        child_sum = sum(adjusted[k] for k in kids)
-        if child_sum > adjusted[cid]:
-            selected[cid] = False
-            adjusted[cid] = child_sum
-        else:
-            walk = list(kids)
-            while walk:
-                d = walk.pop()
-                selected[d] = False
-                walk.extend(cluster_kids[d])
-
-    raw_labels = np.full(n, -1, dtype=int)
-    for p in range(n):
-        cid = point_departure[p]
-        while cid is not None and not selected.get(cid, False):
-            cid = cluster_parent.get(cid)
-        if cid is not None:
-            raw_labels[p] = cid
-
-    chosen = sorted(
-        {c for c in raw_labels if c >= 0},
-        key=lambda c: (-int((raw_labels == c).sum()), int(np.flatnonzero(raw_labels == c)[0])),
-    )
-    remap = {c: i for i, c in enumerate(chosen)}
-    labels = np.array([remap.get(c, -1) for c in raw_labels], dtype=int)
-    sizes = {int(v): int((labels == v).sum()) for v in sorted(set(labels.tolist()))}
-    return ClusterLabeling(labels=labels, n_clusters=len(chosen), sizes=sizes)
+    raw = np.asarray(owner)[departure[start[:n]]]
+    ids, first, counts = np.unique(raw, return_index=True, return_counts=True)
+    kept = ids >= 0
+    rank = np.lexsort((first[kept], -counts[kept]))
+    renumber = np.full(len(birth) + 1, -1)  # its last entry maps noise (-1) to -1
+    renumber[ids[kept][rank]] = np.arange(len(rank))
+    sizes = {-1: int(counts[0])} if not kept[0] else {}
+    sizes.update((i, int(c)) for i, c in enumerate(counts[kept][rank]))
+    return ClusterLabeling(labels=renumber[raw], n_clusters=len(rank), sizes=sizes)
 
 
 def cluster_rows(points: np.ndarray, min_cluster_size: int = 5,

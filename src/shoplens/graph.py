@@ -183,8 +183,15 @@ def export_graphml(doc: GraphDocument, path: str | Path) -> Path:
         '  <key id="weight" for="edge" attr.name="weight" attr.type="double"/>',
         '  <graph id="G" edgedefault="undirected">',
     ]
+    refs: dict[str, str] = {}  # each node reference, escaped once
+
+    def ref(text: str) -> str:
+        if text not in refs:
+            refs[text] = _escape(text, quote=True)
+        return refs[text]
+
     for nd in sorted(doc.nodes, key=lambda d: (d["kind"], d["id"])):
-        node_ref = _escape(f"{nd['kind']}/{nd['id']}", quote=True)
+        node_ref = ref(f"{nd['kind']}/{nd['id']}")
         lines.append(f'    <node id="{node_ref}">')
         lines.append(f'      <data key="kind">{_escape(nd["kind"])}</data>')
         if "embedding" in nd:
@@ -194,9 +201,7 @@ def export_graphml(doc: GraphDocument, path: str | Path) -> Path:
             lines.append(f'      <data key="cluster">{nd["cluster"]}</data>')
         lines.append('    </node>')
     for ed in sorted(doc.edges, key=lambda d: (d["_from"], d["_to"])):
-        src = _escape(ed["_from"], quote=True)
-        dst = _escape(ed["_to"], quote=True)
-        lines.append(f'    <edge source="{src}" target="{dst}">')
+        lines.append(f'    <edge source="{ref(ed["_from"])}" target="{ref(ed["_to"])}">')
         lines.append(f'      <data key="weight">{fmt_float(ed["weight"])}</data>')
         lines.append('    </edge>')
     lines += ['  </graph>', '</graphml>']

@@ -413,7 +413,8 @@ def cross_validate_alpha(design: DesignMatrix, grid, k: int, seed: int,
     folds = np.array_split(rng.permutation(pool), k)
     for f in folds:
         if len(f) < 2:
-            raise ValueError(f"fold with {len(f)} rows; need at least 2 per fold")
+            raise ValueError(f"{k} folds of {len(pool)} rows leave one with "
+                             f"{len(f)}; need at least 2 rows per fold")
 
     fold_mse = np.full((k, grid.size), np.nan)
     fits: list[CvFit] = []
@@ -431,8 +432,8 @@ def cross_validate_alpha(design: DesignMatrix, grid, k: int, seed: int,
     mean_mse = fold_mse.mean(axis=0)
     reached = ~np.isnan(mean_mse)
     if not reached.any():
-        raise ValueError(f"no alpha in the grid is reached by every fold's path; "
-                         f"the largest is {grid[-1]:.6g}")
+        raise ValueError(f"no alpha in the grid is reached by every fold's path over "
+                         f"{len(pool)} rows in {k} folds; the largest is {grid[-1]:.6g}")
     best_positions = np.flatnonzero(mean_mse == mean_mse[reached].min())
     alpha_best = float(grid[best_positions[-1]])
     return alpha_best, [(float(a), float(m)) for a, m in zip(grid, mean_mse)], fits

@@ -251,7 +251,10 @@ def _stage_ingest(cfg: PipelineConfig, run_dir: Path, inputs: _Inputs):
     frequent = [s.customer_id for s in segments
                 if s.segment is ingest_mod.Segment.FREQUENT]
     if not frequent:
-        raise ValueError("no frequent shoppers found; nothing to characterize")
+        wholesale = sum(s.segment is ingest_mod.Segment.WHOLESALE for s in segments)
+        raise ValueError(f"ingest: no frequent shoppers among the {len(segments)} registered "
+                         f"customers: {wholesale} wholesale, {len(segments) - wholesale} with "
+                         f"fewer than {cfg.ingest.frequent_min_purchases} invoices")
     matrix = ingest_mod.build_incidence_matrix(txns, frequent)
 
     ingest_mod.write_transactions(txns, out / "transactions.csv")
@@ -330,9 +333,13 @@ def _stage_select_features(cfg: PipelineConfig, run_dir: Path, inputs: _Inputs):
     else:
         grid = lasso_mod.default_alpha_grid(training, cfg.lasso.grid_size,
                                             cfg.lasso.grid_lo_ratio)
-    alpha_best, cv_curve, cv_fits = lasso_mod.cross_validate_alpha(
-        training, grid, cfg.lasso.folds, cfg.lasso.seed,
-        tol=cfg.lasso.tol, max_iter=cfg.lasso.max_iter)
+    try:
+        alpha_best, cv_curve, cv_fits = lasso_mod.cross_validate_alpha(
+            training, grid, cfg.lasso.folds, cfg.lasso.seed,
+            tol=cfg.lasso.tol, max_iter=cfg.lasso.max_iter)
+    except ValueError as err:
+        raise ValueError(f"select-features: {err} ({n} frequent shoppers, "
+                         f"{holdout_size} held out)") from None
     model = lasso_mod.fit_lasso(training, alpha_best, tol=cfg.lasso.tol,
                                 max_iter=cfg.lasso.max_iter)
     if not model.support():

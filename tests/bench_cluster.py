@@ -1,4 +1,4 @@
-"""Micro-benchmarks of the density-clustering distance layer; the tier-1 run
+"""Micro-benchmarks of the density-clustering layers; the tier-1 run
 does not collect this file (it is not named ``test_*.py``). Run it
 explicitly:
 
@@ -12,7 +12,7 @@ eighth of them duplicates of other rows, as rounded W rows often are.
 import numpy as np
 import pytest
 
-from shoplens.cluster import core_distances, mutual_reachability_mst
+from shoplens.cluster import core_distances, extract_clusters, mutual_reachability_mst
 
 pytest.importorskip("pytest_benchmark")
 
@@ -39,3 +39,10 @@ def test_mutual_reachability_mst(benchmark, points):
     edges = benchmark.pedantic(mutual_reachability_mst, args=(points, core),
                                rounds=3, iterations=1)
     assert len(edges) == N_ROWS - 1
+
+
+def test_extract_clusters(benchmark, points):
+    mst = mutual_reachability_mst(points, core_distances(points, MIN_SAMPLES))
+    labeling = benchmark.pedantic(extract_clusters, args=(mst,),
+                                  rounds=5, iterations=1)
+    assert len(labeling.labels) == N_ROWS

@@ -270,6 +270,23 @@ class TestExtract:
         with pytest.raises(ValueError, match="cycle"):
             extract_clusters([(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0), (2, 3, 1.0)], 2)
 
+    @pytest.mark.parametrize("edge", [(2, 4, 1.0), (-1, 2, 1.0), (2, 3, -0.5), (2, 3, math.nan)],
+                             ids=["endpoint-past-n", "negative-endpoint", "negative-weight", "nan"])
+    def test_bad_edge_rejected(self, edge):
+        # an endpoint outside 0..n-1, a negative weight, or a weight that is not a number
+        with pytest.raises(ValueError, match=r"^bad edge \(" + ", ".join(map(str, edge))):
+            extract_clusters([(0, 1, 1.0), (1, 2, 2.0), edge], 2)
+
+    def test_clusters_numbered_by_size_then_first_point(self):
+        # blobs of 5, 7 and 5 points along a line, the larger one in the middle
+        a = np.arange(5.0)
+        points = np.concatenate([a, 100 + np.arange(7.0), 200 + a])[:, None]
+        labeling = cluster_rows(points, 3, 2)
+        assert labeling.labels.tolist() == [1] * 5 + [0] * 7 + [2] * 5
+        assert list(labeling.sizes.items()) == [(0, 7), (1, 5), (2, 5)]
+        assert all(type(k) is int and type(v) is int for k, v in labeling.sizes.items())
+        assert type(labeling.n_clusters) is int
+
 
 class TestAgainstReference:
     @pytest.mark.parametrize("n", range(5, 13))
@@ -304,6 +321,27 @@ class TestAgainstReference:
         got = cluster_rows(points, 3, 2)
         ref = reference_density_partition(points, 2, 3)
         assert partition_of(got.labels) == ref
+
+    # Tie-heavy inputs: many equal reachability weights, so many multiway
+    # merges, whose points the extraction reads as contiguous leaf ranges.
+    @pytest.mark.parametrize("seed", range(6))
+    def test_integer_lattice_instances(self, seed):
+        rng = np.random.default_rng(seed)
+        points = rng.integers(0, 4, size=(int(rng.integers(8, 16)), 2)).astype(float)
+        for mcs, ms in [(2, 1), (3, 2), (4, 2)]:
+            got = cluster_rows(points, min_cluster_size=mcs, min_samples=ms)
+            ref = reference_density_partition(points, ms, mcs)
+            assert partition_of(got.labels) == ref, (seed, mcs, ms)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_duplicate_rows_in_two_blobs(self, seed):
+        rng = np.random.default_rng(seed)
+        blobs = np.vstack([rng.normal(0.0, 0.3, (4, 2)), rng.normal(3.0, 0.3, (4, 2))])
+        points = blobs[rng.integers(0, len(blobs), 14)]
+        for mcs, ms in [(2, 1), (3, 2), (4, 3)]:
+            got = cluster_rows(points, min_cluster_size=mcs, min_samples=ms)
+            ref = reference_density_partition(points, ms, mcs)
+            assert partition_of(got.labels) == ref, (seed, mcs, ms)
 
 
 class TestProfiles:

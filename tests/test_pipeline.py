@@ -4,20 +4,24 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shoplens import cluster, ingest, lasso
 from shoplens._fmt import file_digest, read_csv
 from shoplens.cli import _apply_overrides, _base_config, build_parser
 from shoplens.cli import main as cli_main
 from shoplens.ingest import read_matrix
-from shoplens.pipeline import (MissingStageError, PipelineConfig,
+from shoplens.pipeline import (STAGES, MissingStageError, PipelineConfig,
                                emit_plot_data, run_all, run_stage)
 
+from conftest import DATA_DIR
 from oracles import reference_grid_search
 
 
@@ -30,7 +34,6 @@ def fixture_config(fixture_csv, fixture_config_path, out_dir) -> PipelineConfig:
 @pytest.fixture(scope="module")
 def full_run(tmp_path_factory):
     """One shared full pipeline run over the bundled fixture."""
-    from conftest import DATA_DIR
     out = tmp_path_factory.mktemp("full") / "run"
     cfg = fixture_config(DATA_DIR / "fixture_invoices.csv",
                          DATA_DIR / "fixture_config.json", out)
@@ -304,14 +307,14 @@ def one_item_invoices(path: Path) -> Path:
     return path
 
 
-def random_invoices(path: Path, seed: int) -> Path:
-    """12 shoppers with 5 to 7 invoices each, of 1 to 3 of 6 items."""
+def random_invoices(path: Path, seed: int, customers: int = 12, items: int = 6) -> Path:
+    """Shoppers with 5 to 7 invoices each, of 1 to 3 of the items."""
     rng = np.random.default_rng(seed)
     lines, invoice = [], 1000
-    for c in range(12):
+    for c in range(customers):
         for _ in range(int(rng.integers(5, 8))):
             invoice += 1
-            for item in rng.choice(6, size=int(rng.integers(1, 4)), replace=False):
+            for item in rng.choice(items, size=int(rng.integers(1, 4)), replace=False):
                 lines.append(f"{invoice},SKU{item},ITEM {item},{int(rng.integers(1, 10))},"
                              f"{int(rng.integers(1, 13))}/{int(rng.integers(1, 28))}/2011 10:00,"
                              f"{int(rng.integers(1, 9))}.50,C{c},United Kingdom\n")
@@ -327,6 +330,16 @@ class TestDegenerateInputs:
         rc = cli_main(["--config", str(fixture_config_path), "run-all",
                        "--input", str(csv), "--out", str(tmp_path / "run"), *flags])
         return rc, capsys.readouterr().err
+
+    def test_no_frequent_shopper(self, fixture_config_path, tmp_path, capsys):
+        lines = [f"{1001 + 4 * c + k},SKU{k},ITEM,{1 + k},{1 + k}/{10 + c}/2011 10:00,1.50,"
+                 f"C{c},United Kingdom\n" for c in range(3) for k in range(4)]
+        lines.append("2001,SKU0,ITEM,1500,6/1/2011 10:00,1.50,C9,United Kingdom\n")
+        csv = tmp_path / "infrequent.csv"
+        csv.write_text(INVOICE_HEADER + "".join(lines), encoding="utf-8")
+        assert self.run_all(fixture_config_path, csv, tmp_path, capsys) == (
+            1, "error: ingest: no frequent shoppers among the 4 registered customers: "
+               "1 wholesale, 3 with fewer than 5 invoices\n")
 
     def test_two_frequent_shoppers(self, fixture_config_path, tmp_path, capsys):
         lines = [f"{1001 + 5 * c + k},SKU{(k + c) % 3},ITEM,{1 + k},{1 + k}/{10 + c}/2011 "
@@ -357,6 +370,19 @@ class TestDegenerateInputs:
                        "intercept-only holdout MSE 0.0173154 is within slack 0.05 of the curve "
                        "minimum 0.0173154\n")
 
+    def test_folds_of_one_row(self, fixture_config_path, tmp_path, capsys):
+        csv = random_invoices(tmp_path / "random.csv", seed=0, customers=4)
+        assert self.run_all(fixture_config_path, csv, tmp_path, capsys) == (
+            1, "error: select-features: 2 folds of 3 rows leave one with 1; need at least "
+               "2 rows per fold (4 frequent shoppers, 1 held out)\n")
+
+    def test_no_alpha_reached_by_every_fold(self, fixture_config_path, tmp_path, capsys):
+        csv = random_invoices(tmp_path / "random.csv", seed=6, customers=6, items=5)
+        assert self.run_all(fixture_config_path, csv, tmp_path, capsys) == (
+            1, "error: select-features: no alpha in the grid is reached by every fold's path "
+               "over 4 rows in 2 folds; the largest is 0.876594 (6 frequent shoppers, "
+               "2 held out)\n")
+
     def test_k_min_above_the_selected_items(self, fixture_csv, fixture_config_path,
                                             tmp_path, capsys):
         rc, err = self.run_all(fixture_config_path, fixture_csv, tmp_path, capsys,
@@ -364,6 +390,51 @@ class TestDegenerateInputs:
         assert rc == 1
         assert err == ("error: grid-search: k_min = 4 exceeds min(n, m′) = 3, with n = 32 "
                        "frequent shoppers and m′ = 3 selected items\n")
+
+
+@st.composite
+def invoice_files(draw) -> str:
+    """A small invoice file as CSV text: 0 to 13 customers buying from 1 to
+    5 items on 1 to 8 invoices each (5 to 8 twice as often, so that more
+    files reach the stages after ingest and rfm). Some lines carry a
+    negative, zero or wholesale quantity or a zero price, some invoices are
+    cancellations (a C prefix), some lines are anonymous, and some files put
+    every purchase on one day."""
+    items = draw(st.integers(1, 5))
+    one_day = draw(st.booleans())
+    quantity = st.sampled_from([*range(1, 13)] * 4 + [-3, 0, 1500])
+    price = st.sampled_from(["0.85", "1.50", "2.10", "4.95", "0.00"])
+    prefix = st.sampled_from([""] * 9 + ["C"])
+    lines, number = [], 1000
+    for c in range(draw(st.sampled_from(range(14)))):
+        customer = st.sampled_from([f"C{c}"] * 9 + [""])
+        for _ in range(draw(st.sampled_from([*range(1, 9), *range(5, 9)]))):
+            number += 1
+            invoice = f"{draw(prefix)}{number}"
+            day = ("1/5/2011" if one_day
+                   else f"{draw(st.integers(1, 12))}/{draw(st.integers(1, 28))}/2011")
+            for item in draw(st.lists(st.integers(0, items - 1), min_size=1,
+                                      max_size=items, unique=True)):
+                lines.append(f"{invoice},SKU{item},ITEM {item},{draw(quantity)},{day} 10:00,"
+                             f"{draw(price)},{draw(customer)},United Kingdom\n")
+    return INVOICE_HEADER + "".join(lines)
+
+
+class TestGeneratedInvoices:
+    # Derandomized, so every tier-1 run draws the same files; the fixture
+    # is the one example sure to run every stage.
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(text=invoice_files())
+    @example(text=(DATA_DIR / "fixture_invoices.csv").read_text(encoding="utf-8"))
+    def test_run_all_succeeds_or_names_the_stage(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            csv = Path(tmp) / "invoices.csv"
+            csv.write_text(text, encoding="utf-8")
+            cfg = fixture_config(csv, DATA_DIR / "fixture_config.json", Path(tmp) / "run")
+            try:
+                run_all(cfg)
+            except ValueError as err:
+                assert str(err).startswith(tuple(f"{name}: " for name in STAGES)), err
 
 
 class TestDeterminism:
